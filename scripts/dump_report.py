@@ -25,7 +25,7 @@ def main(argv):
         safe = text.replace("/", "_").replace("(", "").replace(")", "").replace("*", "")
         path = out_dir / f"report_{safe}.json"
         path.write_text(json.dumps(doc.to_json(), indent=2, sort_keys=True) + "\n")
-        print(f"{text:>12}  gamma={doc.gamma.kind:<14} "
+        print(f"{text:>12}  gamma={doc.presentation.gamma.kind:<14} "
               f"smooth_in_Z2={doc.fan_smooth_in_z2}  -> {path}")
     return 0
 

@@ -27,7 +27,7 @@ def main(argv):
             polytope_figure(doc.polytope, doc.fan)
         )
         (out_dir / f"chamber_{safe}.svg").write_text(
-            chamber_figure(doc.gale_points, doc.chamber, doc.polytopal_witness)
+            chamber_figure(doc.gale.gale_points, doc.gale.chamber, doc.gale.witness)
         )
         face = doc.cut.reduced_face
         seg = (face.vertices[0], face.vertices[-1])

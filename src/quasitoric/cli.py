@@ -12,16 +12,8 @@ import os
 import sys
 
 from .cut import AmountTooLargeError, NoOpCutError, blowup_corner, cut_polyhedron
-from .foliation import DEFAULT_TOL, classify_leaves
-from .gale import (
-    augment_ghosts,
-    chamber_from_triangulation,
-    gale_dual,
-    is_balanced,
-    is_odd,
-    is_polytopal,
-    relation_basis,
-)
+from .foliation import classify_leaves
+from .gale import augment_ghosts, gale_points, is_balanced, relation_basis, relations_odd
 from .jsonio import (
     fan_to_json,
     leaf_report_to_json,
@@ -34,13 +26,7 @@ from .jsonio import (
     vector_config_from_json,
     vector_config_to_json,
 )
-from .pipeline import (
-    PipelineInconsistency,
-    build_report,
-    hirzebruch_vector_config,
-    trapezoid,
-    triangulation_from_fan,
-)
+from .pipeline import PipelineInconsistency, build_report, gale_side, trapezoid
 from .fan import normal_fan
 from .polyhedron import InfeasibleRegionError, NotPointedError
 from .quasilattice import hirzebruch_quasilattice, z2
@@ -50,13 +36,6 @@ from .svg import chamber_figure, polytope_figure
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("QUASITORIC_TOL")
-    return float(env) if env else DEFAULT_TOL
 
 
 def _param(text: str) -> ParamSpec:
@@ -76,11 +55,8 @@ def cmd_report(args) -> int:
     sys.stdout.write(_dump(doc.to_json()))
     if args.svg_dir:
         _write_svg(args.svg_dir, "polytope.svg", polytope_figure(doc.polytope, doc.fan))
-        _write_svg(
-            args.svg_dir,
-            "chamber.svg",
-            chamber_figure(doc.gale_points, doc.chamber, doc.polytopal_witness),
-        )
+        g = doc.gale
+        _write_svg(args.svg_dir, "chamber.svg", chamber_figure(g.gale_points, g.chamber, g.witness))
     return 0
 
 
@@ -98,27 +74,25 @@ def cmd_normal_fan(args) -> int:
 
 def cmd_gale_dual(args) -> int:
     if args.a is not None:
-        vc = hirzebruch_vector_config(_param(args.a))
+        a = _param(args.a)
+        g = gale_side(a, normal_fan(trapezoid(a)))
+        vc, rows, lam = g.vector_config, g.relation_matrix, g.gale_points
     else:
         vc = augment_ghosts(vector_config_from_json(json.load(sys.stdin)))
-    rows = relation_basis(vc)
-    lam = gale_dual(vc)
+        rows = relation_basis(vc)
+        lam = gale_points(rows)
     out = {
         "vector_config": vector_config_to_json(vc),
         "balanced": is_balanced(vc),
-        "odd": is_odd(vc),
+        "odd": relations_odd(rows),
         "relation_matrix": matrix_to_json(rows),
         "gale_points": point_config_to_json(lam),
     }
     if args.a is not None:
-        a = _param(args.a)
-        fan = normal_fan(trapezoid(a))
-        chamber = chamber_from_triangulation(triangulation_from_fan(fan), len(vc))
-        polytopal, witness = is_polytopal(lam, chamber)
-        out["polytopal"] = polytopal
-        out["witness"] = vec_to_json(witness) if witness else None
+        out["polytopal"] = g.polytopal
+        out["witness"] = vec_to_json(g.witness) if g.witness else None
         if args.svg_dir:
-            _write_svg(args.svg_dir, "chamber.svg", chamber_figure(lam, chamber, witness))
+            _write_svg(args.svg_dir, "chamber.svg", chamber_figure(lam, g.chamber, g.witness))
     sys.stdout.write(_dump(out))
     return 0
 
@@ -163,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized Hirzebruch surfaces: polytopes, Gale duals, "
         "cuts, and foliations with exact arithmetic.",
     )
-    parser.add_argument("--tol", type=float, default=None,
-                        help="floating-point tolerance (default env QUASITORIC_TOL or 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("report", help="full pipeline report for a parameter a")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vec2, dot, vneg
+from .linalg import Vec2, dot, is_zero_vec
 from .polyhedron import HalfPlane, Polyhedron2, intersect_halfplane, vrep_from_hrep
 from .quasilattice import GroupDesc, Quasilattice, quotient_order
 from .scalar import ParamSpec, Q, QuadScalar
@@ -28,6 +28,13 @@ class CutResult:
     augmented_quasilattice: Quasilattice
     gamma: GroupDesc
     cut_halfplane: HalfPlane
+
+
+def _normal(nu) -> Vec2:
+    nu = (Q(nu[0]), Q(nu[1]))
+    if is_zero_vec(nu):
+        raise ValueError("the normal must be nonzero")
+    return nu
 
 
 def _value_range(p: Polyhedron2, nu: Vec2):
@@ -61,7 +68,7 @@ def cut_polyhedron(
 ) -> CutResult:
     """Cut P along the line <mu, nu> = c; the quasilattice is augmented by
     the cutting normal so the cut direction becomes 'rational'."""
-    nu = (Q(nu[0]), Q(nu[1]))
+    nu = _normal(nu)
     c = Q(c)
     lo, hi = _value_range(p, nu)
     if (lo is not None and not c > lo) or (hi is not None and not c < hi):
@@ -172,8 +179,8 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
     amount = 0 returns P unchanged; a chop reaching another vertex raises
     AmountTooLargeError.
     """
+    nu = _normal(nu)
     vertex = (Q(vertex[0]), Q(vertex[1]))
-    nu = (Q(nu[0]), Q(nu[1]))
     amount = Q(amount)
     if vertex not in p.vertices:
         raise ValueError("blow-up point must be a vertex of the polyhedron")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gale import NotBalancedError, VectorConfig, _echelonize, _kernel_rows, is_balanced, relation_basis
+from .gale import kernel_rows_for
 from .linalg import Vec2, dot
 from .polyhedron import HalfPlane, Polyhedron2
 from .quasilattice import GroupDesc, Quasilattice
@@ -95,9 +95,6 @@ class QuasifoldPresentation:
     gamma: GroupDesc | None
     divisor_orders: tuple[tuple[int, int], ...]  # (facet index 1-based, order)
 
-    def level_equations(self) -> list[str]:
-        return [c.render() for c in self.level_components]
-
     def group_phases(self) -> str:
         return render_phase_map(self.group_weight_rows)
 
@@ -131,15 +128,6 @@ def render_phase_map(rows) -> str:
 
 def _leading(row) -> int:
     return next((c for c, x in enumerate(row) if not x.is_zero()), len(row))
-
-
-def kernel_rows_for(normals: list[Vec2]) -> list[list[QuadScalar]]:
-    """Relation rows for the normals: the balanced path goes through
-    relation_basis (all-ones first row); otherwise the echelonized kernel."""
-    config = VectorConfig(tuple(normals))
-    if is_balanced(config):
-        return relation_basis(config)
-    return _echelonize(_kernel_rows(normals))
 
 
 def moment_map_coeffs(

@@ -93,9 +93,6 @@ class PointConfig:
     def __len__(self):
         return len(self.points)
 
-    def to_complex(self) -> list[complex]:
-        return [complex(p[0].to_float(), p[1].to_float()) for p in self.points]
-
     def conjugate(self) -> "PointConfig":
         return PointConfig(tuple((p[0], -p[1]) for p in self.points))
 
@@ -156,6 +153,21 @@ def relation_basis(v: VectorConfig) -> list[list[QuadScalar]]:
     return [ones] + reduced
 
 
+def kernel_rows_for(normals: list[Vec2]) -> list[list[QuadScalar]]:
+    """Relation rows for the normals: the balanced path goes through
+    relation_basis (all-ones first row); otherwise the echelonized kernel."""
+    config = VectorConfig(tuple(normals))
+    if is_balanced(config):
+        return relation_basis(config)
+    return _echelonize(_kernel_rows(normals))
+
+
+def relations_odd(rows) -> bool:
+    """Parity of a configuration read off a relation basis of it, which has
+    card - dim(span) rows."""
+    return len(rows) % 2 == 1
+
+
 def _kernel_rows(vectors) -> list[list[QuadScalar]]:
     mat = [[v[0] for v in vectors], [v[1] for v in vectors]]
     return kernel_basis(mat)
@@ -179,15 +191,18 @@ def _echelonize(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
 
 
 def gale_dual(v: VectorConfig) -> PointConfig:
-    """Columns of the relation matrix below the all-ones row, read as
-    complex numbers (row 2 real parts, row 3 imaginary parts)."""
-    if not is_odd(v):
+    """The dual point configuration of a balanced, odd configuration."""
+    return gale_points(relation_basis(v))
+
+
+def gale_points(rows) -> PointConfig:
+    """Columns of a relation basis below the all-ones row, read as complex
+    numbers (row 2 real parts, row 3 imaginary parts)."""
+    if not relations_odd(rows):
         raise ValueError("configuration must be odd (card - dim span odd)")
-    b = relation_basis(v)
-    if len(b) < 3:
+    if len(rows) < 3:
         raise ValueError("need at least 3 relation rows for a Gale dual in C")
-    re, im = b[1], b[2]
-    return PointConfig(tuple((re[j], im[j]) for j in range(len(v))))
+    return PointConfig(tuple(zip(rows[1], rows[2])))
 
 
 def chamber_from_triangulation(t: Triangulation, d: int) -> VirtualChamber:

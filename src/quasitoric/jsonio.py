@@ -11,9 +11,22 @@ from .delzant import MomentComponent, QuasifoldPresentation
 from .fan import Fan2
 from .foliation import LeafReport
 from .gale import PointConfig, Triangulation, VectorConfig, VirtualChamber
-from .polyhedron import HalfPlane, Polyhedron2, vrep_from_hrep
+from .polyhedron import HalfPlane, Polyhedron2, hrep_from_vrep, vrep_from_hrep
 from .quasilattice import GroupDesc, Quasilattice
 from .scalar import ParamSpec, scalar_from_json, scalar_to_json
+
+
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def vec_to_json(v):
@@ -21,6 +34,8 @@ def vec_to_json(v):
 
 
 def vec_from_json(obj):
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise ValueError("a vector must be a JSON list of two scalars")
     return (scalar_from_json(obj[0]), scalar_from_json(obj[1]))
 
 
@@ -29,6 +44,7 @@ def halfplane_to_json(h: HalfPlane):
 
 
 def halfplane_from_json(obj) -> HalfPlane:
+    obj = _object(obj, "a half-plane")
     return HalfPlane(vec_from_json(obj["normal"]), scalar_from_json(obj["offset"]))
 
 
@@ -43,12 +59,12 @@ def polyhedron_to_json(p: Polyhedron2):
 
 
 def polyhedron_from_json(obj) -> Polyhedron2:
-    if "hrep" in obj and obj["hrep"]:
-        return vrep_from_hrep([halfplane_from_json(h) for h in obj["hrep"]])
-    from .polyhedron import hrep_from_vrep
-
-    verts = [vec_from_json(v) for v in obj.get("vertices", [])]
-    rays = [vec_from_json(r) for r in obj.get("rays", [])]
+    obj = _object(obj, "a polyhedron")
+    hrep = _list(obj, "hrep")
+    if hrep:
+        return vrep_from_hrep([halfplane_from_json(h) for h in hrep])
+    verts = [vec_from_json(v) for v in _list(obj, "vertices")]
+    rays = [vec_from_json(r) for r in _list(obj, "rays")]
     return vrep_from_hrep(hrep_from_vrep(verts, rays))
 
 
@@ -99,18 +115,15 @@ def vector_config_to_json(v: VectorConfig):
 
 
 def vector_config_from_json(obj) -> VectorConfig:
-    return VectorConfig(
-        tuple(vec_from_json(x) for x in obj["vectors"]),
-        frozenset(obj.get("ghost_indices", ())),
-    )
+    obj = _object(obj, "a vector configuration")
+    ghosts = _list(obj, "ghost_indices")
+    if not all(isinstance(i, int) for i in ghosts):
+        raise ValueError("'ghost_indices' must be a JSON list of integers")
+    return VectorConfig(tuple(vec_from_json(x) for x in _list(obj, "vectors")), frozenset(ghosts))
 
 
 def point_config_to_json(p: PointConfig):
     return {"points": [vec_to_json(x) for x in p.points]}
-
-
-def point_config_from_json(obj) -> PointConfig:
-    return PointConfig(tuple(vec_from_json(x) for x in obj["points"]))
 
 
 def matrix_to_json(rows):
@@ -127,10 +140,6 @@ def triangulation_to_json(t: Triangulation):
 
 def chamber_to_json(c: VirtualChamber):
     return {"subsets": subsets_to_json(c.subsets)}
-
-
-def chamber_from_json(obj) -> VirtualChamber:
-    return VirtualChamber(frozenset(frozenset(s) for s in obj["subsets"]))
 
 
 def component_to_json(c: MomentComponent):

@@ -12,10 +12,6 @@ from .scalar import Q, QuadScalar
 Vec2 = tuple[QuadScalar, QuadScalar]
 
 
-def vec2(x, y) -> Vec2:
-    return (Q(x), Q(y))
-
-
 def vadd(u: Vec2, v: Vec2) -> Vec2:
     return (u[0] + v[0], u[1] + v[1])
 

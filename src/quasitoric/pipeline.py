@@ -28,16 +28,16 @@ from .gale import (
     VirtualChamber,
     augment_ghosts,
     chamber_from_triangulation,
-    gale_dual,
+    gale_points,
     is_balanced,
-    is_odd,
     is_polytopal,
     relation_basis,
+    relations_odd,
 )
 from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2, vrep_from_hrep
-from .quasilattice import GroupDesc, Quasilattice, hirzebruch_quasilattice, z2
-from .scalar import ParamSpec, Q, QuadScalar, format_scalar
+from .quasilattice import Quasilattice, hirzebruch_quasilattice, z2
+from .scalar import ParamSpec, Q, QuadScalar
 
 
 class PipelineInconsistency(RuntimeError):
@@ -125,18 +125,37 @@ def triangulation_from_fan(fan: Fan2) -> Triangulation:
     return Triangulation(frozenset(subsets))
 
 
-def five_constraint_triple(a: ParamSpec) -> PolytopeTriple:
-    """The trapezoid triple with the extra half-plane -a*y >= -2a."""
-    av = a.value
-    return PolytopeTriple(
-        trapezoid(a),
-        hirzebruch_quasilattice(a),
-        (HalfPlane((Q(0), -av), Q(-2) * av),),
-    )
+def five_constraint_triple(p: Polyhedron2, qa: Quasilattice) -> PolytopeTriple:
+    """The trapezoid triple (P_a, Q_a) with the extra half-plane
+    -a*y >= -2a, a read off the tag of Q_a."""
+    av = qa.param.value
+    return PolytopeTriple(p, qa, (HalfPlane((Q(0), -av), Q(-2) * av),))
 
 
-def four_facet_triple(a: ParamSpec) -> PolytopeTriple:
-    return PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a))
+@dataclass(frozen=True)
+class GaleSide:
+    """V_a, its relation basis, the dual points Lambda read off that basis,
+    and the chamber of the fan's triangulation with its polytopality
+    witness."""
+
+    vector_config: VectorConfig
+    relation_matrix: tuple[tuple[QuadScalar, ...], ...]
+    gale_points: PointConfig
+    triangulation: Triangulation
+    chamber: VirtualChamber
+    polytopal: bool
+    witness: Vec2 | None
+
+
+def gale_side(a: ParamSpec, fan: Fan2) -> GaleSide:
+    """The Gale-dual side of F_a, for the normal fan of P_a."""
+    vc = hirzebruch_vector_config(a)
+    rows = tuple(tuple(r) for r in relation_basis(vc))
+    lam = gale_points(rows)
+    tri = triangulation_from_fan(fan)
+    chamber = chamber_from_triangulation(tri, len(vc))
+    polytopal, witness = is_polytopal(lam, chamber)
+    return GaleSide(vc, rows, lam, tri, chamber, polytopal, witness)
 
 
 MOMENT_CONSTANT_NOTE = (
@@ -157,16 +176,7 @@ class ReportDocument:
     fan_rational_in_qa: bool
     fan_smooth_in_z2: bool
     quasilattice: Quasilattice
-    gamma: GroupDesc
-    vector_config: VectorConfig
-    vc_balanced: bool
-    vc_odd: bool
-    triangulation: Triangulation
-    relation_matrix: tuple[tuple[QuadScalar, ...], ...]
-    gale_points: PointConfig
-    chamber: VirtualChamber
-    polytopal: bool
-    polytopal_witness: Vec2 | None
+    gale: GaleSide
     presentation: QuasifoldPresentation
     moment_components: tuple[MomentComponent, ...]
     cut: CutResult
@@ -175,6 +185,7 @@ class ReportDocument:
     warnings: tuple[str, ...]
 
     def to_json(self) -> dict:
+        g = self.gale
         return {
             "a": jsonio.scalar_to_json(self.a.value),
             "polytope": jsonio.polyhedron_to_json(self.polytope),
@@ -186,18 +197,16 @@ class ReportDocument:
                 "smooth_in_z2": self.fan_smooth_in_z2,
             },
             "quasilattice": jsonio.quasilattice_to_json(self.quasilattice),
-            "gamma": jsonio.group_to_json(self.gamma),
-            "vector_config": jsonio.vector_config_to_json(self.vector_config),
-            "vector_config_balanced": self.vc_balanced,
-            "vector_config_odd": self.vc_odd,
-            "triangulation": jsonio.triangulation_to_json(self.triangulation),
-            "relation_matrix": jsonio.matrix_to_json(self.relation_matrix),
-            "gale_points": jsonio.point_config_to_json(self.gale_points),
-            "chamber": jsonio.chamber_to_json(self.chamber),
-            "polytopal": self.polytopal,
-            "polytopal_witness": jsonio.vec_to_json(self.polytopal_witness)
-            if self.polytopal_witness
-            else None,
+            "gamma": jsonio.group_to_json(self.presentation.gamma),
+            "vector_config": jsonio.vector_config_to_json(g.vector_config),
+            "vector_config_balanced": is_balanced(g.vector_config),
+            "vector_config_odd": relations_odd(g.relation_matrix),
+            "triangulation": jsonio.triangulation_to_json(g.triangulation),
+            "relation_matrix": jsonio.matrix_to_json(g.relation_matrix),
+            "gale_points": jsonio.point_config_to_json(g.gale_points),
+            "chamber": jsonio.chamber_to_json(g.chamber),
+            "polytopal": g.polytopal,
+            "polytopal_witness": jsonio.vec_to_json(g.witness) if g.witness else None,
             "presentation": jsonio.presentation_to_json(self.presentation),
             "moment_components": [
                 jsonio.component_to_json(c) for c in self.moment_components
@@ -209,10 +218,9 @@ class ReportDocument:
         }
 
 
-def strip_cut(a: ParamSpec) -> CutResult:
-    """Cut the strip along x = a*y + 1 over the standard lattice."""
-    result = cut_polyhedron(strip(), z2(), (Q(-1), a.value), Q(-1))
-    return result
+def strip_cut(a: ParamSpec, lattice: Quasilattice) -> CutResult:
+    """Cut the strip along x = a*y + 1 over the lattice (Z^2 for F_a)."""
+    return cut_polyhedron(strip(), lattice, (Q(-1), a.value), Q(-1))
 
 
 def triangle_blowup(a: ParamSpec) -> Polyhedron2:
@@ -226,19 +234,11 @@ def build_report(a: ParamSpec) -> ReportDocument:
     fan = normal_fan(p)
     qa = hirzebruch_quasilattice(a)
     lattice = z2()
-    smooth = is_smooth(fan, lattice)
-    vc = hirzebruch_vector_config(a)
-    tri = triangulation_from_fan(fan)
-    rows = relation_basis(vc)
-    lam = gale_dual(vc)
-    chamber = chamber_from_triangulation(tri, len(vc))
-    polytopal, witness = is_polytopal(lam, chamber)
-    pres = presentation(four_facet_triple(a))
-    five = five_constraint_triple(a)
-    components = moment_map_coeffs(five, [list(r) for r in rows])
-    cut_result = strip_cut(a)
+    gale = gale_side(a, fan)
+    pres = presentation(PolytopeTriple(p, qa))
+    components = moment_map_coeffs(five_constraint_triple(p, qa), gale.relation_matrix)
+    cut_result = strip_cut(a, lattice)
     blowup = triangle_blowup(a)
-    warnings = [MOMENT_CONSTANT_NOTE]
 
     same_cut = cut_result.kept_piece.same_region(p)
     same_blow = blowup.same_region(p)
@@ -255,22 +255,13 @@ def build_report(a: ParamSpec) -> ReportDocument:
         fan_is_complete=is_complete(fan),
         fan_rational_in_z2=is_rational(fan, lattice),
         fan_rational_in_qa=is_rational(fan, qa),
-        fan_smooth_in_z2=smooth,
+        fan_smooth_in_z2=is_smooth(fan, lattice),
         quasilattice=qa,
-        gamma=qa.gamma_quotient(),
-        vector_config=vc,
-        vc_balanced=is_balanced(vc),
-        vc_odd=is_odd(vc),
-        triangulation=tri,
-        relation_matrix=tuple(tuple(r) for r in rows),
-        gale_points=lam,
-        chamber=chamber,
-        polytopal=polytopal,
-        polytopal_witness=witness,
+        gale=gale,
         presentation=pres,
         moment_components=tuple(components),
         cut=cut_result,
         blowup_polytope=blowup,
         leaf_report=classify_leaves(a),
-        warnings=tuple(warnings),
+        warnings=(MOMENT_CONSTANT_NOTE,),
     )

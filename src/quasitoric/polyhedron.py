@@ -179,9 +179,6 @@ class Polyhedron2:
     def contains(self, point: Vec2) -> bool:
         return all(h.holds(point) for h in self.hrep)
 
-    def interior_contains(self, point: Vec2) -> bool:
-        return all(h.slack(point).sign() > 0 for h in self.hrep)
-
     def area(self) -> QuadScalar:
         if not self.bounded:
             raise ValueError("area of an unbounded polyhedron")

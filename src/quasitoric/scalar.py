@@ -8,6 +8,7 @@ all comparisons are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,10 +35,19 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+# Largest accepted d: the one squarefree test per distinct d is trial
+# division up to sqrt(d), about 0.3 s at this size.
+MAX_D = 10**12
+
+
+@functools.lru_cache(maxsize=64)
+def _squarefree(d: int) -> bool:
+    return is_squarefree(d)
+
+
 def _check_d(d):
-    if d is not None:
-        if not isinstance(d, int) or d <= 1 or not is_squarefree(d):
-            raise ScalarContextError(f"d must be a squarefree integer > 1, got {d!r}")
+    if d is not None and not (isinstance(d, int) and 1 < d <= MAX_D and _squarefree(d)):
+        raise ScalarContextError(f"d must be a squarefree integer in 2..{MAX_D}, got {d!r}")
     return d
 
 
@@ -240,6 +250,20 @@ _TERM = re.compile(
 )
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def _rational(text: str) -> Fraction:
+    """An exact 'p' or 'p/q'.  Fraction alone would also take '1e999999999'
+    and build 10**999999999 from a dozen characters."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not an exact rational 'p' or 'p/q': {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str) -> QuadScalar:
     """Parse 'p/q', 'r+s*sqrt(d)', 'sqrt(d)' and signed combinations thereof."""
     if not isinstance(text, str) or not text.strip():
@@ -257,7 +281,7 @@ def parse_scalar(text: str) -> QuadScalar:
         if m.group("d2") is not None:
             term = sqrt(int(m.group("d2")))
         else:
-            coef = Fraction(m.group("coef"))
+            coef = _rational(m.group("coef"))
             if m.group("d1") is not None:
                 term = QuadScalar(Fraction(0), coef, int(m.group("d1")))
             else:
@@ -300,7 +324,7 @@ def scalar_from_json(obj) -> QuadScalar:
     if isinstance(obj, int):
         return QuadScalar(Fraction(obj))
     if isinstance(obj, dict):
-        return QuadScalar(Fraction(obj["r"]), Fraction(obj.get("s", "0")), obj.get("d"))
+        return QuadScalar(_rational(str(obj["r"])), _rational(str(obj.get("s", "0"))), obj.get("d"))
     raise ValueError(f"not a scalar JSON form: {obj!r}")
 
 

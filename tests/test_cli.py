@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -19,6 +20,15 @@ def run_cli(argv, stdin_text=""):
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = old_in, old_out, old_err
+
+
+def assert_input_error(code, err):
+    """Bad input: exit 2 and a single 'error:' line on stderr."""
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SQUARE = json.dumps({"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]})
 
 
 def test_report_success_and_determinism():
@@ -43,9 +53,21 @@ def test_report_irrational():
 
 
 def test_parse_error_exit_code():
-    code, _, err = run_cli(["report", "bananas"])
-    assert code == 2
-    assert "error" in err
+    for argv in (
+        ["report", "bananas"],
+        ["report", "1/0"],
+        ["cut", "1", "1", "1/2", "--a", "1/0"],
+        ["report", "sqrt(1000000000039)"],  # d above scalar.MAX_D
+    ):
+        assert_input_error(*run_cli(argv, stdin_text=SQUARE)[::2])
+
+
+def test_report_large_d_is_fast():
+    # the squarefree test of d runs once, not once per scalar built
+    start = time.perf_counter()
+    code, out, _ = run_cli(["report", "sqrt(999999999989)"])
+    assert code == 0 and json.loads(out)["a"]["d"] == 999999999989
+    assert time.perf_counter() - start < 10
 
 
 def test_negative_parameter_rejected():
@@ -80,8 +102,19 @@ def test_normal_fan_from_stdin():
 def test_bad_stdin_schema():
     code, _, err = run_cli(["normal-fan"], stdin_text='{"bad": 1}')
     assert code == 2
-    code, _, err = run_cli(["normal-fan"], stdin_text="not json")
-    assert code == 2
+    for cmd in (["normal-fan"], ["gale-dual"], ["cut", "1", "0", "1"]):
+        for payload in (
+            "not json",
+            "[1,2]",
+            "3",
+            '{"vertices": [["1/0", 0], [1, 0], [0, 1]]}',
+            '{"vertices": [[{"r": "1e400", "s": "0", "d": null}, 0], [1, 0], [0, 1]]}',
+            '{"vertices": 3}',
+            '{"vertices": [1]}',
+            '{"hrep": [1]}',
+            '{"vectors": [[1, 0], [0, 1]], "ghost_indices": [[1]]}',
+        ):
+            assert_input_error(*run_cli(cmd, stdin_text=payload)[::2])
 
 
 def test_gale_dual_command():
@@ -112,6 +145,8 @@ def test_cut_command():
     # a cut missing the interior is a consistency failure: exit 3
     code, _, err = run_cli(["cut", "1", "0", "5"], stdin_text=square)
     assert code == 3
+    # a zero normal is bad input, not a cut that misses
+    assert_input_error(*run_cli(["cut", "0", "0", "1"], stdin_text=square)[::2])
 
 
 def test_blowup_command():
@@ -131,6 +166,7 @@ def test_blowup_command():
     assert len(json.loads(out)["vertices"]) == 5
     code, _, _ = run_cli(["blowup", "0", "0", "1", "1", "10"], stdin_text=square)
     assert code == 3
+    assert_input_error(*run_cli(["blowup", "0", "0", "0", "0", "1/2"], stdin_text=square)[::2])
 
 
 def test_classify_leaves_command():

@@ -75,7 +75,7 @@ def test_cut_quotient_groups():
 def test_strip_cut_matches_trapezoid():
     for text in PARAM_TEXTS:
         a = ParamSpec(parse_scalar(text))
-        result = strip_cut(a)
+        result = strip_cut(a, z2())
         assert result.kept_piece.same_region(trapezoid(a))
         # gamma mirrors the classification of a
         if a.is_integer:
@@ -141,7 +141,7 @@ def test_cut_decomposition_exact():
     maps onto kept piece minus cut line / cut line / other piece."""
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
-        result = strip_cut(a)
+        result = strip_cut(a, z2())
         samples = []
         for i in range(0, 13):
             for j in range(-4, 5):

@@ -10,7 +10,6 @@ from quasitoric.delzant import (
     PolytopeTriple,
     TripleError,
     eval_moment_map_sq,
-    kernel_rows_for,
     level_set_member,
     level_set_member_sq,
     moment_map_coeffs,
@@ -18,11 +17,8 @@ from quasitoric.delzant import (
     render_phase_map,
     residual_action_weights,
 )
-from quasitoric.pipeline import (
-    five_constraint_triple,
-    four_facet_triple,
-    trapezoid,
-)
+from quasitoric.gale import kernel_rows_for
+from quasitoric.pipeline import five_constraint_triple, trapezoid
 from quasitoric.polyhedron import HalfPlane, vrep_from_hrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
@@ -33,14 +29,14 @@ def test_triple_validation():
     # trapezoid normals live in Q_a but (-1, sqrt 2) is not in Z^2
     with pytest.raises(TripleError):
         PolytopeTriple(trapezoid(a), z2())
-    four_facet_triple(a)  # fine with Q_a
+    PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a))  # fine with Q_a
 
 
 def test_moment_components_regression():
     """lambda = (0, 0, -1, -1, -2a) gives the three level equations."""
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
-        triple = five_constraint_triple(a)
+        triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
         rows = kernel_rows_for(triple.normals())
         comps = moment_map_coeffs(triple, rows)
         av = a.value
@@ -57,7 +53,7 @@ def test_level_set_vertex_patterns():
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
         av = a.value
-        triple = five_constraint_triple(a)
+        triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
         comps = moment_map_coeffs(triple, kernel_rows_for(triple.normals()))
         # |z_i|^2 = <mu, X_i> - lambda_i at the moment-image point mu
         normals = triple.normals()
@@ -75,7 +71,7 @@ def test_level_set_vertex_patterns():
 
 def test_level_set_member_float():
     a = ParamSpec(Q(2))
-    triple = five_constraint_triple(a)
+    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
     comps = moment_map_coeffs(triple, kernel_rows_for(triple.normals()))
     import math
 
@@ -90,7 +86,7 @@ def test_level_set_member_float():
 
 def test_moment_coeffs_reject_bad_rows():
     a = ParamSpec(Q(2))
-    triple = five_constraint_triple(a)
+    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
     with pytest.raises(ValueError):
         moment_map_coeffs(triple, [[Q(1), Q(0), Q(0), Q(0), Q(0)]])
     with pytest.raises(ValueError):
@@ -99,7 +95,7 @@ def test_moment_coeffs_reject_bad_rows():
 
 def test_residual_action_weights():
     a = ParamSpec(parse_scalar("sqrt(2)"))
-    triple = five_constraint_triple(a)
+    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
     rows = kernel_rows_for(triple.normals())
     residual = residual_action_weights(rows)
     assert len(residual) == 2
@@ -109,7 +105,7 @@ def test_residual_action_weights():
 
 def test_presentation_four_facets():
     a = ParamSpec(parse_scalar("sqrt(2)"))
-    pres = presentation(four_facet_triple(a))
+    pres = presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
     assert pres.facet_count == 4
     assert pres.quasitorus == "S^1 x (S^1/Gamma_a)"
     assert pres.gamma.kind == "dense_cyclic"
@@ -122,12 +118,14 @@ def test_presentation_four_facets():
 
 
 def test_presentation_rational_cases():
-    pres = presentation(four_facet_triple(ParamSpec(Q(3))))
+    a = ParamSpec(Q(3))
+    pres = presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
     assert pres.quasitorus == "S^1 x S^1"
     assert pres.gamma.kind == "trivial"
     assert pres.divisor_orders == ()
 
-    pres = presentation(four_facet_triple(ParamSpec(parse_scalar("5/3"))))
+    a = ParamSpec(parse_scalar("5/3"))
+    pres = presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
     assert pres.quasitorus == "S^1 x (S^1/Z_3)"
     assert pres.gamma.order == 3
     # the two horizontal facets carry order-3 orbifold divisors
