@@ -38,6 +38,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _read_stdin():
+    try:
+        return json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("stdin JSON is nested too deeply") from None
+
+
 def _param(text: str) -> ParamSpec:
     return ParamSpec(parse_scalar(text))
 
@@ -64,7 +71,7 @@ def cmd_normal_fan(args) -> int:
     if args.a is not None:
         p = trapezoid(_param(args.a))
     else:
-        p = polyhedron_from_json(json.load(sys.stdin))
+        p = polyhedron_from_json(_read_stdin())
     fan = normal_fan(p)
     sys.stdout.write(_dump(fan_to_json(fan)))
     if args.svg_dir:
@@ -78,7 +85,7 @@ def cmd_gale_dual(args) -> int:
         g = gale_side(a, normal_fan(trapezoid(a)))
         vc, rows, lam = g.vector_config, g.relation_matrix, g.gale_points
     else:
-        vc = augment_ghosts(vector_config_from_json(json.load(sys.stdin)))
+        vc = augment_ghosts(vector_config_from_json(_read_stdin()))
         rows = relation_basis(vc)
         lam = gale_points(rows)
     out = {
@@ -98,7 +105,7 @@ def cmd_gale_dual(args) -> int:
 
 
 def cmd_cut(args) -> int:
-    p = polyhedron_from_json(json.load(sys.stdin))
+    p = polyhedron_from_json(_read_stdin())
     nu = (parse_scalar(args.nu_x), parse_scalar(args.nu_y))
     c = parse_scalar(args.level)
     q = hirzebruch_quasilattice(_param(args.a)) if args.a is not None else z2()
@@ -115,7 +122,7 @@ def cmd_cut(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    p = polyhedron_from_json(json.load(sys.stdin))
+    p = polyhedron_from_json(_read_stdin())
     vertex = (parse_scalar(args.vx), parse_scalar(args.vy))
     nu = (parse_scalar(args.nu_x), parse_scalar(args.nu_y))
     out = blowup_corner(p, vertex, nu, parse_scalar(args.amount))
@@ -131,8 +138,16 @@ def cmd_classify_leaves(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one 'error:' line and exit 2, like every other
+    bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasitoric",
         description="Generalized Hirzebruch surfaces: polytopes, Gale duals, "
         "cuts, and foliations with exact arithmetic.",

@@ -175,7 +175,8 @@ def _kernel_rows(vectors) -> list[list[QuadScalar]]:
 
 def _echelonize(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
     """Scale each row's leading entry to 1 and clear it from later rows,
-    preserving row order."""
+    preserving row order. That order defines Lambda = (i, 1, 1+ia, i, 0);
+    rref would swap the two kernel rows of V_a."""
     rows = [list(r) for r in rows]
     for i, row in enumerate(rows):
         lead = next((c for c, x in enumerate(row) if not x.is_zero()), None)

@@ -1,6 +1,5 @@
-"""Small exact linear algebra: 2D vectors over QuadScalar, generic row
-reduction over the field, and integer linear systems via Hermite-style
-column reduction."""
+"""Small exact linear algebra: 2D vectors over QuadScalar, row reduction
+over the field (rref), and the Hermite normal form of integer row spans."""
 
 from __future__ import annotations
 
@@ -117,71 +116,7 @@ def solve_linear(rows: list[list[QuadScalar]], rhs: list[QuadScalar]) -> list[Qu
     return x
 
 
-# -- integer systems --------------------------------------------------------
-
-
-def integer_solve(a: list[list[int]], b: list[int]) -> list[int] | None:
-    """An integer solution x of A x = b, or None.
-
-    Column reduction by gcd steps (Hermite normal form flavour); the
-    transform U is tracked so a witness can be returned.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    A = [list(row) for row in a]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_addmul(dst, src, k):
-        for row in A:
-            row[dst] += k * row[src]
-        for t in range(n):
-            U[dst][t] += k * U[src][t]
-
-    lead = 0
-    pivot_of_row: dict[int, int] = {}
-    for i in range(m):
-        if lead >= n:
-            break
-        while True:
-            nz = [j for j in range(lead, n) if A[i][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: abs(A[i][j]))
-            if j0 != lead:
-                col_swap(lead, j0)
-            done = True
-            for j in range(lead + 1, n):
-                if A[i][j] != 0:
-                    col_addmul(j, lead, -(A[i][j] // A[i][lead]))
-                    if A[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if A[i][lead] != 0:
-            pivot_of_row[i] = lead
-            lead += 1
-
-    y = [0] * n
-    for i in range(m):
-        resid = b[i] - sum(A[i][j] * y[j] for j in range(n))
-        if i in pivot_of_row:
-            p = pivot_of_row[i]
-            if resid % A[i][p] != 0:
-                return None
-            y[p] = resid // A[i][p]
-        elif resid != 0:
-            return None
-    # U[j] expresses reduced column j as a combination of original unknowns
-    x = [0] * n
-    for j in range(n):
-        for t in range(n):
-            x[t] += U[j][t] * y[j]
-    return x
+# -- integer lattices -------------------------------------------------------
 
 
 def hnf_rows(mat: list[list[int]]) -> list[list[int]]:

@@ -1,18 +1,21 @@
 """Quasilattices: Z-spans of plane vectors over Q(sqrt(d)).
 
-Membership is decided exactly: splitting every coordinate into rational and
-sqrt(d) parts turns "is v an integer combination of the generators" into an
-integer linear system, solved by Hermite-style reduction.
+Splitting every coordinate into its rational and sqrt(d) parts maps a
+quasilattice onto a Z-module in Q^4. Each instance reduces its generators
+once, to the Hermite normal form of that module scaled into Z^4, and answers
+membership, discreteness, its lattice basis and ray rationality exactly from
+that one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .linalg import Vec2, cross, integer_solve, kernel_basis, matrix_rank
-from .scalar import ParamSpec, Q, QuadScalar, ScalarContextError
+from .linalg import Vec2, cross, hnf_rows
+from .scalar import ParamSpec, Q, QuadScalar, ScalarContextError, sqrt
 
 
 class QuotientUnsupportedError(ValueError):
@@ -34,8 +37,8 @@ class GroupDesc:
             raise ValueError("finite_cyclic needs order >= 2")
 
 
-def _context_d(vectors) -> int | None:
-    d = None
+def _context_d(vectors, d: int | None = None) -> int | None:
+    """The one sqrt(d) the vectors (and a known context d) use, if any."""
     for v in vectors:
         for x in v:
             if x.d is not None:
@@ -46,22 +49,17 @@ def _context_d(vectors) -> int | None:
     return d
 
 
-def _rational_rows(vectors: list[Vec2]) -> list[list[Fraction]]:
-    """Each vector becomes the 4-tuple (x.r, x.s, y.r, y.s) over Q."""
-    _context_d(vectors)  # context check
-    return [[v[0].r, v[0].s, v[1].r, v[1].s] for v in vectors]
+def _parts(v: Vec2) -> tuple[Fraction, ...]:
+    """A plane vector over Q(sqrt(d)) as the 4-tuple (x.r, x.s, y.r, y.s)."""
+    return (v[0].r, v[0].s, v[1].r, v[1].s)
 
 
-def _scaled_integer_system(cols: list[list[Fraction]], rhs: list[Fraction]):
-    """Scale each equation by the lcm of its denominators."""
-    a_rows, b_out = [], []
-    for i in range(len(rhs)):
-        den = Fraction(rhs[i]).denominator
-        for c in cols:
-            den = lcm(den, Fraction(c[i]).denominator)
-        a_rows.append([int(Fraction(c[i]) * den) for c in cols])
-        b_out.append(int(Fraction(rhs[i]) * den))
-    return a_rows, b_out
+def _scaled_rows(vectors) -> tuple[list[list[int]], int]:
+    """The vectors' 4-tuples scaled into Z^4 by their common denominator;
+    returns (rows, denominator)."""
+    rows = [_parts(v) for v in vectors]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
 
 
 @dataclass(frozen=True)
@@ -79,84 +77,64 @@ class Quasilattice:
         ):
             raise ValueError("generators must span the plane")
 
+    @cached_property
+    def _hnf(self) -> tuple[list[list[int]], int, int | None]:
+        """(Hermite normal form rows of the generators scaled into Z^4, the
+        scale, the sqrt(d) context)."""
+        d = _context_d(self.generators)
+        rows, den = _scaled_rows(self.generators)
+        return hnf_rows(rows), den, d
+
     # -- membership -----------------------------------------------------------
 
-    def member_witness(self, v: Vec2) -> list[int] | None:
-        v = (Q(v[0]), Q(v[1]))
-        quads = list(self.generators) + [v]
-        rows = _rational_rows(quads)
-        cols = rows[:-1]  # one column of 4 rationals per generator
-        cols = [list(c) for c in cols]
-        rhs = rows[-1]
-        a, b = _scaled_integer_system(cols, rhs)
-        return integer_solve(a, b)
-
     def member(self, v: Vec2) -> bool:
-        return self.member_witness(v) is not None
+        """Is v an integer combination of the generators? Reduce den*v
+        against the echelon rows; v is a member iff nothing is left."""
+        v = (Q(v[0]), Q(v[1]))
+        basis, den, d = self._hnf
+        _context_d([v], d)
+        w = [x * den for x in _parts(v)]
+        if any(x.denominator != 1 for x in w):
+            return False
+        w = [int(x) for x in w]
+        for h in basis:
+            p = next(c for c, x in enumerate(h) if x)
+            k = w[p] // h[p]
+            w = [x - k * y for x, y in zip(w, h)]
+        return not any(w)
 
     def ray_meets(self, g: Vec2) -> bool:
         """Does the ray through g contain a nonzero quasilattice point?
 
-        Equivalent to: the rational solution space of
-        sum_i m_i gen_i - t*g = 0 (t in Q(sqrt(d)), m_i in Q) contains a
-        vector with t != 0; rational solutions rescale to integer ones.
+        It does iff t*g lies in the rational span of the generators for some
+        t != 0 in Q(sqrt(d)) (a rational multiple then clears denominators),
+        i.e. iff the rational spans of the HNF rows and of T = {g, sqrt(d)*g}
+        meet: rank(HNF + T) < rank(HNF) + |T|.
         """
         g = (Q(g[0]), Q(g[1]))
-        d = _context_d(list(self.generators) + [g]) or 0
-        n = len(self.generators)
-        gen_cols = [[c[i] for c in _rational_rows(list(self.generators))] for i in range(4)]
-        # columns for t_r and t_s where t = t_r + t_s*sqrt(d):
-        # coordinate c of t*g splits as
-        #   rational part: t_r*g_c.r + t_s*g_c.s*d
-        #   sqrt part:     t_r*g_c.s + t_s*g_c.r
-        t_cols = [
-            [g[0].r, g[0].s * d],
-            [g[0].s, g[0].r],
-            [g[1].r, g[1].s * d],
-            [g[1].s, g[1].r],
-        ]
-        rows = [
-            [Q(gen_cols[i][j]) for j in range(n)] + [-Q(t_cols[i][0]), -Q(t_cols[i][1])]
-            for i in range(4)
-        ]
-        for vec in kernel_basis(rows):
-            if not (vec[n].is_zero() and vec[n + 1].is_zero()):
-                return True
-        return False
+        basis, _, d = self._hnf
+        d = _context_d([g], d)
+        t = [g] if d is None else [g, (sqrt(d) * g[0], sqrt(d) * g[1])]
+        return len(hnf_rows(basis + _scaled_rows(t)[0])) < len(basis) + len(t)
 
     # -- structure -------------------------------------------------------------
 
     def is_lattice(self) -> bool:
-        """Discrete iff the generators span a rank <= 2 subgroup; rank is
-        computed over Q after splitting coordinates into (r, s) parts."""
-        rows = [[Q(x) for x in row] for row in _rational_rows(list(self.generators))]
-        return matrix_rank(rows) <= 2
+        """Discrete iff the generators span a Z-module of rank <= 2."""
+        return len(self._hnf[0]) <= 2
 
     def lattice_basis(self) -> tuple[Vec2, Vec2]:
-        """A Z-basis of a rank-2 discrete quasilattice, via HNF in Z^4."""
-        from .linalg import hnf_rows
-
-        if not self.is_lattice():
+        """A Z-basis of a rank-2 discrete quasilattice: its HNF rows."""
+        basis, den, d = self._hnf
+        if len(basis) != 2:  # generators span the plane, so rank >= 2
             raise ValueError("dense quasilattice has no lattice basis")
-        d = _context_d(list(self.generators))
-        rows = _rational_rows(list(self.generators))
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, x.denominator)
-        int_rows = [[int(x * den) for x in row] for row in rows]
-        basis = hnf_rows(int_rows)
-        if len(basis) != 2:
-            raise ValueError("quasilattice does not have rank 2")
-        out = []
-        for h in basis:
-            out.append(
-                (
-                    QuadScalar(Fraction(h[0], den), Fraction(h[1], den), d if h[1] else None),
-                    QuadScalar(Fraction(h[2], den), Fraction(h[3], den), d if h[3] else None),
-                )
+        return tuple(
+            (
+                QuadScalar(Fraction(h[0], den), Fraction(h[1], den), d),
+                QuadScalar(Fraction(h[2], den), Fraction(h[3], den), d),
             )
-        return tuple(out)
+            for h in basis
+        )
 
     def augment(self, nu: Vec2) -> "Quasilattice":
         nu = (Q(nu[0]), Q(nu[1]))

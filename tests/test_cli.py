@@ -58,8 +58,17 @@ def test_parse_error_exit_code():
         ["report", "1/0"],
         ["cut", "1", "1", "1/2", "--a", "1/0"],
         ["report", "sqrt(1000000000039)"],  # d above scalar.MAX_D
+        ["--tol", "1", "report", "2"],  # usage errors: unknown flag,
+        ["report"],  # missing argument,
+        ["no-such-command"],  # unknown command
     ):
         assert_input_error(*run_cli(argv, stdin_text=SQUARE)[::2])
+
+
+def test_help_exits_zero():
+    for argv in (["-h"], ["report", "-h"]):
+        code, out, err = run_cli(argv)
+        assert code == 0 and out.startswith("usage: ") and err == ""
 
 
 def test_report_large_d_is_fast():
@@ -113,6 +122,7 @@ def test_bad_stdin_schema():
             '{"vertices": [1]}',
             '{"hrep": [1]}',
             '{"vectors": [[1, 0], [0, 1]], "ghost_indices": [[1]]}',
+            "[" * 100000,  # deeper than json.load can recurse
         ):
             assert_input_error(*run_cli(cmd, stdin_text=payload)[::2])
 

@@ -1,7 +1,8 @@
-"""Row reduction, kernels, integer systems, and HNF against brute force."""
+"""Row reduction, kernels, and HNF against independent rank and minor checks."""
 
-import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from quasitoric.linalg import (
     cross,
     dot,
     hnf_rows,
-    integer_solve,
     kernel_basis,
     matrix_rank,
     primitive_int_vector,
@@ -73,53 +73,6 @@ def test_solve_linear():
     assert solve_linear(rows, [Q(1), Q(3)]) is None
 
 
-def _brute_integer_solvable(a, b, bound=12):
-    n = len(a[0])
-    if n == 2:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if all(row[0] * x + row[1] * y == rhs for row, rhs in zip(a, b)):
-                    return True
-        return False
-    raise NotImplementedError
-
-
-@given(
-    st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=3),
-    st.lists(st.integers(-8, 8), min_size=3, max_size=3),
-)
-def test_integer_solve_against_brute_force(a, b):
-    b = b[: len(a)]
-    x = integer_solve(a, b)
-    if x is not None:
-        assert all(
-            sum(row[j] * x[j] for j in range(2)) == rhs for row, rhs in zip(a, b)
-        )
-        # brute force can only confirm within its search box
-    else:
-        assert not _brute_integer_solvable(a, b)
-
-
-def test_integer_solve_known():
-    # 2x + 4y = 6 has integer solutions; 2x + 4y = 3 does not
-    assert integer_solve([[2, 4]], [6]) is not None
-    assert integer_solve([[2, 4]], [3]) is None
-    x = integer_solve([[1, 0, -1], [0, 1, 2]], [5, 7])
-    assert x is not None
-    assert x[0] - x[2] == 5 and x[1] + 2 * x[2] == 7
-
-
-def _row_span_membership(rows, target, bound=8):
-    """Brute force: is target an integer combination of the rows?"""
-    if len(rows) == 2:
-        for m in range(-bound, bound + 1):
-            for n in range(-bound, bound + 1):
-                if all(m * rows[0][k] + n * rows[1][k] == target[k] for k in range(len(target))):
-                    return True
-        return False
-    raise NotImplementedError
-
-
 def test_hnf_rows_known():
     basis = hnf_rows([[2, 0], [0, 2], [1, 1]])
     assert basis == [[1, 1], [0, 2]]
@@ -128,26 +81,42 @@ def test_hnf_rows_known():
     assert hnf_rows([[0, 0], [0, 0]]) == []
 
 
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _minor_gcd(rows, k):
+    """gcd of all k x k minors: invariant under unimodular row operations."""
+    g = 0
+    for rs in combinations(rows, k):
+        for cs in combinations(range(len(rows[0])), k):
+            g = gcd(g, _det([[r[c] for c in cs] for r in rs]))
+    return g
+
+
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=2, max_size=4))
 def test_hnf_preserves_row_span(rows):
     basis = hnf_rows(rows)
-    # every original row is an integer combination of the basis rows
+    k = len(basis)
+    rank = matrix_rank([[Q(x) for x in r] for r in rows])
+    # the basis rows are independent, so every original row has unique
+    # rational coefficients in them, and they must be integers
+    assert matrix_rank([[Q(x) for x in b] for b in basis]) == k
     for r in rows:
-        if len(basis) == 0:
+        if k == 0:
             assert not any(r)
-        elif len(basis) == 1:
-            g = basis[0]
-            j = next(k for k in range(3) if g[k] != 0)
-            assert r[j] % g[j] == 0 and all(
-                r[k] * g[j] == g[k] * r[j] for k in range(3)
-            )
-        elif len(basis) == 2:
-            assert _row_span_membership(basis, r, bound=40)
-        else:
-            assert integer_solve([[b[k] for b in basis] for k in range(3)], list(r)) is not None
-    # and every basis row is an integer combination of the originals
-    for g in basis:
-        assert integer_solve([[row[k] for row in rows] for k in range(3)], list(g)) is not None
+            continue
+        coeffs = solve_linear([[Q(b[j]) for b in basis] for j in range(3)], [Q(x) for x in r])
+        assert coeffs is not None
+        assert all(c.is_rational() and c.r.denominator == 1 for c in coeffs)
+    # so span(rows) is inside span(basis); equal rank and an equal gcd of
+    # the maximal minors make the index 1, so the spans are equal
+    assert k == rank
+    if k:
+        assert _minor_gcd(basis, k) == _minor_gcd(rows, k)
 
 
 def test_primitive_int_vector():

@@ -1,6 +1,7 @@
 """Quasilattice membership against brute force, quotient structure, and
 ray rationality."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -88,22 +89,48 @@ def test_membership_closed_form_oracle():
             assert qa.member((x, y)) == expected, (str(a), str(x), str(y))
 
 
+PARAMS = ("2", "3/2", "sqrt(2)", "1+sqrt(2)")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
     st.booleans(),
 )
 def test_membership_brute_force_small(m1, m2, m3, spoil):
-    a = ParamSpec(parse_scalar("sqrt(2)"))
-    qa = hirzebruch_quasilattice(a)
-    v = combo(qa.generators, [m1, m2, m3])
-    if spoil:
-        v = vadd(v, (Q(Fraction(1, 3)), Q(0)))
-    assert qa.member(v) == (not spoil)
-    if not spoil:
-        w = qa.member_witness(v)
-        assert w is not None
-        assert combo(qa.generators, w) == v
+    for text in PARAMS:
+        qa = hirzebruch_quasilattice(ParamSpec(parse_scalar(text)))
+        v = combo(qa.generators, [m1, m2, m3])
+        if spoil:
+            v = vadd(v, (Q(Fraction(1, 3)), Q(0)))
+        assert qa.member(v) == (not spoil), text
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rationals, small_rationals)
+def test_member_against_brute_force(x, y):
+    """Exhaustive search decides membership of small vectors in Z^2 and in
+    Q_{3/2}: coefficients within [-5, 5] reach every member with |x|, |y| <= 4."""
+    v = (Q(x), Q(y))
+    for qa in (z2(), hirzebruch_quasilattice(ParamSpec(parse_scalar("3/2")))):
+        assert qa.member(v) == brute_member(qa.generators, v, 5), (str(x), str(y))
+
+
+def test_member_known():
+    # 2m + 4n = 6 has integer solutions; 2m + 4n = 3 does not
+    q = Quasilattice(((Q(2), Q(0)), (Q(4), Q(0)), (Q(0), Q(1))))
+    assert q.member((Q(6), Q(0)))
+    assert not q.member((Q(3), Q(0)))
+    # m1 - m3 = 5, m2 + 2 m3 = 7
+    assert hirzebruch_quasilattice(ParamSpec(Q(2))).member((Q(5), Q(7)))
+    q32 = hirzebruch_quasilattice(ParamSpec(parse_scalar("3/2")))
+    assert q32.member((Q(0), Q(1, 2)))  # (1,0) - (0,1) + (-1,3/2)
+    assert not q32.member((Q(0), Q(1, 3)))
+    assert not q32.member((Q(1, 2), Q(0)))
+    assert not z2().member((sqrt(2), Q(0)))
 
 
 def test_homomorphism_property():
@@ -169,6 +196,25 @@ def test_ray_meets():
     assert not z2().ray_meets((Q(1), sqrt(2)))
     assert not z2().ray_meets((sqrt(2), Q(1)))
     assert z2().ray_meets((Q(3), Q(-7)))
+    # every ray through a nonzero member meets Q_a; Z^2 meets exactly the
+    # rays of rational slope
+    ts = [Q(1), Q(1, 2), Q(3), Q(2, 7), Q(5, 3)]
+    for text in PARAMS:
+        qa = hirzebruch_quasilattice(ParamSpec(parse_scalar(text)))
+        for m in itertools.product(range(-2, 3), repeat=3):
+            v = combo(qa.generators, m)
+            if v[0].is_zero() and v[1].is_zero():
+                continue
+            for t in ts:
+                assert qa.ray_meets(smul(t, v)), (text, m, str(t))
+    z = z2()
+    for d in (2, 3):
+        entries = [Q(0), Q(1), Q(-2), sqrt(d), Q(1) - sqrt(d), Q(1, 2) + 3 * sqrt(d)]
+        for g in itertools.product(entries, repeat=2):
+            if g[0].is_zero() and g[1].is_zero():
+                continue
+            rational_slope = g[0].is_zero() or (g[1] / g[0]).is_rational()
+            assert z.ray_meets(g) == rational_slope, tuple(map(str, g))
 
 
 def test_augment_and_equivalent():
