@@ -1,0 +1,127 @@
+"""Paired A/B runs of the benchmark: a parent revision against the working tree.
+
+Usage, from anywhere inside the repository:
+
+    python3 scripts/ab_bench.py PARENT_REV [--pairs N] [--seconds S]
+                                [--seed N] [--workload NAME ...]
+
+The committed files of PARENT_REV are unpacked (``git archive``) into a
+temporary directory, removed on exit.  For each workload in BENCHMARK.json,
+``perfbench/run.py --trace 0`` runs as a black box N times on each side with
+identical settings, in pairs, alternating which side runs first.  For every
+end-to-end metric it prints each side's median and quartiles, the share of
+pairs the working tree won (ties count for neither side), and the op counts.
+
+The verdict column applies the paired rule: ``gain`` when the working tree
+won at least nine pairs in ten and the medians differ by more than the
+parent's quartile distance; ``WORSE`` when the working tree's median is
+worse than the parent's by more than the metric's bound in BENCHMARK.json.
+Standard library only; not part of the tests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+
+def git(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True).stdout
+
+
+def unpack(root: Path, rev: str, dest: Path) -> None:
+    """The files of rev as committed, without touching the repository."""
+    with tarfile.open(fileobj=io.BytesIO(git(root, "archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    p = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if p.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {p.returncode}:\n"
+                         f"{p.stderr.strip()}")
+    return json.loads(p.stdout.strip().splitlines()[-1])
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def compare(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One table row: both sides' quartiles, pairs won and the verdict."""
+    sign = 1 if metric["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    delta = (cm - pm) / pm if pm else float("nan")
+    if wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1:
+        verdict = "gain"
+    elif -sign * delta > metric["bound"]:
+        verdict = "WORSE"
+    else:
+        verdict = "-"
+    return (f"  {metric['name']:18s} {pm:10.4g} [{p1:.4g}, {p3:.4g}]  "
+            f"{cm:10.4g} [{c1:.4g}, {c3:.4g}]  {delta:+7.1%}  "
+            f"{wins:2d}/{len(parent)}  {verdict}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", metavar="PARENT_REV")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
+    ap.add_argument("--seed", type=int, default=101, help="workload seed of every run")
+    ap.add_argument("--workload", action="append", help="default: every workload")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    rev = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        parent_dir = Path(tmp)
+        unpack(root, rev, parent_dir)
+        sides = {"parent": parent_dir, "change": root}
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side} done",
+                          file=sys.stderr, flush=True)
+            print(f"workload {workload}  seed {args.seed}  {seconds:g} s runs  "
+                  f"{args.pairs} pairs  parent {rev[:12]} vs working tree")
+            print(f"  {'metric':18s} {'parent median [q1, q3]':>30s}  "
+                  f"{'change median [q1, q3]':>30s}  {'delta':>7s}  won  verdict")
+            for metric in bench["end_to_end"]:
+                name = metric["name"]
+                values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
+                print(compare(metric, values["parent"], values["change"]))
+            for side in ("parent", "change"):
+                ops = [r["attempted"] for r in runs[side]]
+                print(f"  {side} ops per run: median {statistics.median(ops):g} "
+                      f"(min {min(ops)}, max {max(ops)}), "
+                      f"failed {sum(r['failed'] for r in runs[side])} of {sum(ops)}")
+            sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

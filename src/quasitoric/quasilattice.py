@@ -128,10 +128,11 @@ class Quasilattice:
         basis, den, d = self._hnf
         if len(basis) != 2:  # generators span the plane, so rank >= 2
             raise ValueError("dense quasilattice has no lattice basis")
+        # d is the context of the generators, checked when they were built
         return tuple(
             (
-                QuadScalar(Fraction(h[0], den), Fraction(h[1], den), d),
-                QuadScalar(Fraction(h[2], den), Fraction(h[3], den), d),
+                QuadScalar._new(Fraction(h[0], den), Fraction(h[1], den), d),
+                QuadScalar._new(Fraction(h[2], den), Fraction(h[3], den), d),
             )
             for h in basis
         )

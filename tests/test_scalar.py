@@ -21,13 +21,86 @@ from quasitoric.scalar import (
     sqrt,
 )
 
-from conftest import any_scalars, quad_scalars
+from conftest import SQUAREFREE_DS, any_scalars, quad_scalars
 
 
 def test_squarefree():
     assert [n for n in range(2, 20) if is_squarefree(n)] == [
         2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19
     ]
+
+
+def test_squarefree_against_brute_force():
+    limit = 30000
+    square_free = [n >= 2 for n in range(limit)]
+    for k in range(2, math.isqrt(limit) + 1):
+        for m in range(k * k, limit, k * k):
+            square_free[m] = False
+    assert [n for n in range(limit) if is_squarefree(n)] == [
+        n for n in range(limit) if square_free[n]
+    ]
+    # past the cube-root trial division: p^2, p*q and 2*p^2 for primes near 10^6
+    assert not is_squarefree(999983**2)
+    assert is_squarefree(999983 * 999979)
+    assert not is_squarefree(2 * 499979**2)
+    assert is_squarefree(999999999989)
+
+
+def same_field_pairs():
+    return st.sampled_from(SQUAREFREE_DS).flatmap(
+        lambda d: st.tuples(quad_scalars(d), quad_scalars(d))
+    )
+
+
+def assert_canonical(x):
+    """x is what the checked constructor would build from its own parts."""
+    assert type(x.r) is Fraction and type(x.s) is Fraction
+    assert (x.d is None) == (x.s == 0)
+    y = QuadScalar(x.r, x.s, x.d)
+    assert x == y and hash(x) == hash(y)
+
+
+@given(st.one_of(same_field_pairs(), st.tuples(any_scalars(), any_scalars())),
+       st.integers(-3, 3))
+def test_arithmetic_results_are_canonical(pair, n):
+    a, b = pair
+    results = [-a, a.conjugate(), a + 1, 1 + a, a - 1, 1 - a, 2 * a, a * 2, a + (-a)]
+    try:
+        results += [a + b, a - b, a * b, a * a.conjugate()]
+        if not b.is_zero():
+            results += [a / b, b.inv(), 1 / b, b**n, b ** -abs(n)]
+    except ScalarContextError:
+        assert a.d is not None and b.d is not None and a.d != b.d
+    for x in results:
+        assert_canonical(x)
+
+
+def test_checks_stay_at_the_boundary():
+    for op in (
+        lambda: sqrt(2) + sqrt(3),
+        lambda: sqrt(2) - sqrt(3),
+        lambda: sqrt(2) * sqrt(3),
+        lambda: sqrt(2) / sqrt(3),
+        lambda: (1 + sqrt(2)) - (1 + sqrt(5)),
+    ):
+        with pytest.raises(ScalarContextError):
+            op()
+    for op in (lambda: Q(0).inv(), lambda: Q(0) ** -1, lambda: 1 / Q(0), lambda: sqrt(2) / Q(0)):
+        with pytest.raises(ScalarDomainError):
+            op()
+    for bad in ((1, 1, 4), (1, 1), (1, 1, 1), (1, 1, 0), (1, 1, 10**12 + 1)):
+        with pytest.raises(ScalarContextError):
+            QuadScalar(*bad)
+    assert_canonical(QuadScalar(1, 2, 3))
+    assert_canonical(QuadScalar(3, 0, 2))
+
+
+def test_eq_unparseable_string_is_unequal():
+    for text in ("x", "", "sqrt(4)", "1e5", "1/0", "sqrt(2)+sqrt(3)"):
+        assert not Q(1) == text
+        assert Q(1) != text
+    assert Q(1) in ["x", Q(1)]
+    assert Q(1) == "1" and sqrt(2) == "sqrt(2)"
 
 
 def test_constructor_canonicalizes():
