@@ -3,7 +3,7 @@
 Usage, from anywhere inside the repository:
 
     python3 scripts/ab_bench.py PARENT_REV [--pairs N] [--seconds S]
-                                [--seed N] [--workload NAME ...]
+                                [--seed N] [--workload NAME ...] [--out FILE]
 
 The committed files of PARENT_REV are unpacked (``git archive``) into a
 temporary directory, removed on exit.  For each workload in BENCHMARK.json,
@@ -16,6 +16,9 @@ The verdict column applies the paired rule: ``gain`` when the working tree
 won at least nine pairs in ten and the medians differ by more than the
 parent's quartile distance; ``WORSE`` when the working tree's median is
 worse than the parent's by more than the metric's bound in BENCHMARK.json.
+``--out FILE`` also writes the result as JSON: the parent revision, seed, run
+length and pair count, and for each workload and end-to-end metric both
+sides' median, q1 and q3, the pairs won and the verdict, plus the op counts.
 Standard library only; not part of the tests.
 """
 
@@ -59,8 +62,8 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def compare(metric: dict, parent: list[float], change: list[float]) -> str:
-    """One table row: both sides' quartiles, pairs won and the verdict."""
+def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """Both sides' quartiles, the pairs the change won and the verdict."""
     sign = 1 if metric["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
@@ -72,9 +75,22 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> str:
         verdict = "WORSE"
     else:
         verdict = "-"
-    return (f"  {metric['name']:18s} {pm:10.4g} [{p1:.4g}, {p3:.4g}]  "
-            f"{cm:10.4g} [{c1:.4g}, {c3:.4g}]  {delta:+7.1%}  "
-            f"{wins:2d}/{len(parent)}  {verdict}")
+    return {"parent": {"median": pm, "q1": p1, "q3": p3},
+            "change": {"median": cm, "q1": c1, "q3": c3},
+            "delta": delta, "won": wins, "pairs": len(parent), "verdict": verdict}
+
+
+def format_row(name: str, row: dict) -> str:
+    p, c = row["parent"], row["change"]
+    return (f"  {name:18s} {p['median']:10.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+            f"{c['median']:10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {row['delta']:+7.1%}  "
+            f"{row['won']:2d}/{row['pairs']}  {row['verdict']}")
+
+
+def op_counts(runs: list[dict]) -> dict:
+    ops = [r["attempted"] for r in runs]
+    return {"median": statistics.median(ops), "min": min(ops), "max": max(ops),
+            "failed": sum(r["failed"] for r in runs), "total": sum(ops)}
 
 
 def main(argv=None) -> int:
@@ -84,6 +100,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
     ap.add_argument("--seed", type=int, default=101, help="workload seed of every run")
     ap.add_argument("--workload", action="append", help="default: every workload")
+    ap.add_argument("--out", type=Path, help="also write the result as JSON to FILE")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -94,6 +111,8 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     rev = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
 
+    result = {"parent": rev, "seed": args.seed, "run_seconds": seconds,
+              "pairs": args.pairs, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         parent_dir = Path(tmp)
         unpack(root, rev, parent_dir)
@@ -110,16 +129,20 @@ def main(argv=None) -> int:
                   f"{args.pairs} pairs  parent {rev[:12]} vs working tree")
             print(f"  {'metric':18s} {'parent median [q1, q3]':>30s}  "
                   f"{'change median [q1, q3]':>30s}  {'delta':>7s}  won  verdict")
+            entry = result["workloads"][workload] = {"metrics": {}, "ops": {}}
             for metric in bench["end_to_end"]:
                 name = metric["name"]
                 values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
-                print(compare(metric, values["parent"], values["change"]))
+                row = entry["metrics"][name] = compare(metric, values["parent"], values["change"])
+                print(format_row(name, row))
             for side in ("parent", "change"):
-                ops = [r["attempted"] for r in runs[side]]
-                print(f"  {side} ops per run: median {statistics.median(ops):g} "
-                      f"(min {min(ops)}, max {max(ops)}), "
-                      f"failed {sum(r['failed'] for r in runs[side])} of {sum(ops)}")
+                ops = entry["ops"][side] = op_counts(runs[side])
+                print(f"  {side} ops per run: median {ops['median']:g} "
+                      f"(min {ops['min']}, max {ops['max']}), "
+                      f"failed {ops['failed']} of {ops['total']}")
             sys.stdout.flush()
+    if args.out is not None:
+        args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -204,12 +204,11 @@ class QuadScalar:
         return (self - QuadScalar.coerce(other)).sign() >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str, QuadScalar)):
-            try:
-                o = QuadScalar.coerce(other)
-            except ValueError:  # a string that is not a scalar equals none
-                return False
-            return self.r == o.r and self.s == o.s and self.d == o.d
+        # no str is ever equal: values that compare equal must hash equal
+        if isinstance(other, QuadScalar):
+            return self.r == other.r and self.s == other.s and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return self.s == 0 and self.r == other
         return NotImplemented
 
     def __hash__(self):

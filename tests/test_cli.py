@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quasitoric.cli import main
 
@@ -198,3 +200,80 @@ def test_svg_output(tmp_path):
     # byte determinism of the figures
     code, _, _ = run_cli(["report", "sqrt(2)", "--svg-dir", d])
     assert (tmp_path / "figs" / "polytope.svg").read_text() == poly
+
+
+_GOOD = ["0", "1", "-1", "2", "3/2", "-2/3", "sqrt(2)", "1+sqrt(2)", "-sqrt(3)", "1/2+1/2*sqrt(5)"]
+_BAD = ["1/0", "sqrt(4)", "sqrt(-2)", "x", "", " ", "1e5", "--", "-h", "--bogus"]
+_tokens = st.sampled_from(_GOOD) | st.sampled_from(_GOOD) | st.sampled_from(_BAD)
+_COMMANDS = {"report": 1, "normal-fan": 0, "gale-dual": 0, "cut": 3, "blowup": 5,
+             "classify-leaves": 1}
+
+
+@st.composite
+def _argv(draw, svg_dir):
+    """A subcommand with its positional count, up to two of --a, --svg-dir,
+    an unknown flag and -h, and sometimes one token moved or repeated."""
+    cmd = draw(st.sampled_from([*_COMMANDS, "no-such-command"]))
+    argv = [cmd] + [draw(_tokens) for _ in range(_COMMANDS.get(cmd, 0))]
+    for flag in draw(st.lists(st.sampled_from(["--a", "--a", "--svg-dir", "--tol", "-h"]),
+                              max_size=2)):
+        if flag == "-h":
+            argv.append(flag)
+        else:
+            argv += [flag, svg_dir if flag == "--svg-dir" else draw(_tokens)]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(argv) - 1))
+        moved = argv.pop(i) if draw(st.booleans()) else argv[i]
+        argv.insert(draw(st.integers(0, len(argv))), moved)
+    return argv
+
+
+_small = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2", "sqrt(2)", "1-sqrt(2)"])
+_scalar_json = _small | _tokens | st.fixed_dictionaries({
+    "r": st.sampled_from(["0", "1", "-1/2", "x", 1]),
+    "s": st.sampled_from(["0", "1", "2/3"]),
+    "d": st.sampled_from([None, 2, 3, 4, -1, "2", 2.5, True]),
+}) | st.none() | st.floats()
+_vec = st.lists(_small, min_size=2, max_size=2)
+_bad_vec = st.lists(_scalar_json, max_size=3)
+# well-formed and malformed polyhedra (H- and V-form) and vector configurations
+_payloads = st.one_of(
+    st.fixed_dictionaries({"hrep": st.lists(
+        st.fixed_dictionaries({"normal": _vec, "offset": _small}), min_size=1, max_size=6)}),
+    st.fixed_dictionaries({"vertices": st.lists(_vec, min_size=1, max_size=6),
+                           "rays": st.lists(_vec, max_size=2)}),
+    st.fixed_dictionaries({"hrep": st.lists(
+        st.fixed_dictionaries({"normal": _bad_vec, "offset": _scalar_json}), max_size=3)}),
+    st.fixed_dictionaries({"vertices": st.lists(_bad_vec, max_size=3)}),
+    st.fixed_dictionaries({"vectors": st.lists(_vec | _bad_vec, max_size=5),
+                           "ghost_indices": st.lists(st.integers(-2, 6) | _small, max_size=2)}),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _small,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["hrep", "vertices", "rays", "vectors", "normal", "offset", "r"]),
+        inner, max_size=3),
+    max_leaves=8,
+)
+_stdin = st.one_of(
+    _payloads.map(json.dumps),
+    _payloads.map(json.dumps),
+    _json_values.map(json.dumps),
+    st.tuples(st.sampled_from(["[", '{"hrep":', '[{"normal":']),
+              st.sampled_from([10, 1000, 100000])).map(lambda t: t[0] * t[1]),
+    st.text(max_size=20),
+    _payloads.map(json.dumps).map(lambda s: s[: len(s) // 2]),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.data())
+def test_fuzz_cli_ends_in_a_known_exit(tmp_path, data):
+    """Random argv and stdin: exit 0, 2 or 3, never a traceback, and at most
+    one line on stderr."""
+    argv = data.draw(_argv(str(tmp_path / "svg")), label="argv")
+    stdin = data.draw(_stdin, label="stdin")
+    code, _, err = run_cli(argv, stdin_text=stdin)
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1

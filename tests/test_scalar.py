@@ -21,7 +21,7 @@ from quasitoric.scalar import (
     sqrt,
 )
 
-from conftest import SQUAREFREE_DS, any_scalars, quad_scalars
+from conftest import SQUAREFREE_DS, any_scalars, fractions, quad_scalars
 
 
 def test_squarefree():
@@ -100,7 +100,22 @@ def test_eq_unparseable_string_is_unequal():
         assert not Q(1) == text
         assert Q(1) != text
     assert Q(1) in ["x", Q(1)]
-    assert Q(1) == "1" and sqrt(2) == "sqrt(2)"
+    # a string is never equal, even one that parses: it could not hash equal
+    assert Q(1) != "1" and sqrt(2) != "sqrt(2)"
+    assert "1" not in {Q(1)} and {Q(1): 0}.get("1") is None
+
+
+_plain_numbers = st.one_of(st.integers(-4, 4), fractions(max_num=4, max_den=3))
+_numbers = st.one_of(_plain_numbers, _plain_numbers.map(Q), quad_scalars(2, 4, 3))
+
+
+@given(_numbers, _numbers)
+def test_equal_values_hash_equal(x, y):
+    """Hash contract over int, Fraction and QuadScalar: equality is symmetric
+    and equal values hash equal, so sets and dict keys mix the types."""
+    assert (x == y) == (y == x) and (x != y) != (x == y)
+    if x == y:
+        assert hash(x) == hash(y) and y in {x}
 
 
 def test_constructor_canonicalizes():
