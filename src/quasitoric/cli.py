@@ -30,7 +30,7 @@ from .pipeline import PipelineInconsistency, build_report, gale_side, trapezoid
 from .fan import normal_fan
 from .polyhedron import InfeasibleRegionError, NotPointedError
 from .quasilattice import hirzebruch_quasilattice, z2
-from .scalar import ParamSpec, Q, parse_scalar
+from .scalar import ParamSpec, parse_scalar
 from .svg import chamber_figure, polytope_figure
 
 

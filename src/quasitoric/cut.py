@@ -124,22 +124,6 @@ def cut_moment_maps(a: ParamSpec) -> CutMomentMaps:
     return CutMomentMaps(a)
 
 
-def _check_sphere(v: complex, z: float, tol: float):
-    if abs(abs(v) ** 2 + z * z - 1.0) > tol:
-        raise ValueError(f"(v, z) is off the unit sphere by more than {tol}")
-
-
-def eval_phi(maps: CutMomentMaps, u: complex, v: complex, z: float, tol: float = 1e-9) -> float:
-    _check_sphere(v, z, tol)
-    return -abs(u) ** 2 + float(maps.a.value) * (z + 1.0) / 2.0
-
-
-def eval_nu_minus(
-    maps: CutMomentMaps, u: complex, v: complex, z: float, w: complex, tol: float = 1e-9
-) -> float:
-    return eval_phi(maps, u, v, z, tol) - abs(w) ** 2
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     total: int

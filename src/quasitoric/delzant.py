@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gale import kernel_rows_for
-from .linalg import Vec2, dot
+from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2
 from .quasilattice import GroupDesc, Quasilattice
 from .scalar import Q, QuadScalar, format_scalar
@@ -63,13 +63,6 @@ class MomentComponent:
         for b, m in zip(self.coefficients, moduli_sq):
             total = total + b * Q(m)
         return total
-
-    def eval_complex(self, z: list[complex]) -> float:
-        return sum(
-            float(b) * (w.real * w.real + w.imag * w.imag)
-            for b, w in zip(self.coefficients, z)
-        ) - float(self.constant)
-
 
 def _render_modulus_form(coeffs) -> str:
     parts = []
@@ -155,31 +148,12 @@ def moment_map_coeffs(
     return out
 
 
-def eval_moment_map(components, z: list[complex]) -> list[float]:
-    return [c.eval_complex(z) for c in components]
-
-
 def eval_moment_map_sq(components, moduli_sq) -> list[QuadScalar]:
     return [c.eval_sq(moduli_sq) for c in components]
 
 
-def level_set_member(components, z: list[complex], tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return all(abs(r) <= tol for r in eval_moment_map(components, z))
-
-
 def level_set_member_sq(components, moduli_sq) -> bool:
     return all(r.is_zero() for r in eval_moment_map_sq(components, moduli_sq))
-
-
-def residual_action_weights(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
-    """The residual torus weights: the relation rows other than the all-ones
-    diagonal row (which must be present)."""
-    ones = [r for r in rows if all(x == 1 for x in r)]
-    if not ones:
-        raise ValueError("no all-ones row: residual action undefined")
-    return [list(r) for r in rows if not all(x == 1 for x in r)]
 
 
 def presentation(triple: PolytopeTriple) -> QuasifoldPresentation:

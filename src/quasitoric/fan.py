@@ -3,9 +3,9 @@ simplicial / rational / smooth / complete predicate suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector, rot90, solve2x2
+from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector, solve2x2
 from .polyhedron import Polyhedron2, sort_by_angle
 from .quasilattice import Quasilattice
 from .scalar import Q
@@ -26,8 +26,6 @@ class Fan2:
 
     ray_generators: tuple[Vec2, ...]
     maximal_cones: tuple[tuple[int, int], ...]
-    # optional provenance: vertex (as a point) per maximal cone, facet per ray
-    cone_vertices: tuple[Vec2, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         gens = tuple(tuple(Q(x) for x in g) for g in self.ray_generators)
@@ -56,7 +54,7 @@ def normal_fan(p: Polyhedron2) -> Fan2:
                 f"vertex ({v[0]}, {v[1]}) lies on {len(tight)} facets"
             )
         cones.append(tuple(tight))
-    return Fan2(rays, tuple(cones), cone_vertices=tuple(p.vertices))
+    return Fan2(rays, tuple(cones))
 
 
 def is_complete(fan: Fan2) -> bool:

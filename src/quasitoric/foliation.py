@@ -68,7 +68,7 @@ def _frac_dist(x: float) -> float:
     return abs(x - round(x))
 
 
-def dist_to_z_plus_az(x: float, a: ParamSpec, tol: float) -> float:
+def dist_to_z_plus_az(x: float, a: ParamSpec) -> float:
     """Distance from x to the subgroup Z + aZ of R."""
     av = float(a.value)
     if a.rational:
@@ -106,7 +106,7 @@ def class_residual(
         residual = max(residual, abs(delta.imag), _frac_dist(delta.real))
     if present[2] and present[1] and u_index is not None:
         delta = mu[2] - mu[1] - complex(a.value.to_float()) * mu[u_index]
-        residual = max(residual, abs(delta.imag), dist_to_z_plus_az(delta.real, a, tol))
+        residual = max(residual, abs(delta.imag), dist_to_z_plus_az(delta.real, a))
     return residual
 
 

@@ -17,7 +17,6 @@ from .linalg import (
     kernel_basis,
     matrix_rank,
     rot90,
-    solve_linear,
     vneg,
     vsub,
 )
@@ -72,13 +71,6 @@ class Triangulation:
     def maximal(self) -> frozenset[frozenset[int]]:
         top = max((len(s) for s in self.subsets), default=0)
         return frozenset(s for s in self.subsets if len(s) == top)
-
-    def covered_indices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for s in self.subsets:
-            out |= s
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class PointConfig:
@@ -283,74 +275,3 @@ def is_polytopal(
     )
     return True, witness
 
-
-def affine_equivalent(lam: PointConfig, other: PointConfig) -> bool:
-    """Is there an invertible real-affine map of the plane carrying one
-    configuration to the other pointwise, in order?"""
-    if len(lam) != len(other):
-        return False
-    pts, qts = list(lam.points), list(other.points)
-    frame = _affine_frame(pts)
-    if frame is None:
-        return _collinear_equivalent(pts, qts)
-    i, j, k = frame
-    # unknowns: matrix (m00,m01,m10,m11) and translation (t0,t1)
-    rows, rhs = [], []
-    for idx in (i, j, k):
-        x, y = pts[idx]
-        rows.append([x, y, Q(0), Q(0), Q(1), Q(0)])
-        rhs.append(qts[idx][0])
-        rows.append([Q(0), Q(0), x, y, Q(0), Q(1)])
-        rhs.append(qts[idx][1])
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return False
-    m00, m01, m10, m11, t0, t1 = sol
-    if (m00 * m11 - m01 * m10).is_zero():
-        return False
-    for p, q in zip(pts, qts):
-        ix = m00 * p[0] + m01 * p[1] + t0
-        iy = m10 * p[0] + m11 * p[1] + t1
-        if not ((ix - q[0]).is_zero() and (iy - q[1]).is_zero()):
-            return False
-    return True
-
-
-def _affine_frame(pts) -> tuple[int, int, int] | None:
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if not cross(vsub(pts[j], pts[i]), vsub(pts[k], pts[i])).is_zero():
-                    return i, j, k
-    return None
-
-
-def _collinear_equivalent(pts, qts) -> bool:
-    """Both configurations collinear: affine coordinates along the line of a
-    fixed frame pair must agree."""
-    if _affine_frame(qts) is not None:
-        return False
-    frame = next(
-        ((i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
-         if not is_zero_vec(vsub(pts[j], pts[i]))),
-        None,
-    )
-    if frame is None:  # all points of lam coincide
-        return all(is_zero_vec(vsub(q, qts[0])) for q in qts)
-    i, j = frame
-    u = vsub(pts[j], pts[i])
-    w = vsub(qts[j], qts[i])
-    if is_zero_vec(w):
-        return False
-    uu = dot(u, u)
-    ww = dot(w, w)
-    for p, q in zip(pts, qts):
-        t = dot(vsub(p, pts[i]), u) / uu
-        # p must actually be on the line (it is, both configs are collinear)
-        s = dot(vsub(q, qts[i]), w) / ww
-        if not (t - s).is_zero():
-            return False
-        if not is_zero_vec(vsub(vsub(q, qts[i]), (s * w[0], s * w[1]))):
-            return False
-    return True

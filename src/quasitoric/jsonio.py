@@ -13,7 +13,7 @@ from .foliation import LeafReport
 from .gale import PointConfig, Triangulation, VectorConfig, VirtualChamber
 from .polyhedron import HalfPlane, Polyhedron2, hrep_from_vrep, vrep_from_hrep
 from .quasilattice import GroupDesc, Quasilattice
-from .scalar import ParamSpec, scalar_from_json, scalar_to_json
+from .scalar import scalar_from_json, scalar_to_json
 
 
 def _object(obj, what: str) -> dict:
@@ -75,26 +75,11 @@ def fan_to_json(f: Fan2):
     }
 
 
-def fan_from_json(obj) -> Fan2:
-    return Fan2(
-        tuple(vec_from_json(g) for g in obj["ray_generators"]),
-        tuple(tuple(c) for c in obj["maximal_cones"]),
-    )
-
-
 def quasilattice_to_json(q: Quasilattice):
     return {
         "generators": [vec_to_json(g) for g in q.generators],
         "param": scalar_to_json(q.param.value) if q.param else None,
     }
-
-
-def quasilattice_from_json(obj) -> Quasilattice:
-    param = obj.get("param")
-    return Quasilattice(
-        tuple(vec_from_json(g) for g in obj["generators"]),
-        ParamSpec(scalar_from_json(param)) if param is not None else None,
-    )
 
 
 def group_to_json(g: GroupDesc):

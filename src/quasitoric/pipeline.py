@@ -96,25 +96,6 @@ def hirzebruch_vector_config(a: ParamSpec) -> VectorConfig:
     return augment_ghosts(base)
 
 
-def hirzebruch_triangulation() -> Triangulation:
-    return Triangulation(
-        frozenset(
-            frozenset(s)
-            for s in (
-                {1, 2},
-                {2, 4},
-                {3, 4},
-                {1, 3},
-                {1},
-                {2},
-                {3},
-                {4},
-                frozenset(),
-            )
-        )
-    )
-
-
 def triangulation_from_fan(fan: Fan2) -> Triangulation:
     """Maximal pairs from the fan's cones (1-based), plus singletons and
     the empty face."""

@@ -6,6 +6,13 @@ the points that satisfy all n constraints, O(n^3) exact steps.  Redundant
 constraints go in one pass: one strictly loose at every vertex costs a slack
 test, and only one that touches the region pays another enumeration.  So an
 irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
+
+A region without a vertex is either empty or unpointed.  A nonempty region
+whose normals span the plane is pointed, so the enumeration would have found
+a vertex: two nonparallel normals mean the region is empty.  When all
+normals are parallel to n0, each constraint bounds <mu, n0> from one side,
+and the region (a half-plane, slab or line) is nonempty iff the largest
+lower bound is at most the smallest upper bound.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .linalg import Vec2, cross, dot, is_zero_vec, rot90, smul, solve2x2, vadd, vneg, vsub
+from .linalg import Vec2, cross, dot, is_zero_vec, rot90, smul, solve2x2, vneg, vsub
 from .scalar import Q, QuadScalar
 
 
@@ -123,43 +130,6 @@ def _canonical_ray(r: Vec2) -> Vec2:
     return smul(abs(lead).inv(), r)
 
 
-def feasible(hrep: list[HalfPlane]) -> bool:
-    """Exact Fourier-Motzkin feasibility for <mu, n_i> >= c_i in the plane."""
-    # constraints as a*x + b*y >= c
-    cons = [(h.normal[0], h.normal[1], h.offset) for h in hrep]
-    lower, upper, rest = [], [], []  # bounds on x given y
-    for a, b, c in cons:
-        sa = a.sign()
-        if sa > 0:
-            lower.append((b, c, a))  # x >= (c - b*y)/a
-        elif sa < 0:
-            upper.append((b, c, a))  # x <= (c - b*y)/a
-        else:
-            rest.append((b, c))  # b*y >= c
-    # eliminate x: for each (lower, upper) pair require compatibility
-    for bl, cl, al in lower:
-        for bu, cu, au in upper:
-            # (cl - bl*y)/al <= (cu - bu*y)/au with al>0, au<0
-            # multiply out: au*(cl - bl*y) >= al*(cu - bu*y)   (au<0 flips)
-            b = al * bu - au * bl
-            c = al * cu - au * cl
-            rest.append((b, c))
-    lo, hi = None, None
-    for b, c in rest:
-        sb = b.sign()
-        if sb > 0:
-            v = c / b
-            if lo is None or v > lo:
-                lo = v
-        elif sb < 0:
-            v = c / b
-            if hi is None or v < hi:
-                hi = v
-        elif c.sign() > 0:
-            return False
-    return lo is None or hi is None or lo <= hi
-
-
 @dataclass(frozen=True)
 class Polyhedron2:
     """A pointed 2D convex polyhedron; vertices counterclockwise, plus
@@ -257,6 +227,21 @@ def _candidate_vertices(hrep: list[HalfPlane]) -> list[Vec2]:
     return pts
 
 
+def _vertexless_error(hrep: list[HalfPlane]) -> ValueError:
+    """Empty or unpointed, for a region without a vertex (module docstring)."""
+    n0 = hrep[0].normal if hrep else None
+    lower, upper = [], []
+    for h in hrep:
+        if not cross(h.normal, n0).is_zero():
+            return InfeasibleRegionError("constraints have empty intersection")
+        # bounds <mu, n0> / |n0|^2 by offset / s, from below iff s > 0
+        s = dot(h.normal, n0)
+        (lower if s.sign() > 0 else upper).append(h.offset / s)
+    if lower and upper and max(lower) > min(upper):
+        return InfeasibleRegionError("constraints have empty intersection")
+    return NotPointedError("region has no vertex")
+
+
 def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     """Enumerate vertices and recession rays of a half-plane intersection.
 
@@ -266,9 +251,7 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     hrep = _dedup_halfplanes(hrep)
     verts = _candidate_vertices(hrep)
     if not verts:
-        if feasible(hrep):
-            raise NotPointedError("region has no vertex")
-        raise InfeasibleRegionError("constraints have empty intersection")
+        raise _vertexless_error(hrep)
     rays = _recession_rays(hrep)
     hrep = _drop_redundant(hrep, verts)
     return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays))

@@ -12,21 +12,17 @@ from quasitoric.cut import (
     cut_decomposition_check,
     cut_moment_maps,
     cut_polyhedron,
-    eval_nu_minus,
-    eval_phi,
     open_side_contains,
 )
 from quasitoric.pipeline import (
-    PipelineInconsistency,
     build_report,
-    strip,
     strip_cut,
     trapezoid,
     triangle,
     triangle_blowup,
 )
 from quasitoric.polyhedron import polygon
-from quasitoric.quasilattice import hirzebruch_quasilattice, z2
+from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
@@ -125,15 +121,6 @@ def test_moment_maps_exact_values():
     assert maps.phi_sq(Q(1), Q(-1)) == Q(-1)
     assert maps.nu_minus_sq(Q(0), Q(1), a.value) == Q(0)
     assert maps.strip_point(Q(3), Q(0)) == (Q(3), Q(1, 2))
-
-
-def test_moment_maps_float_eval():
-    a = ParamSpec(Q(2))
-    maps = cut_moment_maps(a)
-    assert eval_phi(maps, 0j, 0j, 1.0) == pytest.approx(2.0)
-    assert eval_nu_minus(maps, 0j, 0j, 1.0, 1 + 0j) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        eval_phi(maps, 0j, 1 + 0j, 1.0)  # (v, z) off the unit sphere
 
 
 def test_cut_decomposition_exact():

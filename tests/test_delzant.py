@@ -1,27 +1,21 @@
 """Moment-map level equations and quasifold presentations, with exact
 vertex-pattern level-set checks."""
 
-from fractions import Fraction
-
 import pytest
 
 from quasitoric.delzant import (
-    MomentComponent,
     PolytopeTriple,
     TripleError,
     eval_moment_map_sq,
-    level_set_member,
     level_set_member_sq,
     moment_map_coeffs,
     presentation,
     render_phase_map,
-    residual_action_weights,
 )
 from quasitoric.gale import kernel_rows_for
 from quasitoric.pipeline import five_constraint_triple, trapezoid
-from quasitoric.polyhedron import HalfPlane, vrep_from_hrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
-from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
+from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
 
 def test_triple_validation():
@@ -69,21 +63,6 @@ def test_level_set_vertex_patterns():
             assert all(r.is_zero() for r in eval_moment_map_sq(comps, moduli))
 
 
-def test_level_set_member_float():
-    a = ParamSpec(Q(2))
-    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
-    comps = moment_map_coeffs(triple, kernel_rows_for(triple.normals()))
-    import math
-
-    # vertex (0,0): moduli^2 = (0, 0, 1, 1, 4) for a = 2
-    z = [0, 0, 1, 1, 2]
-    assert level_set_member(comps, [complex(w) for w in z], 1e-9)
-    z = [0.5, 0, 1, 1, 2]
-    assert not level_set_member(comps, [complex(w) for w in z], 1e-9)
-    with pytest.raises(ValueError):
-        level_set_member(comps, [complex(w) for w in z], 0.0)
-
-
 def test_moment_coeffs_reject_bad_rows():
     a = ParamSpec(Q(2))
     triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
@@ -91,16 +70,6 @@ def test_moment_coeffs_reject_bad_rows():
         moment_map_coeffs(triple, [[Q(1), Q(0), Q(0), Q(0), Q(0)]])
     with pytest.raises(ValueError):
         moment_map_coeffs(triple, [[Q(1), Q(1)]])
-
-
-def test_residual_action_weights():
-    a = ParamSpec(parse_scalar("sqrt(2)"))
-    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
-    rows = kernel_rows_for(triple.normals())
-    residual = residual_action_weights(rows)
-    assert len(residual) == 2
-    with pytest.raises(ValueError):
-        residual_action_weights(residual)
 
 
 def test_presentation_four_facets():

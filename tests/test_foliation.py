@@ -90,13 +90,13 @@ def test_project_requires_z5():
 def test_dist_to_z_plus_az():
     a = ParamSpec(parse_scalar("3/2"))
     # Z + (3/2)Z = (1/2)Z
-    assert dist_to_z_plus_az(0.5, a, 1e-9) == pytest.approx(0.0)
-    assert dist_to_z_plus_az(0.75, a, 1e-9) == pytest.approx(0.25)
+    assert dist_to_z_plus_az(0.5, a) == pytest.approx(0.0)
+    assert dist_to_z_plus_az(0.75, a) == pytest.approx(0.25)
     irr = ParamSpec(parse_scalar("sqrt(2)"))
     import math
 
-    assert dist_to_z_plus_az(math.sqrt(2), irr, 1e-9) == pytest.approx(0.0, abs=1e-9)
-    assert dist_to_z_plus_az(3 - math.sqrt(2), irr, 1e-9) == pytest.approx(0.0, abs=1e-9)
+    assert dist_to_z_plus_az(math.sqrt(2), irr) == pytest.approx(0.0, abs=1e-9)
+    assert dist_to_z_plus_az(3 - math.sqrt(2), irr) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_class_residual_zero_patterns():

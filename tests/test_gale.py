@@ -1,7 +1,5 @@
-"""Gale duality: relation bases, ghost augmentation, chambers, polytopality,
-and affine equivalence of dual configurations."""
-
-from fractions import Fraction
+"""Gale duality: relation bases, ghost augmentation, chambers and
+polytopality."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from quasitoric.gale import (
     Triangulation,
     VectorConfig,
     VirtualChamber,
-    affine_equivalent,
     augment_ghosts,
     chamber_from_triangulation,
     gale_dual,
@@ -22,13 +19,19 @@ from quasitoric.gale import (
     is_polytopal,
     relation_basis,
 )
-from quasitoric.pipeline import (
-    hirzebruch_triangulation,
-    hirzebruch_vector_config,
-)
+from quasitoric.fan import normal_fan
+from quasitoric.pipeline import hirzebruch_vector_config, trapezoid, triangulation_from_fan
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
-from conftest import fractions, params
+from conftest import fractions
+
+
+HIRZEBRUCH_PARAMS = ("2", "3/2", "sqrt(2)")  # integer, rational, irrational
+
+
+def fan_triangulation(text):
+    """The triangulation read off the normal fan of P_a."""
+    return triangulation_from_fan(normal_fan(trapezoid(ParamSpec(parse_scalar(text)))))
 
 
 def hirzebruch_chamber():
@@ -118,9 +121,9 @@ def test_relation_basis_annihilates_random_configs(raw):
 
 
 def test_chamber_from_triangulation():
-    t = hirzebruch_triangulation()
-    chamber = chamber_from_triangulation(t, 5)
-    assert chamber.subsets == hirzebruch_chamber().subsets
+    for text in HIRZEBRUCH_PARAMS:
+        chamber = chamber_from_triangulation(fan_triangulation(text), 5)
+        assert chamber.subsets == hirzebruch_chamber().subsets
 
 
 def test_polytopal_family():
@@ -170,38 +173,11 @@ def test_polytopal_degenerate_triangle():
     assert not ok and witness is None
 
 
-def test_affine_equivalence_of_duals():
-    """Gale duals of the same configuration written in different bases are
-    affinely equivalent."""
-    a = ParamSpec(parse_scalar("sqrt(2)"))
-    lam = gale_dual(hirzebruch_vector_config(a))
-    # apply an explicit invertible affine map
-    moved = PointConfig(
-        tuple(
-            (2 * p[0] + p[1] + Q(3), p[0] - p[1] - Q(1))
-            for p in lam.points
-        )
-    )
-    assert affine_equivalent(lam, moved)
-    assert affine_equivalent(moved, lam)
-    # a genuinely different configuration is not equivalent
-    other = PointConfig(lam.points[:4] + ((Q(5), Q(5)),))
-    assert not affine_equivalent(lam, other)
-
-
-def test_affine_equivalence_collinear():
-    line = PointConfig(((Q(0), Q(0)), (Q(1), Q(0)), (Q(2), Q(0))))
-    moved = PointConfig(((Q(1), Q(1)), (Q(2), Q(3)), (Q(3), Q(5))))
-    assert affine_equivalent(line, moved)
-    not_matching = PointConfig(((Q(1), Q(1)), (Q(2), Q(3)), (Q(4), Q(7))))
-    assert not affine_equivalent(line, not_matching)
-
-
 def test_triangulation_validation():
     with pytest.raises(ValueError):
         Triangulation(frozenset({frozenset({1, 2, 3})}))
-    t = hirzebruch_triangulation()
-    assert t.maximal() == frozenset(
-        frozenset(s) for s in ({1, 2}, {2, 4}, {3, 4}, {1, 3})
-    )
-    assert t.covered_indices() == frozenset({1, 2, 3, 4})
+    # the normal fan of P_a pairs its facets as in the paper
+    for text in HIRZEBRUCH_PARAMS:
+        assert fan_triangulation(text).maximal() == {
+            frozenset({1, 2}), frozenset({2, 4}), frozenset({3, 4}), frozenset({1, 3})
+        }

@@ -42,23 +42,3 @@ def test_report_json_deterministic():
     one = json.dumps(build_report(a).to_json(), sort_keys=True)
     two = json.dumps(build_report(a).to_json(), sort_keys=True)
     assert one == two
-
-
-def test_quasilattice_roundtrip():
-    from quasitoric.quasilattice import hirzebruch_quasilattice
-
-    qa = hirzebruch_quasilattice(ParamSpec(parse_scalar("sqrt(2)")))
-    out = jsonio.quasilattice_from_json(jsonio.quasilattice_to_json(qa))
-    assert out.generators == qa.generators
-    assert out.param.value == qa.param.value
-
-
-def test_fan_roundtrip():
-    from quasitoric.fan import normal_fan
-
-    fan = normal_fan(trapezoid(ParamSpec(Q(2))))
-    out = jsonio.fan_from_json(jsonio.fan_to_json(fan))
-    assert out.ray_generators == fan.ray_generators
-    assert set(map(frozenset, out.maximal_cones)) == set(
-        map(frozenset, fan.maximal_cones)
-    )

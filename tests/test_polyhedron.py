@@ -1,7 +1,5 @@
 """H-rep / V-rep conversions, containment, and random-polytope oracles."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +9,9 @@ from quasitoric.polyhedron import (
     HalfPlane,
     InfeasibleRegionError,
     NotPointedError,
-    Polyhedron2,
     _candidate_vertices,
     _dedup_halfplanes,
     _recession_rays,
-    feasible,
     hrep_from_vrep,
     intersect_halfplane,
     polygon,
@@ -165,6 +161,43 @@ def test_random_polytope_containment_oracle(corner_pts, probes):
         assert inside_by_hrep == inside_by_hull
 
 
+def _fm_feasible(hrep):
+    """Oracle: exact Fourier-Motzkin feasibility for <mu, n_i> >= c_i."""
+    # constraints as a*x + b*y >= c
+    cons = [(h.normal[0], h.normal[1], h.offset) for h in hrep]
+    lower, upper, rest = [], [], []  # bounds on x given y
+    for a, b, c in cons:
+        sa = a.sign()
+        if sa > 0:
+            lower.append((b, c, a))  # x >= (c - b*y)/a
+        elif sa < 0:
+            upper.append((b, c, a))  # x <= (c - b*y)/a
+        else:
+            rest.append((b, c))  # b*y >= c
+    # eliminate x: for each (lower, upper) pair require compatibility
+    for bl, cl, al in lower:
+        for bu, cu, au in upper:
+            # (cl - bl*y)/al <= (cu - bu*y)/au with al>0, au<0
+            # multiply out: au*(cl - bl*y) >= al*(cu - bu*y)   (au<0 flips)
+            b = al * bu - au * bl
+            c = al * cu - au * cl
+            rest.append((b, c))
+    lo, hi = None, None
+    for b, c in rest:
+        sb = b.sign()
+        if sb > 0:
+            v = c / b
+            if lo is None or v > lo:
+                lo = v
+        elif sb < 0:
+            v = c / b
+            if hi is None or v < hi:
+                hi = v
+        elif c.sign() > 0:
+            return False
+    return lo is None or hi is None or lo <= hi
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -174,8 +207,8 @@ def test_random_polytope_containment_oracle(corner_pts, probes):
     )
 )
 def test_feasibility_matches_vertex_enumeration(triples):
-    """Fourier-Motzkin feasibility agrees with vertex enumeration whenever
-    the latter finds a vertex."""
+    """The library sorts every system as Fourier-Motzkin does: pointed and
+    unpointed regions are feasible, empty ones are not."""
     hrep = [
         HalfPlane((Q(a), Q(b)), Q(c)) for a, b, c in triples if (a, b) != (0, 0)
     ]
@@ -183,15 +216,44 @@ def test_feasibility_matches_vertex_enumeration(triples):
         return
     try:
         p = vrep_from_hrep(hrep)
-        assert feasible(hrep)
+        assert _fm_feasible(hrep)
         for v in p.vertices:
             assert p.contains(v)
         if p.bounded:
             assert p.area().sign() >= 0
     except NotPointedError:
-        assert feasible(hrep)
+        assert _fm_feasible(hrep)
     except InfeasibleRegionError:
-        assert not feasible(hrep)
+        assert not _fm_feasible(hrep)
+
+
+def _hp(nx, ny, c):
+    return HalfPlane((Q(nx), Q(ny)), Q(c))
+
+
+@pytest.mark.parametrize(
+    "hrep, error",
+    [
+        ([_hp(1, 0, 0)], NotPointedError),  # one half-plane
+        ([_hp(0, 1, 0), _hp(0, -1, -1)], NotPointedError),  # slab 0 <= y <= 1
+        ([_hp(0, 1, 1), _hp(0, -1, 0)], InfeasibleRegionError),  # empty slab
+        ([_hp(1, 0, 0), _hp(-1, 0, 0)], NotPointedError),  # the line x = 0
+        ([_hp(1, 1, 0), _hp(2, 2, -4), _hp(-1, -1, -3)], NotPointedError),
+        ([_hp(1, 1, 2), _hp(3, 3, 0), _hp(-2, -2, -4)], NotPointedError),  # line
+        ([_hp(1, 1, 2), _hp(3, 3, 0), _hp(-2, -2, -3)], InfeasibleRegionError),
+        ([HalfPlane((Q(1), sqrt(2)), Q(0)), HalfPlane((Q(-2), -2 * sqrt(2)), Q(-6))],
+         NotPointedError),  # 0 <= x + sqrt(2) y <= 3
+        ([HalfPlane((Q(1), sqrt(2)), Q(2)), HalfPlane((Q(-2), -2 * sqrt(2)), Q(-2))],
+         InfeasibleRegionError),  # 2 <= x + sqrt(2) y <= 1
+        ([_hp(1, 0, 1), _hp(0, 1, 1), _hp(-1, -1, -1)], InfeasibleRegionError),
+    ],
+)
+def test_vertexless_classification(hrep, error):
+    """Regions without a vertex: two nonparallel normals mean empty, and
+    parallel normals are empty iff their interval along n0 is."""
+    with pytest.raises(error):
+        vrep_from_hrep(hrep)
+    assert _fm_feasible(hrep) == (error is NotPointedError)
 
 
 def _restart_drop_redundant(hrep):
