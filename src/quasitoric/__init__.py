@@ -2,9 +2,9 @@
 
 Three constructions of the same family of symplectic quasifolds, one per
 subpackage theme: toric data from nonrational polytopes (polyhedron, fan,
-quasilattice, delzant), Gale-dual foliation data (gale, foliation), and
-nonrational symplectic cuts (cut).  The pipeline module ties them together
-and checks they agree.
+quasilattice, delzant), the Gale dual and the leaf tables of its foliation
+(gale, foliation), and nonrational symplectic cuts (cut).  The pipeline
+module ties them together and checks they agree.
 """
 
 from .scalar import (
@@ -45,7 +45,6 @@ from .gale import (
     VirtualChamber,
     augment_ghosts,
     chamber_from_triangulation,
-    gale_dual,
     is_balanced,
     is_odd,
     is_polytopal,
@@ -63,19 +62,9 @@ from .cut import (
     CutResult,
     NoOpCutError,
     blowup_corner,
-    cut_moment_maps,
     cut_polyhedron,
 )
-from .foliation import (
-    LVMDatum,
-    LeafReport,
-    act_c_lambda,
-    act_conjugate,
-    classify_leaves,
-    equivalent_in_Fa,
-    project,
-    verify_projection_invariance,
-)
+from .foliation import LeafReport, classify_leaves
 from .pipeline import (
     PipelineInconsistency,
     ReportDocument,
@@ -97,7 +86,6 @@ __all__ = [
     "GroupDesc",
     "HalfPlane",
     "InfeasibleRegionError",
-    "LVMDatum",
     "LeafReport",
     "MomentComponent",
     "NoOpCutError",
@@ -121,18 +109,13 @@ __all__ = [
     "VectorConfig",
     "VirtualChamber",
     "ZERO",
-    "act_c_lambda",
-    "act_conjugate",
     "augment_ghosts",
     "blowup_corner",
     "build_report",
     "chamber_from_triangulation",
     "classify_leaves",
-    "cut_moment_maps",
     "cut_polyhedron",
-    "equivalent_in_Fa",
     "format_scalar",
-    "gale_dual",
     "hirzebruch_quasilattice",
     "hirzebruch_vector_config",
     "hrep_from_vrep",
@@ -148,7 +131,6 @@ __all__ = [
     "parse_scalar",
     "polygon",
     "presentation",
-    "project",
     "quotient_order",
     "relation_basis",
     "sqrt",
@@ -157,7 +139,6 @@ __all__ = [
     "trapezoid",
     "triangle",
     "triangle_blowup",
-    "verify_projection_invariance",
     "vrep_from_hrep",
     "z2",
 ]

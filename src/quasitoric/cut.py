@@ -1,6 +1,12 @@
 """Symplectic cutting in arbitrary (possibly nonrational) directions and
-blow-up as corner chopping, at the level of moment polytopes, quasilattices,
-and explicit moment maps."""
+blow-up as corner chopping, at the level of moment polytopes and
+quasilattices.
+
+The cut of C x S^2 along <mu, (-1, a)> >= -1 has moment map
+phi(u, [v:z]) = -|u|^2 + a(z+1)/2 = <mu, (-1, a)> at mu = (|u|^2, (z+1)/2);
+on the strip, phi > -1 maps onto the kept piece of a CutResult minus the
+cut line, phi = -1 onto its reduced face, and phi < -1 onto its other piece
+minus the cut line."""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from dataclasses import dataclass
 from .linalg import Vec2, dot, is_zero_vec
 from .polyhedron import HalfPlane, Polyhedron2, intersect_halfplane, vrep_from_hrep
 from .quasilattice import GroupDesc, Quasilattice, quotient_order
-from .scalar import ParamSpec, Q, QuadScalar
+from .scalar import Q
 
 
 class NoOpCutError(ValueError):
@@ -80,81 +86,6 @@ def cut_polyhedron(
     augmented = q.augment(nu)
     gamma = quotient_group(q, augmented, nu)
     return CutResult(kept, other, face, augmented, gamma, keep)
-
-
-def open_side_contains(result: CutResult, point: Vec2) -> bool:
-    """Is the point in the open dense region {<mu, nu> > c} inside P?"""
-    return (
-        result.kept_piece.contains(point)
-        and result.cut_halfplane.slack(point).sign() > 0
-    )
-
-
-@dataclass(frozen=True)
-class CutMomentMaps:
-    """Moment maps for cutting C x S^2 along <mu,(-1,a)> = -1.
-
-    phi(u,[v:z]) = -|u|^2 + a(z+1)/2 on C x (S^2/Gamma_a);
-    nu_minus subtracts |w|^2 for the auxiliary C factor; the cut space is
-    the level nu_minus = -1.  Circle weights on (u, v, w): (-1, a, -1).
-    """
-
-    a: ParamSpec
-
-    @property
-    def circle_weights(self) -> tuple[QuadScalar, QuadScalar, QuadScalar]:
-        return (Q(-1), self.a.value, Q(-1))
-
-    @property
-    def cut_level(self) -> QuadScalar:
-        return Q(-1)
-
-    def phi_sq(self, u_sq: QuadScalar, z: QuadScalar) -> QuadScalar:
-        return -Q(u_sq) + self.a.value * (Q(z) + 1) / 2
-
-    def nu_minus_sq(self, u_sq, z, w_sq) -> QuadScalar:
-        return self.phi_sq(u_sq, z) - Q(w_sq)
-
-    def strip_point(self, u_sq: QuadScalar, z: QuadScalar) -> Vec2:
-        """Toric moment image of (u, v, z) in the strip [0,inf) x [0,1]."""
-        return (Q(u_sq), (Q(z) + 1) / 2)
-
-
-def cut_moment_maps(a: ParamSpec) -> CutMomentMaps:
-    return CutMomentMaps(a)
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    total: int
-    open_region: int
-    cut_locus: int
-    other_side: int
-    consistent: bool
-
-
-def cut_decomposition_check(
-    result: CutResult, a: ParamSpec, samples: list[tuple[QuadScalar, QuadScalar]]
-) -> DecompositionReport:
-    """Exact check, on squared-modulus samples (|u|^2, z), that the moment
-    image of {phi > -1} is the kept piece minus the cut edge."""
-    maps = cut_moment_maps(a)
-    n_open = n_locus = n_other = 0
-    ok = True
-    for u_sq, z in samples:
-        mu = maps.strip_point(u_sq, z)
-        phi = maps.phi_sq(u_sq, z)
-        s = (phi - maps.cut_level).sign()
-        if s > 0:
-            n_open += 1
-            ok = ok and open_side_contains(result, mu)
-        elif s == 0:
-            n_locus += 1
-            ok = ok and result.reduced_face.contains(mu)
-        else:
-            n_other += 1
-            ok = ok and result.other_piece.contains(mu) and not open_side_contains(result, mu)
-    return DecompositionReport(len(samples), n_open, n_locus, n_other, ok)
 
 
 def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2:

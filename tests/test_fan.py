@@ -14,7 +14,7 @@ from quasitoric.fan import (
 from quasitoric.pipeline import trapezoid, strip
 from quasitoric.polyhedron import HalfPlane, polygon, vrep_from_hrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
-from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
+from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
 
 def test_fan_validation():

@@ -13,14 +13,19 @@ from quasitoric.gale import (
     VirtualChamber,
     augment_ghosts,
     chamber_from_triangulation,
-    gale_dual,
+    gale_points,
     is_balanced,
     is_odd,
     is_polytopal,
     relation_basis,
 )
 from quasitoric.fan import normal_fan
-from quasitoric.pipeline import hirzebruch_vector_config, trapezoid, triangulation_from_fan
+from quasitoric.pipeline import (
+    gale_side,
+    hirzebruch_vector_config,
+    trapezoid,
+    triangulation_from_fan,
+)
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
 from conftest import fractions
@@ -80,7 +85,7 @@ def test_relation_basis_needs_balance():
 def test_gale_dual_regression():
     """Lambda_a = (i, 1, 1 + i a, i, 0)."""
     a = ParamSpec(parse_scalar("sqrt(2)"))
-    lam = gale_dual(hirzebruch_vector_config(a))
+    lam = gale_side(a, normal_fan(trapezoid(a))).gale_points
     assert lam.points == (
         (Q(0), Q(1)),
         (Q(1), Q(0)),
@@ -129,7 +134,7 @@ def test_chamber_from_triangulation():
 def test_polytopal_family():
     for text in ("1", "2", "3/2", "sqrt(2)", "1+sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
-        lam = gale_dual(hirzebruch_vector_config(a))
+        lam = gale_points(relation_basis(hirzebruch_vector_config(a)))
         ok, witness = is_polytopal(lam, hirzebruch_chamber())
         assert ok and witness is not None
         # the witness is interior to every chamber triangle

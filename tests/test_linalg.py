@@ -21,8 +21,6 @@ from quasitoric.linalg import (
 )
 from quasitoric.scalar import Q, sqrt
 
-from conftest import quad_scalars
-
 
 def test_solve2x2():
     sol = solve2x2((Q(1), Q(2)), (Q(3), Q(4)), (Q(5), Q(6)))

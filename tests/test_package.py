@@ -1,6 +1,13 @@
-"""The top-level package: every name it exports resolves."""
+"""The top-level package: every name it exports resolves; and two source
+scans, for floats outside output code and for unused imports."""
+
+import ast
+from pathlib import Path
 
 import quasitoric
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quasitoric"
 
 # read from the top-level package by perfbench/kernels.py
 BENCHMARK_NAMES = (
@@ -12,6 +19,10 @@ BENCHMARK_NAMES = (
     "vrep_from_hrep",
 )
 
+# scalar.py: the advisory "float" field of the JSON scalar form;
+# svg.py: figure layout
+FLOAT_MODULES = {"scalar.py", "svg.py"}
+
 
 def test_all_names_resolve():
     names = quasitoric.__all__
@@ -19,3 +30,57 @@ def test_all_names_resolve():
     # a stale entry would break `from quasitoric import *`
     assert [n for n in names if not hasattr(quasitoric, n)] == []
     assert set(BENCHMARK_NAMES) <= set(names)
+
+
+def _uses_floats(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "float":
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == "to_float":
+                return True
+        if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "cmath":
+            return True
+    return False
+
+
+def test_floats_only_in_output():
+    """No float decides a predicate: only the JSON advisory field and the SVG
+    layout convert to float."""
+    users = {p.name for p in SRC.glob("*.py") if _uses_floats(ast.parse(p.read_text()))}
+    assert users <= FLOAT_MODULES
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    imported[a.asname or a.name] = node.lineno
+    used = _exported(tree) | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """No linter is a dependency, so this scan keeps imports honest. Names
+    listed in a module's __all__ count as used (the package re-exports);
+    a name used only inside a quoted annotation does not."""
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [u for p in files for u in unused_imports(p)] == []
