@@ -112,12 +112,7 @@ def cmd_cut(args) -> int:
     result = cut_polyhedron(p, q, nu, c)
     sys.stdout.write(_dump(cut_result_to_json(result)))
     if args.svg_dir:
-        face = result.reduced_face
-        if len(face.vertices) >= 2:
-            seg = (face.vertices[0], face.vertices[-1])
-        else:
-            seg = (face.vertices[0], face.vertices[0])
-        _write_svg(args.svg_dir, "cut.svg", polytope_figure(p, cut_line=seg))
+        _write_svg(args.svg_dir, "cut.svg", polytope_figure(p, cut_line=result.reduced_face))
     return 0
 
 

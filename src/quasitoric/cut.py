@@ -6,14 +6,18 @@ The cut of C x S^2 along <mu, (-1, a)> >= -1 has moment map
 phi(u, [v:z]) = -|u|^2 + a(z+1)/2 = <mu, (-1, a)> at mu = (|u|^2, (z+1)/2);
 on the strip, phi > -1 maps onto the kept piece of a CutResult minus the
 cut line, phi = -1 onto its reduced face, and phi < -1 onto its other piece
-minus the cut line."""
+minus the cut line.
+
+The reduced face is read off the kept piece (``polyhedron.line_face``): its
+ends are the kept piece's vertices on the cut line, so a cut costs two
+vertex enumerations, one per piece."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .linalg import Vec2, dot, is_zero_vec
-from .polyhedron import HalfPlane, Polyhedron2, intersect_halfplane, vrep_from_hrep
+from .polyhedron import HalfPlane, Polyhedron2, intersect_halfplane, line_face
 from .quasilattice import GroupDesc, Quasilattice, quotient_order
 from .scalar import Q
 
@@ -73,7 +77,12 @@ def cut_polyhedron(
     p: Polyhedron2, q: Quasilattice, nu: Vec2, c
 ) -> CutResult:
     """Cut P along the line <mu, nu> = c; the quasilattice is augmented by
-    the cutting normal so the cut direction becomes 'rational'."""
+    the cutting normal so the cut direction becomes 'rational'.
+
+    The pieces are P cap {<mu, nu> >= c} and P cap {<mu, nu> <= c}.  The
+    reduced face, P on the cut line, is read off the kept piece rather than
+    enumerated; P must have an irredundant hrep, as every Polyhedron2 from
+    ``vrep_from_hrep`` has."""
     nu = _normal(nu)
     c = Q(c)
     lo, hi = _value_range(p, nu)
@@ -82,7 +91,7 @@ def cut_polyhedron(
     keep = HalfPlane(nu, c)
     kept = intersect_halfplane(p, keep)
     other = intersect_halfplane(p, keep.flipped())
-    face = vrep_from_hrep(list(p.hrep) + [keep, keep.flipped()])
+    face = line_face(p, kept, keep)
     augmented = q.augment(nu)
     gamma = quotient_group(q, augmented, nu)
     return CutResult(kept, other, face, augmented, gamma, keep)

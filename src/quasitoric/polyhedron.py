@@ -13,6 +13,11 @@ a vertex: two nonparallel normals mean the region is empty.  When all
 normals are parallel to n0, each constraint bounds <mu, n0> from one side,
 and the region (a half-plane, slab or line) is nonempty iff the largest
 lower bound is at most the smallest upper bound.
+
+``line_face(p, piece, h)`` gives the face of P on the line of h without an
+enumeration, read off the piece P cap h in O(n).  It needs an irredundant
+``p.hrep`` (as ``vrep_from_hrep`` returns) and P on both sides of the line,
+and then equals ``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])``.
 """
 
 from __future__ import annotations
@@ -310,3 +315,40 @@ def intersect_halfplane(p: Polyhedron2, h: HalfPlane) -> Polyhedron2 | None:
         return vrep_from_hrep(list(p.hrep) + [h])
     except InfeasibleRegionError:
         return None
+
+
+def line_face(p: Polyhedron2, piece: Polyhedron2, h: HalfPlane) -> Polyhedron2:
+    """The face of P on the line of h, read off the piece P cap h in O(n).
+
+    Preconditions: ``p.hrep`` is irredundant, ``piece`` is P cap h, and P
+    has points strictly on both sides of the line.  Then the face is a
+    segment or a ray, or a point when P is itself flat (P is pointed, so
+    never a line), and the result equals
+    ``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])`` field for field:
+
+    - vertices: the face's ends are the vertices of the piece tight at h,
+      and ``_order_ccw`` puts at most two points in lexicographic order;
+    - rays: the enumeration's only possible ray is the line's direction in
+      the recession cone of P, which is a ray of the piece orthogonal to
+      h.normal, in the same canonical form;
+    - hrep: the left-to-right ``_drop_redundant`` scan drops every
+      constraint of P strictly loose at every end.  One tight at an end
+      bounds the line there on one side (its own line is not h's, since P
+      crosses the line), so it is redundant while a later one tight at the
+      same end bounds the same side, and needed once it is the last.  Both
+      sides of one end are bounded only when P is flat and the face a
+      point.  h and h.flipped() come last and are both needed, since the
+      kept constraints leave room on both sides of the line.
+      Irredundance rules out two constraints of P on one line, which the
+      enumeration's deduplication would keep the first of, not the last.
+    """
+    ends = [v for v in piece.vertices if h.tight(v)]
+    along = rot90(h.normal)
+    last = {}
+    for i, g in enumerate(p.hrep):
+        for v in ends:
+            if g.tight(v):
+                last[v, dot(g.normal, along).sign()] = i
+    hrep = [p.hrep[i] for i in sorted(last.values())] + [h, h.flipped()]
+    rays = [r for r in piece.rays if dot(r, h.normal).is_zero()]
+    return Polyhedron2(tuple(hrep), tuple(_order_ccw(ends)), tuple(rays))

@@ -117,8 +117,11 @@ def polytope_figure(
     p: Polyhedron2,
     fan: Fan2 | None = None,
     fan_anchor: tuple[float, float] | None = None,
-    cut_line: tuple[Vec2, Vec2] | None = None,
+    cut_line: Polyhedron2 | None = None,
 ) -> str:
+    """P with its normal fan, if given, and a cut's reduced face ``cut_line``
+    as a dashed line: a segment end to end, or a ray drawn from its vertex
+    for UNBOUNDED_EXTENT, as _poly_outline extends rays."""
     fig = Figure()
     fig.polygon(_poly_outline(p))
     if fan is not None:
@@ -130,8 +133,13 @@ def polytope_figure(
             fig.line((ax, ay), tip, RAY_STYLE)
             fig.circle(tip, 3.0, WITNESS_STYLE)
     if cut_line is not None:
-        p0 = (float(cut_line[0][0]), float(cut_line[0][1]))
-        p1 = (float(cut_line[1][0]), float(cut_line[1][1]))
+        (x0, y0), (x1, y1) = cut_line.vertices[0], cut_line.vertices[-1]
+        p0 = (float(x0), float(y0))
+        if cut_line.rays:
+            (r,) = cut_line.rays
+            p1 = (p0[0] + UNBOUNDED_EXTENT * float(r[0]), p0[1] + UNBOUNDED_EXTENT * float(r[1]))
+        else:
+            p1 = (float(x1), float(y1))
         fig.line(p0, p1, CUT_STYLE)
     return fig.render()
 

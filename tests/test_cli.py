@@ -201,6 +201,21 @@ def test_svg_output(tmp_path):
     assert (tmp_path / "figs" / "polytope.svg").read_text() == poly
 
 
+def test_svg_cut_line_of_a_ray_face(tmp_path):
+    """The strip cut along y = 1/2 meets it in a ray; the dashed cut line
+    runs from the ray's vertex along it, not from the vertex to itself."""
+    strip = json.dumps({"hrep": [{"normal": ["1", "0"], "offset": "0"},
+                                 {"normal": ["0", "1"], "offset": "0"},
+                                 {"normal": ["0", "-1"], "offset": "-1"}]})
+    code, out, _ = run_cli(["cut", "--svg-dir", str(tmp_path), "--", "0", "1", "1/2"], strip)
+    assert code == 0
+    assert len(json.loads(out)["reduced_face"]["rays"]) == 1
+    svg = (tmp_path / "cut.svg").read_text()
+    (line,) = [s for s in svg.splitlines() if "stroke-dasharray" in s]
+    x1, y1, x2, y2 = (float(line.split(f'{k}="')[1].split('"')[0]) for k in ("x1", "y1", "x2", "y2"))
+    assert y1 == y2 and x2 - x1 > 0
+
+
 _GOOD = ["0", "1", "-1", "2", "3/2", "-2/3", "sqrt(2)", "1+sqrt(2)", "-sqrt(3)", "1/2+1/2*sqrt(5)"]
 _BAD = ["1/0", "sqrt(4)", "sqrt(-2)", "x", "", " ", "1e5", "--", "-h", "--bogus"]
 _tokens = st.sampled_from(_GOOD) | st.sampled_from(_GOOD) | st.sampled_from(_BAD)

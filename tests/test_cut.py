@@ -1,9 +1,13 @@
 """Symplectic cuts and corner chops: piece complementarity, quotient groups,
-moment-map decomposition, and the three-way polytope agreement."""
+moment-map decomposition, the three-way polytope agreement, and the reduced
+face against a vertex enumeration."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasitoric.cut import (
     AmountTooLargeError,
@@ -11,7 +15,8 @@ from quasitoric.cut import (
     blowup_corner,
     cut_polyhedron,
 )
-from quasitoric.linalg import dot
+from quasitoric.jsonio import polyhedron_to_json
+from quasitoric.linalg import dot, is_zero_vec, rot90, smul, vadd, vsub
 from quasitoric.pipeline import (
     build_report,
     strip_cut,
@@ -19,7 +24,14 @@ from quasitoric.pipeline import (
     triangle,
     triangle_blowup,
 )
-from quasitoric.polyhedron import polygon
+from quasitoric.polyhedron import (
+    HalfPlane,
+    InfeasibleRegionError,
+    NotPointedError,
+    hrep_from_vrep,
+    polygon,
+    vrep_from_hrep,
+)
 from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
@@ -162,3 +174,78 @@ def test_cut_decomposition_exact():
                 else:
                     assert cut.other_piece.contains(mu) and not cut.kept_piece.contains(mu)
         assert all(counts.values()), (text, counts)
+
+
+@st.composite
+def cuts(draw):
+    """A pointed region P over Q or Q(sqrt(2)) with its hrep in random order
+    (bounded, unbounded, or flat: a segment or ray given by half-planes),
+    and a cut (nu, c) at a random level, through a vertex of P (and maybe a
+    second one), or parallel to a ray of P so that the face is a ray."""
+    irrational = draw(st.booleans())
+
+    def scalar(bound):
+        r = draw(st.integers(-bound, bound))
+        s = draw(st.integers(-1, 1)) if irrational else 0
+        return Q(r) + s * sqrt(2) if s else Q(r)
+
+    def vector():
+        v = (scalar(3), scalar(3))
+        return v if not is_zero_vec(v) else (Q(1), Q(0))
+
+    shape = draw(st.sampled_from(["bounded", "unbounded", "flat"]))
+    if shape == "flat":
+        # the line through p0 along d, from p0 to p0 + k d or on to infinity
+        p0, d = vector(), vector()
+        line = HalfPlane(rot90(d), dot(p0, rot90(d)))
+        hrep = [line, line.flipped()]
+        ends = [(p0, 1)]
+        if draw(st.booleans()):
+            ends.append((vadd(p0, smul(Q(draw(st.integers(1, 3))), d)), -1))
+        for end, side in ends:
+            for _ in range(draw(st.integers(1, 2))):
+                n = vadd(smul(Q(side * draw(st.integers(1, 2))), d),
+                         smul(Q(draw(st.integers(-2, 2))), line.normal))
+                hrep.append(HalfPlane(n, dot(end, n)))
+    else:
+        points = [vector() for _ in range(draw(st.integers(3 if shape == "bounded" else 1, 4)))]
+        rays = []
+        if shape == "unbounded":
+            # directions in the open upper half-plane, or +x: a pointed cone
+            for _ in range(draw(st.integers(1, 2))):
+                r = vector()
+                rays.append((r[0], abs(r[1])) if r[1] else (abs(r[0]), r[1]))
+        hrep = hrep_from_vrep(points, rays)
+    try:
+        p = vrep_from_hrep(draw(st.permutations(hrep)))
+    except (InfeasibleRegionError, NotPointedError):
+        assume(False)
+    # a vertex v, and w another vertex or a point inside P (unless P is flat)
+    center = smul(Q(1, len(p.vertices)), reduce(vadd, p.vertices))
+    center = reduce(vadd, p.rays, center)
+    v, w = draw(st.sampled_from(p.vertices)), draw(st.sampled_from(p.vertices + (center,)))
+    kinds = ["level"] if shape == "flat" else ["level", "vertex"] + ["ray"] * bool(p.rays)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ray":
+        nu = rot90(draw(st.sampled_from(p.rays)))
+        return p, nu, dot(v, nu) + Q(draw(st.integers(-2, 2)), 2)
+    nu = rot90(vsub(w, v)) if v != w and draw(st.booleans()) else vector()
+    if kind == "vertex":
+        return p, nu, dot(v, nu)
+    return p, nu, (dot(v, nu) + dot(w, nu)) / 2 + Q(draw(st.integers(-2, 2)), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cuts())
+def test_reduced_face_matches_enumeration(case):
+    """The reduced face read off the kept piece equals, byte for byte in its
+    JSON form, the vertex enumeration of P's constraints plus the cut line in
+    both directions."""
+    p, nu, c = case
+    try:
+        result = cut_polyhedron(p, z2(), nu, c)
+    except NoOpCutError:
+        assume(False)
+    keep = result.cut_halfplane
+    oracle = vrep_from_hrep(list(p.hrep) + [keep, keep.flipped()])
+    assert polyhedron_to_json(result.reduced_face) == polyhedron_to_json(oracle)

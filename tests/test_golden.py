@@ -2,19 +2,19 @@
 
 Each case runs ``cli.main`` on an argv (and optionally a stdin file from
 ``tests/golden/inputs``) and compares stdout with ``tests/golden/<out>``.
-Regenerate the corpus with
+Under pytest each case is one test.  Run as a script, with the standard
+library only, it checks the corpus and exits 1 naming each differing file:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list every changed corpus file in CHANGES.md.
+``--write`` regenerates the differing files instead; list every changed
+corpus file in CHANGES.md.
 """
 
 import contextlib
 import io
 import sys
 from pathlib import Path
-
-import pytest
 
 from quasitoric.cli import main
 
@@ -42,6 +42,8 @@ CASES = [
     ("cut_strip_a2.json", ["cut", "--a", "2", "--", "-1", "2", "-1"], "strip.json"),
     ("cut_strip_3_2.json", ["cut", "--", "-1", "3/2", "-1"], "strip.json"),
     ("cut_strip_sqrt2.json", ["cut", "--", "-1", "sqrt(2)", "-1"], "strip.json"),
+    # the only cut whose reduced face is a ray
+    ("cut_strip_horizontal.json", ["cut", "--", "0", "1", "1/2"], "strip.json"),
     ("blowup_square.json", ["blowup", "0", "0", "1", "1", "1"], "square.json"),
     (
         "blowup_triangle_sqrt2.json",
@@ -64,16 +66,39 @@ def run_case(argv, stdin_name):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("name,argv,stdin_name", CASES, ids=[c[0] for c in CASES])
+def pytest_generate_tests(metafunc):
+    # parametrized here so that the script path needs no pytest
+    metafunc.parametrize("name,argv,stdin_name", CASES, ids=[c[0] for c in CASES])
+
+
 def test_golden(name, argv, stdin_name):
     code, out = run_case(argv, stdin_name)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
 
 
-if __name__ == "__main__":
+def check_corpus(write: bool) -> list[str]:
+    """The corpus files that differ from the CLI's output; rewritten when
+    ``write``."""
+    differ = []
     for name, argv, stdin_name in CASES:
         code, out = run_case(argv, stdin_name)
         if code != 0:
             sys.exit(f"{name}: exit {code}")
-        (GOLDEN / name).write_text(out)
+        path = GOLDEN / name
+        if not path.exists() or path.read_text() != out:
+            differ.append(name)
+            if write:
+                path.write_text(out)
+    return differ
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit("usage: python tests/test_golden.py [--write]")
+    write = sys.argv[1:] == ["--write"]
+    differ = check_corpus(write)
+    for name in differ:
+        print(f"{'wrote' if write else 'differs'}: {name}")
+    print(f"{len(CASES) - len(differ)} of {len(CASES)} corpus files match")
+    sys.exit(1 if differ and not write else 0)
