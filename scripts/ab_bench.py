@@ -19,6 +19,12 @@ worse than the parent's by more than the metric's bound in BENCHMARK.json.
 ``--out FILE`` also writes the result as JSON: the parent revision, seed, run
 length and pair count, and for each workload and end-to-end metric both
 sides' median, q1 and q3, the pairs won and the verdict, plus the op counts.
+
+For each workload it also prints, and writes as ``rss_kib_per_extra_op``,
+the change in median ``peak_rss_mb`` divided by the change in median ops per
+run, in KiB.  The benchmark keeps every op's output, so a faster change
+raises RSS by that much per op (about 12-13 KiB on ``report-sweep``); a
+value far above it points to a leak rather than to the kept outputs.
 Standard library only; not part of the tests.
 """
 
@@ -93,6 +99,16 @@ def op_counts(runs: list[dict]) -> dict:
             "failed": sum(r["failed"] for r in runs), "total": sum(ops)}
 
 
+def rss_per_extra_op(entry: dict) -> float | None:
+    """KiB of peak RSS per extra op per run: the change in median
+    ``peak_rss_mb`` (MiB) over the change in median ops per run, or None
+    when the medians of the op counts are equal."""
+    rss = entry["metrics"]["peak_rss_mb"]
+    d_rss = rss["change"]["median"] - rss["parent"]["median"]
+    d_ops = entry["ops"]["change"]["median"] - entry["ops"]["parent"]["median"]
+    return d_rss * 1024 / d_ops if d_ops else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", metavar="PARENT_REV")
@@ -140,6 +156,9 @@ def main(argv=None) -> int:
                 print(f"  {side} ops per run: median {ops['median']:g} "
                       f"(min {ops['min']}, max {ops['max']}), "
                       f"failed {ops['failed']} of {ops['total']}")
+            per_op = entry["rss_kib_per_extra_op"] = rss_per_extra_op(entry)
+            print("  peak_rss_mb change per extra op per run: "
+                  + ("n/a (same median op count)" if per_op is None else f"{per_op:.1f} KiB"))
             sys.stdout.flush()
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

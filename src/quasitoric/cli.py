@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse/usage error, 3 internal consistency failure.
+Exit codes: 0 success, 2 parse/usage error, 3 well-formed input that the
+geometry rejects (empty or unpointed region, a cut that misses the interior,
+a too-large chop), or a failed report check.
 All output is deterministic: JSON uses sorted keys and fixed separators.
 """
 

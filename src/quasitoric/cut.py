@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vec2, dot, is_zero_vec
+from .linalg import Vec2, cross, dot, is_zero_vec, vsub
 from .polyhedron import HalfPlane, Polyhedron2, intersect_halfplane, line_face
 from .quasilattice import GroupDesc, Quasilattice, quotient_order
 from .scalar import Q
 
 
 class NoOpCutError(ValueError):
-    """The cutting line misses the interior of the polyhedron."""
+    """The cutting line misses the interior of the polyhedron, or the
+    polyhedron has none."""
 
 
 class AmountTooLargeError(ValueError):
@@ -62,6 +63,14 @@ def _value_range(p: Polyhedron2, nu: Vec2):
     return lo, hi
 
 
+def _has_interior(p: Polyhedron2) -> bool:
+    """P is not flat: its vertex differences v - v0 and its rays include two
+    nonparallel vectors."""
+    v0 = p.vertices[0]
+    dirs = [vsub(v, v0) for v in p.vertices[1:]] + list(p.rays)
+    return any(not cross(dirs[0], d).is_zero() for d in dirs[1:])
+
+
 def quotient_group(q: Quasilattice, augmented: Quasilattice, nu: Vec2) -> GroupDesc:
     """Describe augmented/q for a single-vector augmentation (always cyclic,
     generated by the class of nu)."""
@@ -82,9 +91,12 @@ def cut_polyhedron(
     The pieces are P cap {<mu, nu> >= c} and P cap {<mu, nu> <= c}.  The
     reduced face, P on the cut line, is read off the kept piece rather than
     enumerated; P must have an irredundant hrep, as every Polyhedron2 from
-    ``vrep_from_hrep`` has."""
+    ``vrep_from_hrep`` has.  NoOpCutError when P has no interior (a point,
+    segment or ray) or the line misses it."""
     nu = _normal(nu)
     c = Q(c)
+    if not _has_interior(p):
+        raise NoOpCutError("the polyhedron has no interior to cut")
     lo, hi = _value_range(p, nu)
     if (lo is not None and not c > lo) or (hi is not None and not c < hi):
         raise NoOpCutError("cut line does not meet the interior")

@@ -20,7 +20,7 @@ from .linalg import (
     vneg,
     vsub,
 )
-from .polyhedron import HalfPlane, InfeasibleRegionError, vrep_from_hrep
+from .polyhedron import HalfPlane, InfeasibleRegionError, region_vertices
 from .scalar import Q, QuadScalar
 
 
@@ -238,10 +238,12 @@ def is_polytopal(
     lam: PointConfig, chamber: VirtualChamber
 ) -> tuple[bool, Vec2 | None]:
     """Exact test that the relative interiors of the chamber's triangles have
-    a common point; on success also returns such a witness point.
+    a common point; on success also returns such a witness point, the
+    centroid of the vertices of the closed region cut out by the triangles.
 
     (The closed hulls always share the common ghost point, so the meaningful
-    chamber condition is the open one.)
+    chamber condition is the open one.)  Only the closed region's vertices
+    are needed, so its facets are never pruned.
     """
     constraints: list[tuple[HalfPlane, bool]] = []
     for sigma in chamber.subsets:
@@ -250,10 +252,9 @@ def is_polytopal(
         pts = [lam.points[i - 1] for i in sorted(sigma)]
         constraints.extend(_triangle_halfplanes(pts))
     try:
-        region = vrep_from_hrep([h for h, _ in constraints])
+        vs = region_vertices([h for h, _ in constraints])
     except InfeasibleRegionError:
         return False, None
-    vs = region.vertices
     # a strict constraint is satisfiable on the closed region iff some vertex
     # has positive slack; the vertex centroid then satisfies all of them at
     # once (slacks are affine, nonnegative at every vertex)

@@ -7,6 +7,9 @@ constraints go in one pass: one strictly loose at every vertex costs a slack
 test, and only one that touches the region pays another enumeration.  So an
 irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
 
+``region_vertices(hrep)`` is the first step alone: the vertices, with no
+facet pruning and in no order, for O(n^3) steps and no further enumeration.
+
 A region without a vertex is either empty or unpointed.  A nonempty region
 whose normals span the plane is pointed, so the enumeration would have found
 a vertex: two nonparallel normals mean the region is empty.  When all
@@ -16,8 +19,9 @@ lower bound is at most the smallest upper bound.
 
 ``line_face(p, piece, h)`` gives the face of P on the line of h without an
 enumeration, read off the piece P cap h in O(n).  It needs an irredundant
-``p.hrep`` (as ``vrep_from_hrep`` returns) and P on both sides of the line,
-and then equals ``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])``.
+``p.hrep`` (as ``vrep_from_hrep`` returns) and P with an interior and on both
+sides of the line, and then equals
+``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])``.
 """
 
 from __future__ import annotations
@@ -247,6 +251,23 @@ def _vertexless_error(hrep: list[HalfPlane]) -> ValueError:
     return NotPointedError("region has no vertex")
 
 
+def _vertices(hrep: list[HalfPlane]) -> list[Vec2]:
+    """``region_vertices`` of an already deduplicated hrep."""
+    verts = _candidate_vertices(hrep)
+    if not verts:
+        raise _vertexless_error(hrep)
+    return verts
+
+
+def region_vertices(hrep: list[HalfPlane]) -> list[Vec2]:
+    """The vertices of a half-plane intersection, in no particular order.
+
+    Raises InfeasibleRegionError for empty regions and NotPointedError for
+    nonempty regions without a vertex, as ``vrep_from_hrep`` does.
+    """
+    return _vertices(_dedup_halfplanes(hrep))
+
+
 def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     """Enumerate vertices and recession rays of a half-plane intersection.
 
@@ -254,9 +275,7 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     nonempty regions without a vertex.
     """
     hrep = _dedup_halfplanes(hrep)
-    verts = _candidate_vertices(hrep)
-    if not verts:
-        raise _vertexless_error(hrep)
+    verts = _vertices(hrep)
     rays = _recession_rays(hrep)
     hrep = _drop_redundant(hrep, verts)
     return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays))
@@ -321,34 +340,33 @@ def line_face(p: Polyhedron2, piece: Polyhedron2, h: HalfPlane) -> Polyhedron2:
     """The face of P on the line of h, read off the piece P cap h in O(n).
 
     Preconditions: ``p.hrep`` is irredundant, ``piece`` is P cap h, and P
-    has points strictly on both sides of the line.  Then the face is a
-    segment or a ray, or a point when P is itself flat (P is pointed, so
-    never a line), and the result equals
+    has an interior and points strictly on both sides of the line.  Then the
+    line meets the interior of P, the face is a segment or a ray (P is
+    pointed, so never a line), and the result equals
     ``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])`` field for field:
 
     - vertices: the face's ends are the vertices of the piece tight at h,
-      and ``_order_ccw`` puts at most two points in lexicographic order;
+      and ``_order_ccw`` puts its one or two ends in lexicographic order;
     - rays: the enumeration's only possible ray is the line's direction in
       the recession cone of P, which is a ray of the piece orthogonal to
       h.normal, in the same canonical form;
     - hrep: the left-to-right ``_drop_redundant`` scan drops every
       constraint of P strictly loose at every end.  One tight at an end
-      bounds the line there on one side (its own line is not h's, since P
-      crosses the line), so it is redundant while a later one tight at the
-      same end bounds the same side, and needed once it is the last.  Both
-      sides of one end are bounded only when P is flat and the face a
-      point.  h and h.flipped() come last and are both needed, since the
-      kept constraints leave room on both sides of the line.
-      Irredundance rules out two constraints of P on one line, which the
-      enumeration's deduplication would keep the first of, not the last.
+      bounds the line there (its own line is not h's, since P crosses the
+      line), on the side away from the face, as every constraint tight at
+      that end does.  So it is redundant while a later one is tight at the
+      same end, and needed once it is the last.  h and h.flipped() come
+      last and are both needed, since the kept constraints leave room on
+      both sides of the line.  Irredundance rules out two constraints of P
+      on one line, which the enumeration's deduplication would keep the
+      first of, not the last.
     """
     ends = [v for v in piece.vertices if h.tight(v)]
-    along = rot90(h.normal)
     last = {}
     for i, g in enumerate(p.hrep):
         for v in ends:
             if g.tight(v):
-                last[v, dot(g.normal, along).sign()] = i
+                last[v] = i
     hrep = [p.hrep[i] for i in sorted(last.values())] + [h, h.flipped()]
     rays = [r for r in piece.rays if dot(r, h.normal).is_zero()]
     return Polyhedron2(tuple(hrep), tuple(_order_ccw(ends)), tuple(rays))

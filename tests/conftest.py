@@ -1,7 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
+from quasitoric.gale import (
+    PointConfig,
+    VirtualChamber,
+    _triangle_halfplanes,
+    gale_points,
+    relation_basis,
+)
+from quasitoric.pipeline import hirzebruch_vector_config
 from quasitoric.scalar import ParamSpec, QuadScalar, parse_scalar
 
 SQUAREFREE_DS = [2, 3, 5, 7]
@@ -47,3 +56,38 @@ def params():
             ParamSpec(parse_scalar("1/2+1/2*sqrt(5)")),
         ]),
     )
+
+
+HIRZEBRUCH_CHAMBER = ({3, 4, 5}, {1, 3, 5}, {1, 2, 5}, {2, 4, 5})
+
+
+@st.composite
+def chambers(draw):
+    """Lambda_a of F_a for a random a, with the chamber of P_a or random
+    triangles, and some points perturbed: moved, two put on a third, or one
+    put on the line through two others, so that chamber triangles also
+    degenerate to segments and single points."""
+    a = draw(params())
+    pts = list(gale_points(relation_basis(hirzebruch_vector_config(a))).points)
+    for _ in range(draw(st.integers(0, 3))):
+        k, i, j = (draw(st.integers(0, 4)) for _ in range(3))
+        kind = draw(st.sampled_from(["move", "coincide", "collinear"]))
+        if kind == "move":
+            pts[k] = (pts[k][0] + draw(fractions(4, 4)), pts[k][1] + draw(fractions(4, 4)))
+        elif kind == "coincide":
+            pts[k] = pts[j] = pts[i]
+        else:
+            t = QuadScalar(draw(fractions(3, 3)))
+            pts[k] = tuple(p + t * (q - p) for p, q in zip(pts[i], pts[j]))
+    triples = [set(c) for c in combinations(range(1, 6), 3)]
+    subsets = draw(st.one_of(
+        st.just(HIRZEBRUCH_CHAMBER),
+        st.lists(st.sampled_from(triples), min_size=1, max_size=4),
+    ))
+    return PointConfig(tuple(pts)), VirtualChamber(frozenset(frozenset(s) for s in subsets))
+
+
+def chamber_halfplanes(lam, chamber):
+    """The (half-plane, strict) constraints of the chamber's open triangles."""
+    return [c for sigma in chamber.subsets
+            for c in _triangle_halfplanes([lam.points[i - 1] for i in sorted(sigma)])]

@@ -153,11 +153,20 @@ def test_cut_command():
     assert code == 0
     doc = json.loads(out)
     assert doc["gamma"]["kind"] == "trivial"
-    # a cut missing the interior is a consistency failure: exit 3
+    # a cut missing the interior is input the geometry rejects: exit 3
     code, _, err = run_cli(["cut", "1", "0", "5"], stdin_text=square)
     assert code == 3
     # a zero normal is bad input, not a cut that misses
     assert_input_error(*run_cli(["cut", "0", "0", "1"], stdin_text=square)[::2])
+
+
+def test_cut_of_a_flat_region_exits_3():
+    """A segment from stdin has no interior, so no cut line meets it."""
+    segment = json.dumps({"hrep": [{"normal": n, "offset": o} for n, o in (
+        (["1", "0"], "0"), (["-1", "0"], "0"), (["0", "1"], "0"), (["0", "-1"], "-1"))]})
+    code, out, err = run_cli(["cut", "--", "0", "1", "1/2"], stdin_text=segment)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_blowup_command():

@@ -2,7 +2,7 @@
 polytopality."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasitoric.gale import (
@@ -26,9 +26,10 @@ from quasitoric.pipeline import (
     trapezoid,
     triangulation_from_fan,
 )
+from quasitoric.polyhedron import InfeasibleRegionError, vrep_from_hrep
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
-from conftest import fractions
+from conftest import HIRZEBRUCH_CHAMBER, chamber_halfplanes, chambers, fractions
 
 
 HIRZEBRUCH_PARAMS = ("2", "3/2", "sqrt(2)")  # integer, rational, irrational
@@ -40,11 +41,7 @@ def fan_triangulation(text):
 
 
 def hirzebruch_chamber():
-    return VirtualChamber(
-        frozenset(
-            frozenset(s) for s in ({3, 4, 5}, {1, 3, 5}, {1, 2, 5}, {2, 4, 5})
-        )
-    )
+    return VirtualChamber(frozenset(frozenset(s) for s in HIRZEBRUCH_CHAMBER))
 
 
 def test_augment_ghosts_hirzebruch():
@@ -176,6 +173,39 @@ def test_polytopal_degenerate_triangle():
     )
     ok, witness = is_polytopal(lam, hirzebruch_chamber())
     assert not ok and witness is None
+
+
+def _polytopal_from_vrep(lam, chamber):
+    """Oracle: the polytopality test on the whole V-rep of the closed region,
+    as ``is_polytopal`` computed it before it read only the vertices."""
+    constraints = chamber_halfplanes(lam, chamber)
+    try:
+        region = vrep_from_hrep([h for h, _ in constraints])
+    except InfeasibleRegionError:
+        return False, None
+    vs = region.vertices
+    for h, strict in constraints:
+        if strict and all(h.slack(v).is_zero() for v in vs):
+            return False, None
+    n = len(vs)
+    return True, (sum((v[0] for v in vs), Q(0)) / n, sum((v[1] for v in vs), Q(0)) / n)
+
+
+# three closed triangles that meet pairwise but have no common point
+_EMPTY_CHAMBER = (
+    PointConfig(((Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(2)), (Q(1), Q(1)))),
+    VirtualChamber(frozenset({frozenset({1, 2, 3}), frozenset({3, 4, 5}), frozenset({1, 2, 5})})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chambers())
+@example(_EMPTY_CHAMBER)
+def test_polytopal_matches_vrep_oracle(case):
+    """The verdict and witness from the region's vertices alone equal those
+    from its full V-rep, on perturbed and degenerate chambers."""
+    lam, chamber = case
+    assert is_polytopal(lam, chamber) == _polytopal_from_vrep(lam, chamber)
 
 
 def test_triangulation_validation():

@@ -15,12 +15,13 @@ from quasitoric.polyhedron import (
     hrep_from_vrep,
     intersect_halfplane,
     polygon,
+    region_vertices,
     sort_by_angle,
     vrep_from_hrep,
 )
 from quasitoric.scalar import Q, sqrt
 
-from conftest import fractions
+from conftest import chamber_halfplanes, chambers, fractions
 
 
 def unit_square():
@@ -332,3 +333,21 @@ def test_one_pass_drop_matches_restart_reference(hs):
     except (InfeasibleRegionError, NotPointedError):
         return
     assert list(p.hrep) == _restart_drop_redundant(_dedup_halfplanes(hs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    halfplane_systems(),
+    chambers().map(lambda case: [h for h, _ in chamber_halfplanes(*case)]),
+))
+def test_region_vertices_match_enumeration(hs):
+    """The vertices alone are those of the full enumeration, each once, and
+    an empty or unpointed region raises the same error class."""
+    try:
+        expected = vrep_from_hrep(hs).vertices
+    except (InfeasibleRegionError, NotPointedError) as e:
+        with pytest.raises(type(e)):
+            region_vertices(hs)
+        return
+    verts = region_vertices(hs)
+    assert len(verts) == len(set(verts)) and set(verts) == set(expected)
