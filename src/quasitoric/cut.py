@@ -10,14 +10,16 @@ minus the cut line.
 
 The reduced face is read off the kept piece (``polyhedron.line_face``): its
 ends are the kept piece's vertices on the cut line, so a cut costs two
-vertex enumerations, one per piece."""
+vertex enumerations, one per piece.  A blow-up costs none: once the chop is
+checked to cut off one vertex and nothing else, ``polyhedron.chop_vertex``
+builds the chopped polyhedron from the two edges at that vertex."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .linalg import Vec2, cross, dot, is_zero_vec, vsub
-from .polyhedron import HalfPlane, Polyhedron2, intersect_halfplane, line_face
+from .polyhedron import HalfPlane, Polyhedron2, chop_vertex, intersect_halfplane, line_face
 from .quasilattice import GroupDesc, Quasilattice, quotient_order
 from .scalar import Q
 
@@ -28,7 +30,8 @@ class NoOpCutError(ValueError):
 
 
 class AmountTooLargeError(ValueError):
-    """A corner chop that would remove more than one vertex."""
+    """A chop that is not a corner chop: it reaches another vertex, cuts off
+    an unbounded end, or runs parallel to an edge at the vertex."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,10 @@ class CutResult:
     augmented_quasilattice: Quasilattice
     gamma: GroupDesc
     cut_halfplane: HalfPlane
+
+
+def _fmt(v: Vec2) -> str:
+    return f"({v[0]}, {v[1]})"
 
 
 def _normal(nu) -> Vec2:
@@ -112,23 +119,37 @@ def cut_polyhedron(
 def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2:
     """Chop the corner at the given vertex with <mu, nu> >= <vertex, nu> + amount.
 
-    amount = 0 returns P unchanged; a chop reaching another vertex raises
-    AmountTooLargeError.
+    amount = 0 returns P unchanged.  Otherwise the chop must be a corner
+    chop, which ``chop_vertex`` then builds without an enumeration:
+
+    - P has an interior (else NoOpCutError);
+    - every other vertex of P is strictly inside the half-plane;
+    - no ray r of P has <r, nu> < 0, which would cut off an unbounded end;
+    - neither edge at the vertex is parallel to the chop line, which would
+      cut off that whole edge.
+
+    A failed check of the last three raises AmountTooLargeError.
     """
     nu = _normal(nu)
     vertex = (Q(vertex[0]), Q(vertex[1]))
     amount = Q(amount)
     if vertex not in p.vertices:
-        raise ValueError("blow-up point must be a vertex of the polyhedron")
+        raise ValueError(f"blow-up point {_fmt(vertex)} is not a vertex of the polyhedron")
     if amount.sign() < 0:
-        raise ValueError("blow-up amount must be nonnegative")
-    c = dot(vertex, nu) + amount
+        raise ValueError(f"blow-up amount {amount} must be nonnegative")
     if amount.is_zero():
         return p
+    if not _has_interior(p):
+        raise NoOpCutError("the polyhedron has no interior to chop")
+    h = HalfPlane(nu, dot(vertex, nu) + amount)
     for w in p.vertices:
-        if w != vertex and (dot(w, nu) - c).sign() <= 0:
-            raise AmountTooLargeError("chop would remove more than one vertex")
-    out = intersect_halfplane(p, HalfPlane(nu, c))
-    if out is None:
-        raise AmountTooLargeError("chop removed the whole polyhedron")
-    return out
+        if w != vertex and h.slack(w).sign() <= 0:
+            raise AmountTooLargeError(f"chop reaches the vertex {_fmt(w)} too")
+    for r in p.rays:
+        if dot(r, nu).sign() < 0:
+            raise AmountTooLargeError(f"chop cuts off the unbounded end along the ray {_fmt(r)}")
+    for g in p.hrep:
+        if g.tight(vertex) and cross(g.normal, nu).is_zero():
+            raise AmountTooLargeError(f"chop line is parallel to the edge "
+                                      f"<mu, {_fmt(g.normal)}> = {g.offset} at {_fmt(vertex)}")
+    return chop_vertex(p, vertex, h)

@@ -22,6 +22,14 @@ enumeration, read off the piece P cap h in O(n).  It needs an irredundant
 ``p.hrep`` (as ``vrep_from_hrep`` returns) and P with an interior and on both
 sides of the line, and then equals
 ``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])``.
+
+``chop_vertex(p, v, h)`` gives P cap h without an enumeration when h cuts
+off only the vertex v: the two constraints tight at v meet h's line at the
+two new vertices, in O(n) exact steps plus the ccw sort, and O(n^2) for
+the rays of an unbounded P.  It needs an irredundant ``p.hrep``, P with an
+interior, v strictly outside h, every other vertex strictly inside h, no
+ray of P with <r, h.normal> < 0, and neither constraint tight at v parallel
+to h's line; then it equals ``vrep_from_hrep(list(p.hrep) + [h])``.
 """
 
 from __future__ import annotations
@@ -370,3 +378,42 @@ def line_face(p: Polyhedron2, piece: Polyhedron2, h: HalfPlane) -> Polyhedron2:
     hrep = [p.hrep[i] for i in sorted(last.values())] + [h, h.flipped()]
     rays = [r for r in piece.rays if dot(r, h.normal).is_zero()]
     return Polyhedron2(tuple(hrep), tuple(_order_ccw(ends)), tuple(rays))
+
+
+def chop_vertex(p: Polyhedron2, v: Vec2, h: HalfPlane) -> Polyhedron2:
+    """P cap h for a half-plane h that cuts off the vertex v of P and nothing
+    else, without an enumeration.
+
+    Preconditions: ``p.hrep`` is irredundant, P has an interior, v is
+    strictly outside h, every other vertex of P is strictly inside h, no ray
+    r of P has <r, h.normal> < 0, and neither constraint tight at v is
+    parallel to h's line.  Then the result equals
+    ``vrep_from_hrep(list(p.hrep) + [h])`` field for field:
+
+    - vertices: P has an interior and an irredundant hrep, so exactly two
+      constraints are tight at v, one per edge at v.  Each edge runs from v
+      to another vertex, strictly inside h, or along a ray r of P with
+      <r, h.normal> > 0 (>= 0, and not parallel to h's line); so h's line
+      crosses it at one point other than v, where the edge's line meets h's.
+      The other vertices are strictly inside h and stay.  The enumeration
+      finds the same set, and ``_order_ccw`` orders a set of vertices the
+      same whatever their input order: it sorts one or two lexicographically,
+      and of three or more, which are never collinear, no two have the same
+      angle about their centroid, which lies strictly inside their hull.
+    - rays: an irredundant ``p.hrep`` has no duplicates, and h is not one of
+      its constraints (v satisfies each of those, not h), so the
+      enumeration's deduplication keeps ``list(p.hrep) + [h]`` whole and
+      takes its rays from it, as here.  A bounded P has none, and nor
+      does any subset of it.  ``p.rays`` came from P's input hrep, whose
+      redundant constraints can put them in another order.
+    - hrep: the ``_drop_redundant`` scan keeps every constraint whose face
+      on P cap h is an edge.  h's face joins the two new vertices.  A
+      constraint of P keeps a part of its edge of P of positive length: an
+      edge away from v keeps all of it, and an edge at v keeps the part
+      from the new vertex on.  So the hrep is ``p.hrep + (h,)``.
+    """
+    new = [solve2x2(g.normal, h.normal, (g.offset, h.offset)) for g in p.hrep if g.tight(v)]
+    hrep = p.hrep + (h,)
+    rays = _recession_rays(list(hrep)) if p.rays else []
+    verts = [w for w in p.vertices if w != v] + new
+    return Polyhedron2(hrep, tuple(_order_ccw(verts)), tuple(rays))

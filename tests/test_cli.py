@@ -184,9 +184,34 @@ def test_blowup_command():
     code, out, _ = run_cli(["blowup", "0", "0", "1", "1", "1"], stdin_text=square)
     assert code == 0
     assert len(json.loads(out)["vertices"]) == 5
-    code, _, _ = run_cli(["blowup", "0", "0", "1", "1", "10"], stdin_text=square)
-    assert code == 3
+    code, _, err = run_cli(["blowup", "0", "0", "1", "1", "10"], stdin_text=square)
+    assert code == 3 and "vertex (2, 0)" in err
+    code, _, err = run_cli(["blowup", "5", "5", "1", "1", "1"], stdin_text=square)
+    assert code == 2 and "(5, 5)" in err
     assert_input_error(*run_cli(["blowup", "0", "0", "0", "0", "1/2"], stdin_text=square)[::2])
+
+
+def test_blowup_of_an_unbounded_end_exits_3():
+    """Chopping the strip's corner (0, 0) along -x + y >= 1/2 would cut off
+    its whole unbounded end along the ray (1, 0), and along y >= 1/2 its
+    whole unbounded edge y = 0: neither is a corner chop."""
+    strip = json.dumps({"hrep": [{"normal": ["1", "0"], "offset": "0"},
+                                 {"normal": ["0", "1"], "offset": "0"},
+                                 {"normal": ["0", "-1"], "offset": "-1"}]})
+    for nu, named in ((["-1", "1"], "ray (1, 0)"), (["0", "1"], "edge <mu, (0, 1)> = 0")):
+        code, out, err = run_cli(["blowup", "--", "0", "0", *nu, "1/2"], strip)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+
+def test_blowup_of_a_flat_region_exits_3():
+    """A segment from stdin has no interior, so it has no corner to chop."""
+    segment = json.dumps({"hrep": [{"normal": n, "offset": o} for n, o in (
+        (["1", "0"], "0"), (["-1", "0"], "0"), (["0", "1"], "0"), (["0", "-1"], "-1"))]})
+    code, out, err = run_cli(["blowup", "--", "0", "0", "0", "1", "1/2"], segment)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_leaves_command():

@@ -1,12 +1,12 @@
 """Symplectic cuts and corner chops: piece complementarity, quotient groups,
 moment-map decomposition, the three-way polytope agreement, and the reduced
-face against a vertex enumeration."""
+face and the corner chop against a vertex enumeration."""
 
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasitoric.cut import (
@@ -176,33 +176,41 @@ def test_cut_decomposition_exact():
         assert all(counts.values()), (text, counts)
 
 
+def scalars(irrational):
+    """Integers in [-3, 3], plus -sqrt(2), 0 or sqrt(2) if irrational."""
+    ints = st.integers(-3, 3)
+    if not irrational:
+        return ints.map(Q)
+    return st.builds(lambda r, s: Q(r) + s * sqrt(2) if s else Q(r), ints, st.integers(-1, 1))
+
+
+def vectors(irrational):
+    """Nonzero vectors of ``scalars``; (1, 0) stands in for the zero vector."""
+    return st.tuples(scalars(irrational), scalars(irrational)).map(
+        lambda v: v if not is_zero_vec(v) else (Q(1), Q(0)))
+
+
 @st.composite
-def cuts(draw):
-    """A pointed region P over Q or Q(sqrt(2)) with its hrep in random order
-    (bounded, unbounded, or flat: a segment or ray given by half-planes),
-    a cut (nu, c) at a random level, through a vertex of P (and maybe a
-    second one), or parallel to a ray of P so that the face is a ray, and
-    whether P is flat."""
+def regions(draw):
+    """A pointed region P over Q or Q(sqrt(2)), bounded, unbounded, or flat (a
+    segment or ray given by half-planes), from its facets plus up to three
+    redundant constraints (a facet moved outwards, or a supporting line at a
+    vertex), shuffled in or put first; with whether P is flat and
+    irrational."""
     irrational = draw(st.booleans())
 
-    def scalar(bound):
-        r = draw(st.integers(-bound, bound))
-        s = draw(st.integers(-1, 1)) if irrational else 0
-        return Q(r) + s * sqrt(2) if s else Q(r)
-
     def vector():
-        v = (scalar(3), scalar(3))
-        return v if not is_zero_vec(v) else (Q(1), Q(0))
+        return draw(vectors(irrational))
 
-    shape = draw(st.sampled_from(["bounded", "unbounded", "flat"]))
+    shape = draw(st.sampled_from(["bounded", "unbounded", "unbounded", "flat"]))
     if shape == "flat":
-        # the line through p0 along d, from p0 to p0 + k d or on to infinity
-        p0, d = vector(), vector()
-        line = HalfPlane(rot90(d), dot(p0, rot90(d)))
+        # the line through o along d, from o to o + k d or on to infinity
+        o, d = vector(), vector()
+        line = HalfPlane(rot90(d), dot(o, rot90(d)))
         hrep = [line, line.flipped()]
-        ends = [(p0, 1)]
+        ends = [(o, 1)]
         if draw(st.booleans()):
-            ends.append((vadd(p0, smul(Q(draw(st.integers(1, 3))), d)), -1))
+            ends.append((vadd(o, smul(Q(draw(st.integers(1, 3))), d)), -1))
         for end, side in ends:
             for _ in range(draw(st.integers(1, 2))):
                 n = vadd(smul(Q(side * draw(st.integers(1, 2))), d),
@@ -213,28 +221,56 @@ def cuts(draw):
         rays = []
         if shape == "unbounded":
             # directions in the open upper half-plane, or +x: a pointed cone
-            for _ in range(draw(st.integers(1, 2))):
+            for _ in range(draw(st.sampled_from([1, 2, 2]))):
                 r = vector()
                 rays.append((r[0], abs(r[1])) if r[1] else (abs(r[0]), r[1]))
         hrep = hrep_from_vrep(points, rays)
     try:
-        p = vrep_from_hrep(draw(st.permutations(hrep)))
+        p0 = vrep_from_hrep(hrep)
     except (InfeasibleRegionError, NotPointedError):
         assume(False)
+    # facets along an unbounded edge, whose moved copies can change the
+    # order of P's rays, most of all when they come first
+    ray_facets = [g for g in p0.hrep if any(dot(r, g.normal).is_zero() for r in p0.rays)]
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["moved", "moved ray facet", "support"]))
+        if kind == "support":
+            u = draw(st.sampled_from(p0.vertices))
+            n = reduce(vadd, [g.normal for g in p0.hrep if g.tight(u)][:2])
+            if not is_zero_vec(n):
+                extra.append(HalfPlane(n, dot(u, n)))
+        else:
+            g = draw(st.sampled_from(ray_facets if kind != "moved" and ray_facets else p0.hrep))
+            extra.append(HalfPlane(g.normal, g.offset - draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        hrep = draw(st.permutations(hrep + extra))
+    else:
+        hrep = extra + draw(st.permutations(hrep))
+    p = vrep_from_hrep(hrep)
+    return p, shape == "flat", irrational
+
+
+@st.composite
+def cuts(draw):
+    """A region P from ``regions``, a cut (nu, c) at a random level, through
+    a vertex of P (and maybe a second one), or parallel to a ray of P so
+    that the face is a ray, and whether P is flat."""
+    p, flat, irrational = draw(regions())
     # a vertex v, and w another vertex or a point inside P (unless P is flat)
     center = smul(Q(1, len(p.vertices)), reduce(vadd, p.vertices))
     center = reduce(vadd, p.rays, center)
     v, w = draw(st.sampled_from(p.vertices)), draw(st.sampled_from(p.vertices + (center,)))
-    kinds = ["level"] if shape == "flat" else ["level", "vertex"] + ["ray"] * bool(p.rays)
+    kinds = ["level"] if flat else ["level", "vertex"] + ["ray"] * bool(p.rays)
     kind = draw(st.sampled_from(kinds))
     if kind == "ray":
         nu = rot90(draw(st.sampled_from(p.rays)))
         return p, nu, dot(v, nu) + Q(draw(st.integers(-2, 2)), 2), False
-    nu = rot90(vsub(w, v)) if v != w and draw(st.booleans()) else vector()
+    nu = rot90(vsub(w, v)) if v != w and draw(st.booleans()) else draw(vectors(irrational))
     if kind == "vertex":
         return p, nu, dot(v, nu), False
     level = (dot(v, nu) + dot(w, nu)) / 2 + Q(draw(st.integers(-2, 2)), 4)
-    return p, nu, level, shape == "flat"
+    return p, nu, level, flat
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,3 +291,57 @@ def test_reduced_face_matches_enumeration(case):
     keep = result.cut_halfplane
     oracle = vrep_from_hrep(list(p.hrep) + [keep, keep.flipped()])
     assert polyhedron_to_json(result.reduced_face) == polyhedron_to_json(oracle)
+
+
+@st.composite
+def chops(draw):
+    """A region P from ``regions``, a vertex v of P, a chop normal nu (the
+    sum of the normals of two constraints tight at v, or a random vector)
+    and a positive amount; with whether P is flat."""
+    p, flat, irrational = draw(regions())
+    v = draw(st.sampled_from(p.vertices))
+    nu = reduce(vadd, [g.normal for g in p.hrep if g.tight(v)][:2])
+    if is_zero_vec(nu) or draw(st.booleans()):
+        nu = draw(vectors(irrational))
+    return p, v, nu, Q(draw(st.integers(1, 12)), 4), flat
+
+
+def _halfplanes(*rows):
+    return [HalfPlane((Q(a), Q(b)), Q(c)) for a, b, c in rows]
+
+
+# x, y >= 0 and x + y >= 1 after a moved copy of y >= 0, which puts the ray
+# (1, 0) first in P's rays but second in the chop's; the strip chopped so
+# that its unbounded end goes; a segment
+_WEDGE = vrep_from_hrep(_halfplanes((0, 1, -1), (1, 0, 0), (0, 1, 0), (1, 1, 1)))
+_STRIP = vrep_from_hrep(_halfplanes((1, 0, 0), (0, 1, 0), (0, -1, -1)))
+_SEGMENT = vrep_from_hrep(_halfplanes((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, -1)))
+_ORIGIN = (Q(0), Q(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chops())
+@example((_WEDGE, (Q(1), Q(0)), (Q(1), Q(2)), Q(1, 2), False))
+@example((_STRIP, _ORIGIN, (Q(-1), Q(1)), Q(1, 2), False))
+@example((_SEGMENT, _ORIGIN, (Q(1), Q(1)), Q(1, 2), True))
+def test_chop_matches_enumeration(case):
+    """A corner chop (P keeps every other vertex and its rays, and gains two
+    vertices) equals, byte for byte in its JSON form, the vertex enumeration
+    of P's constraints plus the chop's.  Any other chop raises
+    AmountTooLargeError, and a chop of a flat P NoOpCutError."""
+    p, v, nu, amount, flat = case
+    if flat:
+        with pytest.raises(NoOpCutError):
+            blowup_corner(p, v, nu, amount)
+        return
+    try:
+        oracle = vrep_from_hrep(list(p.hrep) + [HalfPlane(nu, dot(v, nu) + amount)])
+    except InfeasibleRegionError:
+        oracle = None
+    if (oracle is None or len(oracle.vertices) != len(p.vertices) + 1
+            or not set(p.vertices) - {v} <= set(oracle.vertices)
+            or set(oracle.rays) != set(p.rays)):
+        with pytest.raises(AmountTooLargeError):
+            blowup_corner(p, v, nu, amount)
+        return
+    assert polyhedron_to_json(blowup_corner(p, v, nu, amount)) == polyhedron_to_json(oracle)

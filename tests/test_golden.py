@@ -50,6 +50,8 @@ CASES = [
         ["blowup", "--", "0", "-1/2*sqrt(2)", "0", "1", "1/2*sqrt(2)"],
         "triangle_sqrt2.json",
     ),
+    # the only blow-up of an unbounded region
+    ("blowup_strip.json", ["blowup", "--", "0", "0", "1", "1", "1/2"], "strip.json"),
 ]
 
 
