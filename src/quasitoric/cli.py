@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 well-formed input that the
 geometry rejects (empty or unpointed region, a cut that misses the interior,
-a chop that reaches another vertex or cuts off an unbounded end, or a
-polyhedron without interior), or a failed report check.
+a blow-up point that is not a vertex, a chop that reaches another vertex or
+cuts off an unbounded end, or a polyhedron without interior), or a failed
+report check.
 All output is deterministic: JSON uses sorted keys and fixed separators.
 """
 

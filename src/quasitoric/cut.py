@@ -12,15 +12,27 @@ The reduced face is read off the kept piece (``polyhedron.line_face``): its
 ends are the kept piece's vertices on the cut line, so a cut costs two
 vertex enumerations, one per piece.  A blow-up costs none: once the chop is
 checked to cut off one vertex and nothing else, ``polyhedron.chop_vertex``
-builds the chopped polyhedron from the two edges at that vertex."""
+builds the chopped polyhedron from the two edges at that vertex.
+
+A cut augments the quasilattice Q by its normal nu, and its gamma is the
+quotient (Q + Z nu) / Q from ``Quasilattice.quotient``, the one place that
+tells trivial, finite cyclic and dense apart; the strip cut of a report
+therefore has the same gamma as its presentation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vec2, cross, dot, is_zero_vec, vsub
-from .polyhedron import HalfPlane, Polyhedron2, chop_vertex, intersect_halfplane, line_face
-from .quasilattice import GroupDesc, Quasilattice, quotient_order
+from .linalg import Vec2, cross, dot, is_zero_vec
+from .polyhedron import (
+    HalfPlane,
+    Polyhedron2,
+    chop_vertex,
+    flat_direction,
+    intersect_halfplane,
+    line_face,
+)
+from .quasilattice import GroupDesc, Quasilattice
 from .scalar import Q
 
 
@@ -30,8 +42,9 @@ class NoOpCutError(ValueError):
 
 
 class AmountTooLargeError(ValueError):
-    """A chop that is not a corner chop: it reaches another vertex, cuts off
-    an unbounded end, or runs parallel to an edge at the vertex."""
+    """A chop that is not a corner chop: its point is not a vertex, or it
+    reaches another vertex, cuts off an unbounded end, or runs parallel to
+    an edge at the vertex."""
 
 
 @dataclass(frozen=True)
@@ -70,30 +83,13 @@ def _value_range(p: Polyhedron2, nu: Vec2):
     return lo, hi
 
 
-def _has_interior(p: Polyhedron2) -> bool:
-    """P is not flat: its vertex differences v - v0 and its rays include two
-    nonparallel vectors."""
-    v0 = p.vertices[0]
-    dirs = [vsub(v, v0) for v in p.vertices[1:]] + list(p.rays)
-    return any(not cross(dirs[0], d).is_zero() for d in dirs[1:])
-
-
-def quotient_group(q: Quasilattice, augmented: Quasilattice, nu: Vec2) -> GroupDesc:
-    """Describe augmented/q for a single-vector augmentation (always cyclic,
-    generated by the class of nu)."""
-    if q.equivalent(augmented):
-        return GroupDesc("trivial")
-    if augmented.is_lattice():
-        return GroupDesc("finite_cyclic", order=quotient_order(q, augmented))
-    coeff = next((x for x in nu if not x.is_rational()), None)
-    return GroupDesc("dense_cyclic", rotation_coefficient=coeff)
-
-
 def cut_polyhedron(
     p: Polyhedron2, q: Quasilattice, nu: Vec2, c
 ) -> CutResult:
     """Cut P along the line <mu, nu> = c; the quasilattice is augmented by
-    the cutting normal so the cut direction becomes 'rational'.
+    the cutting normal so the cut direction becomes 'rational', and gamma is
+    the cyclic quotient (Q + Z nu) / Q that ``Quasilattice.quotient`` reads
+    off Q's Hermite normal form.
 
     The pieces are P cap {<mu, nu> >= c} and P cap {<mu, nu> <= c}.  The
     reduced face, P on the cut line, is read off the kept piece rather than
@@ -102,7 +98,7 @@ def cut_polyhedron(
     segment or ray) or the line misses it."""
     nu = _normal(nu)
     c = Q(c)
-    if not _has_interior(p):
+    if flat_direction(p.vertices, p.rays) is not None:
         raise NoOpCutError("the polyhedron has no interior to cut")
     lo, hi = _value_range(p, nu)
     if (lo is not None and not c > lo) or (hi is not None and not c < hi):
@@ -112,15 +108,17 @@ def cut_polyhedron(
     other = intersect_halfplane(p, keep.flipped())
     face = line_face(p, kept, keep)
     augmented = q.augment(nu)
-    gamma = quotient_group(q, augmented, nu)
+    gamma = augmented.quotient(q)
     return CutResult(kept, other, face, augmented, gamma, keep)
 
 
 def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2:
     """Chop the corner at the given vertex with <mu, nu> >= <vertex, nu> + amount.
 
-    amount = 0 returns P unchanged.  Otherwise the chop must be a corner
-    chop, which ``chop_vertex`` then builds without an enumeration:
+    The point must be a vertex of P (else AmountTooLargeError) and the
+    amount nonnegative (else ValueError).  amount = 0 returns P unchanged.
+    Otherwise the chop must be a corner chop, which ``chop_vertex`` then
+    builds without an enumeration:
 
     - P has an interior (else NoOpCutError);
     - every other vertex of P is strictly inside the half-plane;
@@ -134,12 +132,12 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
     vertex = (Q(vertex[0]), Q(vertex[1]))
     amount = Q(amount)
     if vertex not in p.vertices:
-        raise ValueError(f"blow-up point {_fmt(vertex)} is not a vertex of the polyhedron")
+        raise AmountTooLargeError(f"blow-up point {_fmt(vertex)} is not a vertex of the polyhedron")
     if amount.sign() < 0:
         raise ValueError(f"blow-up amount {amount} must be nonnegative")
     if amount.is_zero():
         return p
-    if not _has_interior(p):
+    if flat_direction(p.vertices, p.rays) is not None:
         raise NoOpCutError("the polyhedron has no interior to chop")
     h = HalfPlane(nu, dot(vertex, nu) + amount)
     for w in p.vertices:

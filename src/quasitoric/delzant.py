@@ -2,7 +2,9 @@
 equations, cutting-group phase maps, and quasifold presentations.
 
 Presentations are data, not spaces: equations, weight rows, and group
-descriptions carry all of the checkable content."""
+descriptions carry all of the checkable content.  The group Gamma = Q / Z^2
+of a parameter-tagged quasilattice Q is ``Q.quotient(z2())``, the same
+classification the cut uses; an untagged Q gets no Gamma."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 from .gale import kernel_rows_for
 from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2
-from .quasilattice import GroupDesc, Quasilattice
+from .quasilattice import GroupDesc, Quasilattice, z2
 from .scalar import Q, QuadScalar, format_scalar
 
 
@@ -145,7 +147,9 @@ def moment_map_coeffs(
 
 def presentation(triple: PolytopeTriple) -> QuasifoldPresentation:
     """Symplectic quasifold presentation: level-set equations of the moment
-    map plus the phase map of the cutting group."""
+    map plus the phase map of the cutting group.  For a tagged quasilattice
+    Q, gamma is Q / Z^2, which names the quasitorus and the orbifold
+    divisors; for an untagged one gamma is None."""
     normals = triple.normals()
     rows = kernel_rows_for(normals)
     components = moment_map_coeffs(triple, rows)
@@ -154,7 +158,7 @@ def presentation(triple: PolytopeTriple) -> QuasifoldPresentation:
     quasitorus = "R^2/Q (untagged quasilattice)"
     divisors: list[tuple[int, int]] = []
     if q.param is not None:
-        gamma = q.gamma_quotient()
+        gamma = q.quotient(z2())
         if gamma.kind == "trivial":
             quasitorus = "S^1 x S^1"
         elif gamma.kind == "finite_cyclic":

@@ -289,20 +289,37 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays))
 
 
+def flat_direction(vertices, rays) -> Vec2 | None:
+    """A direction e along which every vertex difference and ray lies, when
+    conv(vertices) + cone(rays) is flat ((1, 0) for a point); None when it
+    has an interior."""
+    dirs = [d for d in [vsub(v, vertices[0]) for v in vertices[1:]] + list(rays)
+            if not is_zero_vec(d)]
+    e = dirs[0] if dirs else (Q(1), Q(0))
+    return e if all(cross(e, d).is_zero() for d in dirs) else None
+
+
 def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlane]:
-    """Facet constraints of conv(vertices) + cone(rays); needs >= 1 vertex."""
+    """Facet constraints of conv(vertices) + cone(rays); needs >= 1 vertex.
+
+    A flat input, whose vertex differences and rays all lie along one
+    direction e, gets an end cap <mu, e> >= min or <mu, -e> >= -max on each
+    side that no ray leaves, then its line in both directions: a point (e =
+    (1, 0)) gets four constraints, a segment four and a ray three, so it
+    reads as the H-form of that set."""
     if not vertices:
         raise ValueError("need at least one vertex")
     vertices = list(vertices)
     rays = list(rays)
-    if len(vertices) == 1 and not rays:
-        (v,) = vertices
-        return [
-            HalfPlane((Q(1), Q(0)), v[0]),
-            HalfPlane((Q(-1), Q(0)), -v[0]),
-            HalfPlane((Q(0), Q(1)), v[1]),
-            HalfPlane((Q(0), Q(-1)), -v[1]),
-        ]
+    e = flat_direction(vertices, rays)
+    if e is not None:
+        out = []
+        for sign in (1, -1):
+            cap = smul(sign, e)
+            if all(dot(r, cap).sign() >= 0 for r in rays):
+                out.append(HalfPlane(cap, min(dot(v, cap) for v in vertices)))
+        n = rot90(e)
+        return out + [HalfPlane(n, dot(vertices[0], n)), HalfPlane(vneg(n), -dot(vertices[0], n))]
     cands = []
     for i, v in enumerate(vertices):
         for w in vertices[i + 1 :]:

@@ -3,8 +3,11 @@
 Splitting every coordinate into its rational and sqrt(d) parts maps a
 quasilattice onto a Z-module in Q^4. Each instance reduces its generators
 once, to the Hermite normal form of that module scaled into Z^4, and answers
-membership, discreteness, its lattice basis and ray rationality exactly from
-that one form.
+membership, discreteness, its lattice basis, ray rationality and the
+quotient by a sublattice exactly from that one form.  This module alone
+decides whether a quotient Gamma is trivial, finite cyclic or dense: the
+quasilattice Q_a over Z^2 (``delzant``) and the cut's augmented group over
+the one it augments (``cut``) both ask ``quotient``.
 """
 
 from __future__ import annotations
@@ -12,19 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import Vec2, cross, hnf_rows
 from .scalar import ParamSpec, Q, QuadScalar, ScalarContextError, sqrt
 
 
-class QuotientUnsupportedError(ValueError):
-    """Quotient description requested for an untagged quasilattice."""
-
-
 @dataclass(frozen=True)
 class GroupDesc:
-    """The quotient group Q_a / Z^2: trivial, Z/qZ, or a dense rotation group."""
+    """A cyclic quotient (sub + Z nu) / sub, such as Gamma_a = Q_a / Z^2:
+    trivial, Z/qZ, or infinite ("dense_cyclic", as rotations by 2*pi*a are
+    dense in S^1).
+
+    The class of nu acts on the circle of the other axis when one
+    coordinate of nu lies in sub: nu = (x, y) with (x, 0) in sub rotates by
+    2*pi*y, and with (0, y) in sub by 2*pi*x.  For nu = (-1, a) over Z^2 that
+    is a.  When neither coordinate is in sub the rotation is None.
+    """
 
     kind: str  # "trivial" | "finite_cyclic" | "dense_cyclic"
     order: int | None = None
@@ -87,21 +94,32 @@ class Quasilattice:
 
     # -- membership -----------------------------------------------------------
 
-    def member(self, v: Vec2) -> bool:
-        """Is v an integer combination of the generators? Reduce den*v
-        against the echelon rows; v is a member iff nothing is left."""
+    def _coefficients(self, v: Vec2) -> list[Fraction] | None:
+        """The rational coefficients of den*v on the HNF rows, from reducing
+        it against the echelon rows; None when something is left, i.e. v is
+        off the rows' rational span.  The reduction runs on integers w with
+        w/s = what is left of den*v, and s grows so each pivot divides."""
         v = (Q(v[0]), Q(v[1]))
         basis, den, d = self._hnf
         _context_d([v], d)
-        w = [x * den for x in _parts(v)]
-        if any(x.denominator != 1 for x in w):
-            return False
-        w = [int(x) for x in w]
+        (w,), s = _scaled_rows([v])
+        w = [x * den for x in w]
+        coeffs = []
         for h in basis:
             p = next(c for c, x in enumerate(h) if x)
+            g = h[p] // gcd(w[p], h[p])
+            if g != 1:
+                w, s = [x * g for x in w], s * g
             k = w[p] // h[p]
             w = [x - k * y for x, y in zip(w, h)]
-        return not any(w)
+            coeffs.append(Fraction(k, s))
+        return None if any(w) else coeffs
+
+    def member(self, v: Vec2) -> bool:
+        """Is v an integer combination of the generators? The HNF rows are
+        a Z-basis, so iff v's coefficients on them exist and are integers."""
+        coeffs = self._coefficients(v)
+        return coeffs is not None and all(k.denominator == 1 for k in coeffs)
 
     def ray_meets(self, g: Vec2) -> bool:
         """Does the ray through g contain a nonzero quasilattice point?
@@ -149,18 +167,30 @@ class Quasilattice:
             self.member(g) for g in other.generators
         )
 
-    def gamma_quotient(self) -> GroupDesc:
-        """Q_a / Z^2 for a tagged Q_a: trivial, Z/qZ, or dense rotations by 2*pi*a."""
-        if self.param is None:
-            raise QuotientUnsupportedError(
-                "quotient description only available for parameter-tagged quasilattices"
-            )
-        a = self.param
-        if not a.rational:
-            return GroupDesc("dense_cyclic", rotation_coefficient=a.value)
-        if a.q == 1:
+    def quotient(self, sub: "Quasilattice") -> GroupDesc:
+        """self / sub for self = sub + Z nu, generated by the class of nu,
+        the one generator of self outside sub (none: trivial; two or more:
+        ValueError).  k*nu is in sub iff k times each coefficient of nu on
+        sub's HNF rows is an integer, so the order is the lcm of their
+        denominators, and infinite when nu is off the rows' rational span."""
+        outside = [g for g in self.generators if not sub.member(g)]
+        if not outside:
             return GroupDesc("trivial")
-        return GroupDesc("finite_cyclic", order=a.q, rotation_coefficient=a.value)
+        if len(outside) > 1:
+            raise ValueError("the quotient is only described for a cyclic extension sub + Z nu")
+        (nu,) = outside
+        coeffs = sub._coefficients(nu)
+        zero = Q(0)
+        if sub.member((nu[0], zero)):
+            rotation = nu[1]
+        elif sub.member((zero, nu[1])):
+            rotation = nu[0]
+        else:
+            rotation = None
+        if coeffs is None:
+            return GroupDesc("dense_cyclic", rotation_coefficient=rotation)
+        order = lcm(*(k.denominator for k in coeffs))
+        return GroupDesc("finite_cyclic", order=order, rotation_coefficient=rotation)
 
 
 def z2() -> Quasilattice:
@@ -173,13 +203,3 @@ def hirzebruch_quasilattice(a: ParamSpec) -> Quasilattice:
         ((Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), a.value)),
         param=a,
     )
-
-
-def quotient_order(sub: Quasilattice, sup: Quasilattice) -> int:
-    """Index [sup : sub] for nested rank-2 lattices, via determinant ratio."""
-    b_sub = sub.lattice_basis()
-    b_sup = sup.lattice_basis()
-    ratio = cross(b_sub[0], b_sub[1]) / cross(b_sup[0], b_sup[1])
-    if not (ratio.is_rational() and abs(ratio).r.denominator == 1):
-        raise ValueError("lattices are not nested")
-    return abs(int(abs(ratio).r))

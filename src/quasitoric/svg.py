@@ -116,21 +116,20 @@ def _poly_outline(p: Polyhedron2) -> list[tuple[float, float]]:
 def polytope_figure(
     p: Polyhedron2,
     fan: Fan2 | None = None,
-    fan_anchor: tuple[float, float] | None = None,
     cut_line: Polyhedron2 | None = None,
 ) -> str:
-    """P with its normal fan, if given, and a cut's reduced face ``cut_line``
-    as a dashed line: a segment end to end, or a ray drawn from its vertex
-    for UNBOUNDED_EXTENT, as _poly_outline extends rays."""
+    """P with its normal fan, if given, drawn from the origin, and a cut's
+    reduced face ``cut_line`` as a dashed line: a segment end to end, or a
+    ray drawn from its vertex for UNBOUNDED_EXTENT, as _poly_outline extends
+    rays."""
     fig = Figure()
     fig.polygon(_poly_outline(p))
     if fan is not None:
-        ax, ay = fan_anchor if fan_anchor else (0.0, 0.0)
         for g in fan.ray_generators:
             gx, gy = float(g[0]), float(g[1])
             norm = max(math.hypot(gx, gy), 1e-12)
-            tip = (ax + RAY_LEN * gx / norm, ay + RAY_LEN * gy / norm)
-            fig.line((ax, ay), tip, RAY_STYLE)
+            tip = (RAY_LEN * gx / norm, RAY_LEN * gy / norm)
+            fig.line((0.0, 0.0), tip, RAY_STYLE)
             fig.circle(tip, 3.0, WITNESS_STYLE)
     if cut_line is not None:
         (x0, y0), (x1, y1) = cut_line.vertices[0], cut_line.vertices[-1]

@@ -154,7 +154,7 @@ def test_08_gamma_classification():
         "1+sqrt(2)": ("dense_cyclic", None),
     }
     for text, (kind, order) in cases.items():
-        g = hirzebruch_quasilattice(ParamSpec(parse_scalar(text))).gamma_quotient()
+        g = hirzebruch_quasilattice(ParamSpec(parse_scalar(text))).quotient(z2())
         ok = ok and g.kind == kind and g.order == order
     _report(8, "Gamma_a classification trivial / Z_q / dense", ok)
 

@@ -4,11 +4,13 @@ import io
 import json
 import sys
 import time
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quasitoric.cli import main
+from quasitoric.jsonio import polyhedron_from_json
 
 
 def run_cli(argv, stdin_text=""):
@@ -169,6 +171,40 @@ def test_cut_of_a_flat_region_exits_3():
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cut_by_a_fraction_of_a_lattice_vector():
+    """Over Q_sqrt2, nu = (1/2, 0) has 2*nu = (1, 0) in the lattice: the
+    quotient is Z/2, rotating by 1/2, though Q_sqrt2 itself is dense."""
+    strip = (Path(__file__).parent / "golden" / "inputs" / "strip.json").read_text()
+    code, out, _ = run_cli(["cut", "--a", "sqrt(2)", "--", "1/2", "0", "1/2"], strip)
+    assert code == 0
+    gamma = json.loads(out)["gamma"]
+    assert (gamma["kind"], gamma["order"], gamma["rotation_coefficient"]["r"]) == (
+        "finite_cyclic", 2, "1/2")
+
+
+def test_flat_vertex_form_reads_as_its_hrep():
+    """A segment or a ray given by vertices and rays is the same polyhedron
+    as its H-form, and like it has no interior to cut."""
+    def hform(*rows):
+        return json.dumps({"hrep": [{"normal": n, "offset": o} for n, o in rows]})
+
+    cases = (
+        (json.dumps({"vertices": [["0", "0"], ["1", "0"]]}),
+         hform((["1", "0"], "0"), (["-1", "0"], "-1"), (["0", "1"], "0"), (["0", "-1"], "0"))),
+        (json.dumps({"vertices": [["0", "0"]], "rays": [["1", "0"]]}),
+         hform((["1", "0"], "0"), (["0", "1"], "0"), (["0", "-1"], "0"))),
+    )
+    for vform, hrep in cases:
+        code_v, out_v, _ = run_cli(["normal-fan"], vform)
+        code_h, out_h, _ = run_cli(["normal-fan"], hrep)
+        assert (code_v, out_v) == (code_h, out_h)
+        v = polyhedron_from_json(json.loads(vform))
+        h = polyhedron_from_json(json.loads(hrep))
+        assert (v.vertices, v.rays) == (h.vertices, h.rays)
+        code, out, err = run_cli(["cut", "--", "1", "0", "1/2"], vform)
+        assert code == 3 and out == "" and "no interior" in err
+
+
 def test_blowup_command():
     square = json.dumps(
         {
@@ -187,7 +223,7 @@ def test_blowup_command():
     code, _, err = run_cli(["blowup", "0", "0", "1", "1", "10"], stdin_text=square)
     assert code == 3 and "vertex (2, 0)" in err
     code, _, err = run_cli(["blowup", "5", "5", "1", "1", "1"], stdin_text=square)
-    assert code == 2 and "(5, 5)" in err
+    assert code == 3 and "(5, 5)" in err
     assert_input_error(*run_cli(["blowup", "0", "0", "0", "0", "1/2"], stdin_text=square)[::2])
 
 

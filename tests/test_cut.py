@@ -16,7 +16,7 @@ from quasitoric.cut import (
     cut_polyhedron,
 )
 from quasitoric.jsonio import polyhedron_to_json
-from quasitoric.linalg import dot, is_zero_vec, rot90, smul, vadd, vsub
+from quasitoric.linalg import cross, dot, is_zero_vec, rot90, smul, vadd, vsub
 from quasitoric.pipeline import (
     build_report,
     strip_cut,
@@ -107,6 +107,28 @@ def test_strip_cut_matches_trapezoid():
             assert result.gamma.kind == "dense_cyclic"
 
 
+parameters = st.one_of(
+    st.integers(1, 50).map(Q),
+    st.builds(Fraction, st.integers(1, 5000), st.integers(1, 1000)).map(Q),
+    st.builds(
+        lambda r, s, d: Q(r) + Q(s) * sqrt(d),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+        st.sampled_from([2, 3, 5, 6, 7, 10]),
+    ),
+).filter(lambda x: x.sign() > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parameters)
+def test_report_has_one_gamma(av):
+    """The presentation's Gamma_a = Q_a / Z^2 and the strip cut's
+    (Z^2 + Z (-1, a)) / Z^2 are one group, rotation included."""
+    doc = build_report(ParamSpec(av))
+    assert doc.presentation.gamma == doc.cut.gamma
+    assert doc.presentation.gamma.rotation_coefficient == (None if doc.a.is_integer else av)
+
+
 def test_blowup_matches_trapezoid():
     for text in PARAM_TEXTS:
         a = ParamSpec(parse_scalar(text))
@@ -126,7 +148,7 @@ def test_blowup_validation():
     t = triangle(a)
     v = (Q(0), Q(-1, 2))
     assert v in t.vertices
-    with pytest.raises(ValueError):
+    with pytest.raises(AmountTooLargeError):
         blowup_corner(t, (Q(5), Q(5)), (Q(0), Q(1)), Q(1))  # not a vertex
     with pytest.raises(ValueError):
         blowup_corner(t, v, (Q(0), Q(1)), Q(-1))
@@ -193,10 +215,10 @@ def vectors(irrational):
 @st.composite
 def regions(draw):
     """A pointed region P over Q or Q(sqrt(2)), bounded, unbounded, or flat (a
-    segment or ray given by half-planes), from its facets plus up to three
-    redundant constraints (a facet moved outwards, or a supporting line at a
-    vertex), shuffled in or put first; with whether P is flat and
-    irrational."""
+    segment or ray given by half-planes, or collinear points), from its
+    facets plus up to three redundant constraints (a facet moved outwards,
+    or a supporting line at a vertex), shuffled in or put first; with whether
+    P is flat and irrational."""
     irrational = draw(st.booleans())
 
     def vector():
@@ -248,7 +270,10 @@ def regions(draw):
     else:
         hrep = extra + draw(st.permutations(hrep))
     p = vrep_from_hrep(hrep)
-    return p, shape == "flat", irrational
+    # drawn points can be collinear, and then read as a segment or ray
+    dirs = [vsub(u, p.vertices[0]) for u in p.vertices[1:]] + list(p.rays)
+    flat = all(cross(d, e).is_zero() for d in dirs for e in dirs)
+    return p, flat, irrational
 
 
 @st.composite

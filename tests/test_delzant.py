@@ -12,7 +12,7 @@ from quasitoric.delzant import (
 )
 from quasitoric.gale import kernel_rows_for
 from quasitoric.pipeline import five_constraint_triple, trapezoid
-from quasitoric.quasilattice import hirzebruch_quasilattice, z2
+from quasitoric.quasilattice import Quasilattice, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
 
@@ -105,3 +105,14 @@ def test_render_phase_map_constant_coordinate():
     out = render_phase_map([[Q(1), Q(0)], [Q(0), Q(0)]])
     # second row is zero everywhere: ignored; second coordinate constant
     assert out == "(e^(2*pi*i*(r)), 1)"
+
+
+def test_presentation_of_an_untagged_quasilattice():
+    """Without a parameter tag there is no Gamma and no orbifold divisor,
+    even when the generators are those of Q_a."""
+    a = ParamSpec(parse_scalar("3/2"))
+    untagged = Quasilattice(hirzebruch_quasilattice(a).generators)
+    pres = presentation(PolytopeTriple(trapezoid(a), untagged))
+    assert pres.gamma is None
+    assert pres.quasitorus == "R^2/Q (untagged quasilattice)"
+    assert pres.divisor_orders == ()

@@ -3,7 +3,9 @@
 Each case runs ``cli.main`` on an argv (and optionally a stdin file from
 ``tests/golden/inputs``) and compares stdout with ``tests/golden/<out>``.
 Under pytest each case is one test.  Run as a script, with the standard
-library only, it checks the corpus and exits 1 naming each differing file:
+library only, it checks the corpus and exits 1 naming each differing file.
+Either way, each difference is named by its JSON path with the old and the
+new value, e.g. ``cut.gamma.rotation_coefficient: null -> {"d":null,...}``:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,7 @@ corpus file in CHANGES.md.
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -68,6 +71,32 @@ def run_case(argv, stdin_name):
     return code, out.getvalue()
 
 
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def json_diff(old, new, path="") -> list[str]:
+    """One line per JSON path where old and new differ: 'path: old -> new'.
+    Lists of different lengths, like values of different types, differ as a
+    whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for key in sorted(old.keys() | new.keys())
+                for line in json_diff(old.get(key), new.get(key), f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (o, n) in enumerate(zip(old, new))
+                for line in json_diff(o, n, f"{path}[{i}]")]
+    return [] if old == new else [f"{path or '<root>'}: {_compact(old)} -> {_compact(new)}"]
+
+
+def describe_difference(old_text: str, new_text: str) -> str:
+    """The differing JSON paths, or a note when the bytes alone differ."""
+    try:
+        lines = json_diff(json.loads(old_text), json.loads(new_text))
+    except ValueError:
+        return "  not JSON; the bytes differ"
+    return "\n".join(f"  {line}" for line in lines) or "  same JSON, different bytes"
+
+
 def pytest_generate_tests(metafunc):
     # parametrized here so that the script path needs no pytest
     metafunc.parametrize("name,argv,stdin_name", CASES, ids=[c[0] for c in CASES])
@@ -76,20 +105,22 @@ def pytest_generate_tests(metafunc):
 def test_golden(name, argv, stdin_name):
     code, out = run_case(argv, stdin_name)
     assert code == 0
-    assert out == (GOLDEN / name).read_text()
+    old = (GOLDEN / name).read_text()
+    assert out == old, f"{name} differs:\n{describe_difference(old, out)}"
 
 
-def check_corpus(write: bool) -> list[str]:
-    """The corpus files that differ from the CLI's output; rewritten when
-    ``write``."""
+def check_corpus(write: bool) -> list[tuple[str, str]]:
+    """(name, description) of each corpus file that differs from the CLI's
+    output; rewritten when ``write``."""
     differ = []
     for name, argv, stdin_name in CASES:
         code, out = run_case(argv, stdin_name)
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         path = GOLDEN / name
-        if not path.exists() or path.read_text() != out:
-            differ.append(name)
+        old = path.read_text() if path.exists() else None
+        if old != out:
+            differ.append((name, "  new file" if old is None else describe_difference(old, out)))
             if write:
                 path.write_text(out)
     return differ
@@ -100,7 +131,7 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden.py [--write]")
     write = sys.argv[1:] == ["--write"]
     differ = check_corpus(write)
-    for name in differ:
-        print(f"{'wrote' if write else 'differs'}: {name}")
+    for name, description in differ:
+        print(f"{'wrote' if write else 'differs'}: {name}\n{description}")
     print(f"{len(CASES) - len(differ)} of {len(CASES)} corpus files match")
     sys.exit(1 if differ and not write else 0)

@@ -1,21 +1,19 @@
-"""Quasilattice membership against brute force, quotient structure, and
-ray rationality."""
+"""Quasilattice membership against brute force, quotient groups against
+brute force, and ray rationality."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric.linalg import vadd, smul
+from quasitoric.linalg import cross, smul, vadd
 from quasitoric.quasilattice import (
     GroupDesc,
     Quasilattice,
-    QuotientUnsupportedError,
     hirzebruch_quasilattice,
-    quotient_order,
     z2,
 )
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
@@ -169,19 +167,69 @@ def test_lattice_basis_rational_case():
 def test_gamma_orders_coprime(p, q):
     a = ParamSpec(Q(Fraction(p, q)))
     qa = hirzebruch_quasilattice(a)
-    gamma = qa.gamma_quotient()
+    gamma = qa.quotient(z2())
     assert gamma.kind == "finite_cyclic" and gamma.order == q
-    # and the index of Z^2 in Q_a really is q
-    assert quotient_order(z2(), qa) == q
+    assert gamma.rotation_coefficient == a.value
+    # and the index of Z^2 in Q_a really is q: a lattice basis of Q_a spans
+    # a cell of area 1/q
+    b = qa.lattice_basis()
+    assert abs(cross(b[0], b[1])) == Q(Fraction(1, q))
 
 
 def test_gamma_integer_and_irrational():
-    assert hirzebruch_quasilattice(ParamSpec(Q(3))).gamma_quotient().kind == "trivial"
-    g = hirzebruch_quasilattice(ParamSpec(parse_scalar("sqrt(2)"))).gamma_quotient()
+    assert hirzebruch_quasilattice(ParamSpec(Q(3))).quotient(z2()).kind == "trivial"
+    g = hirzebruch_quasilattice(ParamSpec(parse_scalar("sqrt(2)"))).quotient(z2())
     assert g.kind == "dense_cyclic"
     assert g.rotation_coefficient == parse_scalar("sqrt(2)")
-    with pytest.raises(QuotientUnsupportedError):
-        z2().gamma_quotient()
+    # two generators outside the sublattice: not a cyclic extension
+    with pytest.raises(ValueError):
+        Quasilattice(((Q(1), Q(0)), (Q(0), Q(1)), (Q(1, 2), Q(0)), (Q(0), Q(1, 3)))).quotient(z2())
+
+
+SUBS = {
+    "Z^2": z2(),
+    "Q_3/2": hirzebruch_quasilattice(ParamSpec(parse_scalar("3/2"))),
+    "Q_sqrt2": hirzebruch_quasilattice(ParamSpec(parse_scalar("sqrt(2)"))),
+}
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+coordinates = st.one_of(
+    small_fractions.map(Q),
+    st.tuples(small_fractions, small_fractions).map(lambda rs: Q(rs[0]) + Q(rs[1]) * sqrt(2)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coordinates, coordinates)
+@example(Q(1, 3), Q(1, 2))  # order 3 over Q_3/2, where y = 1/2 is integral
+@example(Q(0), sqrt(2) / 2)  # order 2 over Q_sqrt2, dense over Z^2 and Q_3/2
+def test_quotient_against_brute_force(x, y):
+    """(sub + Z nu) / sub has the order of the least k <= 60 with k*nu in sub,
+    and is dense exactly when there is none; with denominators <= 6 on the
+    HNF rows, every finite order divides lcm(1..6) = 60."""
+    nu = (x, y)
+    if nu[0].is_zero() and nu[1].is_zero():
+        return
+    for name, sub in SUBS.items():
+        g = sub.augment(nu).quotient(sub)
+        k = next((k for k in range(1, 61) if sub.member(smul(k, nu))), None)
+        if k is None:
+            assert g.kind == "dense_cyclic", name
+        elif k == 1:
+            assert g == GroupDesc("trivial"), name
+        else:
+            assert (g.kind, g.order) == ("finite_cyclic", k), name
+
+
+def test_quotient_rotation():
+    """The rotation is nu's other coordinate when one coordinate of nu lies
+    in sub, and None when neither does."""
+    half = Q(1, 2)
+    g = z2().augment((half, Q(0))).quotient(z2())
+    assert (g.kind, g.order, g.rotation_coefficient) == ("finite_cyclic", 2, half)
+    g = z2().augment((Q(2), sqrt(2))).quotient(z2())
+    assert (g.kind, g.rotation_coefficient) == ("dense_cyclic", sqrt(2))
+    g = z2().augment((half, Q(1, 3))).quotient(z2())
+    assert (g.kind, g.order, g.rotation_coefficient) == ("finite_cyclic", 6, None)
 
 
 def test_ray_meets():
@@ -224,7 +272,8 @@ def test_augment_and_equivalent():
     finer = base.augment((Q(1, 2), Q(0)))
     assert not base.equivalent(finer)
     assert finer.member((Q(1, 2), Q(0)))
-    assert quotient_order(base, finer) == 2
+    assert finer.quotient(base) == GroupDesc("finite_cyclic", order=2, rotation_coefficient=Q(1, 2))
+    assert same.quotient(base) == GroupDesc("trivial")
     with pytest.raises(ValueError):
         base.augment((Q(0), Q(0)))
 
