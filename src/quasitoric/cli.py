@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 parse/usage error, 3 well-formed input that the
 geometry rejects (empty or unpointed region, a cut that misses the interior,
 a blow-up point that is not a vertex, a chop that reaches another vertex or
-cuts off an unbounded end, or a polyhedron without interior), or a failed
-report check.
+cuts off an unbounded end, or a polyhedron without interior to cut, chop or
+take the normal fan of), or a failed report check.
 All output is deterministic: JSON uses sorted keys and fixed separators.
 """
 
@@ -31,7 +31,7 @@ from .jsonio import (
     vector_config_to_json,
 )
 from .pipeline import PipelineInconsistency, build_report, gale_side, trapezoid
-from .fan import normal_fan
+from .fan import NonSimpleError, normal_fan
 from .polyhedron import InfeasibleRegionError, NotPointedError
 from .quasilattice import hirzebruch_quasilattice, z2
 from .scalar import ParamSpec, parse_scalar
@@ -203,7 +203,8 @@ def main(argv=None) -> int:
     except PipelineInconsistency as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (InfeasibleRegionError, NotPointedError, NoOpCutError, AmountTooLargeError) as e:
+    except (InfeasibleRegionError, NotPointedError, NoOpCutError, AmountTooLargeError,
+            NonSimpleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, json.JSONDecodeError) as e:

@@ -8,11 +8,11 @@ on the strip, phi > -1 maps onto the kept piece of a CutResult minus the
 cut line, phi = -1 onto its reduced face, and phi < -1 onto its other piece
 minus the cut line.
 
-The reduced face is read off the kept piece (``polyhedron.line_face``): its
-ends are the kept piece's vertices on the cut line, so a cut costs two
-vertex enumerations, one per piece.  A blow-up costs none: once the chop is
-checked to cut off one vertex and nothing else, ``polyhedron.chop_vertex``
-builds the chopped polyhedron from the two edges at that vertex.
+A cut costs no vertex enumeration: ``polyhedron.split`` clips P against
+the cut line in one walk of its edges and returns both pieces and the
+reduced face.  Nor does a blow-up: once the chop is checked to cut off one
+vertex and nothing else, ``polyhedron.chop_vertex`` builds the chopped
+polyhedron from the two edges at that vertex.
 
 A cut augments the quasilattice Q by its normal nu, and its gamma is the
 quotient (Q + Z nu) / Q from ``Quasilattice.quotient``, the one place that
@@ -26,19 +26,14 @@ from dataclasses import dataclass
 from .linalg import Vec2, cross, dot, is_zero_vec
 from .polyhedron import (
     HalfPlane,
+    NoOpCutError,
     Polyhedron2,
     chop_vertex,
     flat_direction,
-    intersect_halfplane,
-    line_face,
+    split,
 )
 from .quasilattice import GroupDesc, Quasilattice
 from .scalar import Q
-
-
-class NoOpCutError(ValueError):
-    """The cutting line misses the interior of the polyhedron, or the
-    polyhedron has none."""
 
 
 class AmountTooLargeError(ValueError):
@@ -68,21 +63,6 @@ def _normal(nu) -> Vec2:
     return nu
 
 
-def _value_range(p: Polyhedron2, nu: Vec2):
-    """(min, max) of <mu, nu> over P; None means unbounded on that side."""
-    values = [dot(v, nu) for v in p.vertices]
-    lo, hi = min(values), max(values)
-    for r in p.rays:
-        s = dot(r, nu).sign()
-        if s > 0:
-            hi = None
-        elif s < 0:
-            lo = None
-        if lo is None and hi is None:
-            break
-    return lo, hi
-
-
 def cut_polyhedron(
     p: Polyhedron2, q: Quasilattice, nu: Vec2, c
 ) -> CutResult:
@@ -91,25 +71,16 @@ def cut_polyhedron(
     the cyclic quotient (Q + Z nu) / Q that ``Quasilattice.quotient`` reads
     off Q's Hermite normal form.
 
-    The pieces are P cap {<mu, nu> >= c} and P cap {<mu, nu> <= c}.  The
-    reduced face, P on the cut line, is read off the kept piece rather than
-    enumerated; P must have an irredundant hrep, as every Polyhedron2 from
+    The pieces are P cap {<mu, nu> >= c} and P cap {<mu, nu> <= c}, and the
+    reduced face is P on the cut line, all three from ``split`` without an
+    enumeration; P must have an irredundant hrep, as every Polyhedron2 from
     ``vrep_from_hrep`` has.  NoOpCutError when P has no interior (a point,
     segment or ray) or the line misses it."""
-    nu = _normal(nu)
-    c = Q(c)
+    keep = HalfPlane(_normal(nu), c)
     if flat_direction(p.vertices, p.rays) is not None:
         raise NoOpCutError("the polyhedron has no interior to cut")
-    lo, hi = _value_range(p, nu)
-    if (lo is not None and not c > lo) or (hi is not None and not c < hi):
-        raise NoOpCutError("cut line does not meet the interior")
-    keep = HalfPlane(nu, c)
-    kept = intersect_halfplane(p, keep)
-    other = intersect_halfplane(p, keep.flipped())
-    face = line_face(p, kept, keep)
-    augmented = q.augment(nu)
-    gamma = augmented.quotient(q)
-    return CutResult(kept, other, face, augmented, gamma, keep)
+    augmented = q.augment(keep.normal)
+    return CutResult(*split(p, keep), augmented, augmented.quotient(q), keep)
 
 
 def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2:

@@ -6,13 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector, solve2x2
-from .polyhedron import Polyhedron2, sort_by_angle
+from .polyhedron import Polyhedron2, flat_direction, sort_by_angle
 from .quasilattice import Quasilattice
 from .scalar import Q
 
 
 class NonSimpleError(ValueError):
-    """A vertex lies on more than two facets."""
+    """A vertex lies on more than two facets, as every vertex of a flat
+    region (one without interior) does."""
 
 
 class NotALatticeError(ValueError):
@@ -44,7 +45,10 @@ class Fan2:
 
 def normal_fan(p: Polyhedron2) -> Fan2:
     """Rays are the inward facet normals as stored in the hrep; maximal
-    cones pair the two facets meeting at each vertex."""
+    cones pair the two facets meeting at each vertex.  NonSimpleError when
+    P is flat or a vertex lies on more than two constraints."""
+    if flat_direction(p.vertices, p.rays) is not None:
+        raise NonSimpleError("the region is flat (it has no interior), so it has no normal fan")
     rays = tuple(h.normal for h in p.hrep)
     cones = []
     for v in p.vertices:

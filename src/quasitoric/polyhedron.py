@@ -17,11 +17,11 @@ normals are parallel to n0, each constraint bounds <mu, n0> from one side,
 and the region (a half-plane, slab or line) is nonempty iff the largest
 lower bound is at most the smallest upper bound.
 
-``line_face(p, piece, h)`` gives the face of P on the line of h without an
-enumeration, read off the piece P cap h in O(n).  It needs an irredundant
-``p.hrep`` (as ``vrep_from_hrep`` returns) and P with an interior and on both
-sides of the line, and then equals
-``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])``.
+``split(p, h)`` clips P against h's line as Sutherland and Hodgman clip a
+polygon: one walk of P's edges gives both pieces and the face of P on the
+line, with no enumeration.  It needs an irredundant ``p.hrep`` (as
+``vrep_from_hrep`` returns) and P with an interior, and then equals the
+enumeration of ``p.hrep`` plus h, plus h.flipped(), or plus both.
 
 ``chop_vertex(p, v, h)`` gives P cap h without an enumeration when h cuts
 off only the vertex v: the two constraints tight at v meet h's line at the
@@ -47,6 +47,11 @@ class InfeasibleRegionError(ValueError):
 
 class NotPointedError(ValueError):
     """The region is nonempty but has no vertex (full plane, slab, ...)."""
+
+
+class NoOpCutError(ValueError):
+    """The cutting line misses the interior of the polyhedron, or the
+    polyhedron has none."""
 
 
 @dataclass(frozen=True)
@@ -348,53 +353,75 @@ def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlan
     return out
 
 
-def polygon(points: list[Vec2]) -> Polyhedron2:
-    """Bounded polyhedron from vertices in any order."""
-    return vrep_from_hrep(hrep_from_vrep(points))
+def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyhedron2]:
+    """The pieces P cap h and P cap h.flipped() and the face of P on h's
+    line, from one walk of P's edges: O(n^2) slack tests find the edges'
+    ends, at most two solves give the crossings, and the rays of an
+    unbounded P take O(n^2) more.
 
+    Preconditions: ``p.hrep`` is irredundant and P has an interior.  Then
+    each constraint g of P has one edge: two vertices tight at g, or one and
+    the ray of P parallel to g (no ray is parallel to a bounded edge, which
+    would then run on).  The edge crosses h's line iff its two ends (a ray by
+    the sign of <r, h.normal>) have strictly opposite slack signs, at g's
+    line cap h's.  The line meets the interior of P iff some vertex or ray
+    lies strictly on each side; NoOpCutError if not.  Otherwise the results
+    equal ``vrep_from_hrep(list(p.hrep) + k)`` for k = [h], [h.flipped()]
+    and [h, h.flipped()], field for field:
 
-def intersect_halfplane(p: Polyhedron2, h: HalfPlane) -> Polyhedron2 | None:
-    """Intersection with one more half-plane; None when empty."""
-    try:
-        return vrep_from_hrep(list(p.hrep) + [h])
-    except InfeasibleRegionError:
-        return None
-
-
-def line_face(p: Polyhedron2, piece: Polyhedron2, h: HalfPlane) -> Polyhedron2:
-    """The face of P on the line of h, read off the piece P cap h in O(n).
-
-    Preconditions: ``p.hrep`` is irredundant, ``piece`` is P cap h, and P
-    has an interior and points strictly on both sides of the line.  Then the
-    line meets the interior of P, the face is a segment or a ray (P is
-    pointed, so never a line), and the result equals
-    ``vrep_from_hrep(list(p.hrep) + [h, h.flipped()])`` field for field:
-
-    - vertices: the face's ends are the vertices of the piece tight at h,
-      and ``_order_ccw`` puts its one or two ends in lexicographic order;
-    - rays: the enumeration's only possible ray is the line's direction in
-      the recession cone of P, which is a ray of the piece orthogonal to
-      h.normal, in the same canonical form;
-    - hrep: the left-to-right ``_drop_redundant`` scan drops every
-      constraint of P strictly loose at every end.  One tight at an end
-      bounds the line there (its own line is not h's, since P crosses the
-      line), on the side away from the face, as every constraint tight at
-      that end does.  So it is redundant while a later one is tight at the
-      same end, and needed once it is the last.  h and h.flipped() come
-      last and are both needed, since the kept constraints leave room on
-      both sides of the line.  Irredundance rules out two constraints of P
-      on one line, which the enumeration's deduplication would keep the
-      first of, not the last.
+    - vertices: a feasible point on two boundary lines is a vertex of P on
+      the closed side (on the line, for the face) or a crossing, which lies
+      inside one edge; ``_order_ccw`` orders a set of vertices the same
+      whatever their input order (see ``chop_vertex``);
+    - rays: the line crosses P, so no constraint of P repeats h or
+      h.flipped(), the enumeration's deduplication keeps its input whole and
+      takes the rays from it, as here.  The face's one possible ray is the
+      line's direction in the recession cone of P, the kept piece's ray
+      orthogonal to h.normal;
+    - hrep: the ``_drop_redundant`` scan keeps, in input order, the
+      constraints whose face has positive length.  On a piece, that is h
+      and each g whose edge has an end strictly on the piece's side (an edge
+      with both ends on the line would lie on it and miss the interior).
+      On the face, a constraint strictly loose at both ends goes; one tight
+      at an end bounds the line there on the side away from the face, as
+      every constraint tight at that end does, so it is redundant while a
+      later one is tight at the same end and needed once it is the last.  h
+      and h.flipped() come last and are both needed.
     """
-    ends = [v for v in piece.vertices if h.tight(v)]
-    last = {}
+    side = {v: h.slack(v).sign() for v in p.vertices}
+    ray_side = {r: dot(r, h.normal).sign() for r in p.rays}
+    if not {1, -1} <= {*side.values(), *ray_side.values()}:
+        raise NoOpCutError(f"cut line <mu, ({h.normal[0]}, {h.normal[1]})> = {h.offset} "
+                           "does not meet the interior")
+    kept_h, other_h, crossings, last = [], [], [], {}
     for i, g in enumerate(p.hrep):
+        ends = [v for v in p.vertices if g.tight(v)]
+        signs = [side[v] for v in ends] + [
+            ray_side[r] for r in p.rays if dot(r, g.normal).is_zero()]
+        lo, hi = min(signs), max(signs)
+        if hi > 0:
+            kept_h.append(g)
+        if lo < 0:
+            other_h.append(g)
+        if hi > 0 > lo:
+            x = solve2x2(g.normal, h.normal, (g.offset, h.offset))
+            crossings.append(x)
+            last[x] = i
         for v in ends:
-            if g.tight(v):
+            if side[v] == 0:
                 last[v] = i
-    hrep = [p.hrep[i] for i in sorted(last.values())] + [h, h.flipped()]
-    rays = [r for r in piece.rays if dot(r, h.normal).is_zero()]
-    return Polyhedron2(tuple(hrep), tuple(_order_ccw(ends)), tuple(rays))
+    flip, pieces = h.flipped(), []
+    for k, hrep, s in ((h, kept_h, 1), (flip, other_h, -1)):
+        verts = [v for v in p.vertices if side[v] * s >= 0] + crossings
+        rays = _recession_rays(list(p.hrep) + [k]) if p.rays else []
+        pieces.append(Polyhedron2((*hrep, k), tuple(_order_ccw(verts)), tuple(rays)))
+    kept, other = pieces
+    face = Polyhedron2(
+        (*(p.hrep[i] for i in sorted(last.values())), h, flip),
+        tuple(_order_ccw([v for v in p.vertices if side[v] == 0] + crossings)),
+        tuple(r for r in kept.rays if dot(r, h.normal).is_zero()),
+    )
+    return kept, other, face
 
 
 def chop_vertex(p: Polyhedron2, v: Vec2, h: HalfPlane) -> Polyhedron2:

@@ -161,12 +161,6 @@ class Quasilattice:
             raise ValueError("cannot augment by the zero vector")
         return Quasilattice(self.generators + (nu,), self.param)
 
-    def equivalent(self, other: "Quasilattice") -> bool:
-        """Membership-equivalence: each generator lies in the other group."""
-        return all(other.member(g) for g in self.generators) and all(
-            self.member(g) for g in other.generators
-        )
-
     def quotient(self, sub: "Quasilattice") -> GroupDesc:
         """self / sub for self = sub + Z nu, generated by the class of nu,
         the one generator of self outside sub (none: trivial; two or more:

@@ -11,9 +11,16 @@ from quasitoric.gale import (
     relation_basis,
 )
 from quasitoric.pipeline import hirzebruch_vector_config
+from quasitoric.polyhedron import hrep_from_vrep, vrep_from_hrep
 from quasitoric.scalar import ParamSpec, QuadScalar, parse_scalar
 
 SQUAREFREE_DS = [2, 3, 5, 7]
+
+
+def polygon(points):
+    """The bounded polyhedron with the given points as vertices, in any order
+    (points inside the hull drop out)."""
+    return vrep_from_hrep(hrep_from_vrep(points))
 
 
 def fractions(max_num=30, max_den=12):

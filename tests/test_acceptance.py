@@ -30,10 +30,11 @@ from quasitoric.pipeline import (
     hirzebruch_vector_config,
     trapezoid,
 )
-from quasitoric.polyhedron import hrep_from_vrep, polygon
+from quasitoric.polyhedron import hrep_from_vrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
+from conftest import polygon
 from test_foliation import projects_into_class_group
 
 FAMILY = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")

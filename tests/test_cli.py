@@ -155,9 +155,13 @@ def test_cut_command():
     assert code == 0
     doc = json.loads(out)
     assert doc["gamma"]["kind"] == "trivial"
-    # a cut missing the interior is input the geometry rejects: exit 3
+    # a cut missing the interior is input the geometry rejects: exit 3, and
+    # the message names the cut's normal and level
     code, _, err = run_cli(["cut", "1", "0", "5"], stdin_text=square)
-    assert code == 3
+    assert code == 3 and err.count("\n") == 1
+    assert "<mu, (1, 0)> = 5" in err and "does not meet the interior" in err
+    code, _, err = run_cli(["cut", "--", "-1", "1/2", "-3"], stdin_text=square)
+    assert code == 3 and "<mu, (-1, 1/2)> = -3" in err
     # a zero normal is bad input, not a cut that misses
     assert_input_error(*run_cli(["cut", "0", "0", "1"], stdin_text=square)[::2])
 
@@ -203,6 +207,19 @@ def test_flat_vertex_form_reads_as_its_hrep():
         assert (v.vertices, v.rays) == (h.vertices, h.rays)
         code, out, err = run_cli(["cut", "--", "1", "0", "1/2"], vform)
         assert code == 3 and out == "" and "no interior" in err
+
+
+def test_normal_fan_of_a_flat_region_exits_3():
+    """A segment, in its H-form or its V-form, has no interior and so no
+    normal fan: the geometry rejects it with one line naming it flat."""
+    for segment in (
+        json.dumps({"hrep": [{"normal": n, "offset": o} for n, o in (
+            (["1", "0"], "0"), (["-1", "0"], "0"), (["0", "1"], "0"), (["0", "-1"], "-1"))]}),
+        json.dumps({"vertices": [["0", "0"], ["0", "1"]]}),
+    ):
+        code, out, err = run_cli(["normal-fan"], segment)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "flat" in err
 
 
 def test_blowup_command():

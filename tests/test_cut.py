@@ -1,6 +1,6 @@
 """Symplectic cuts and corner chops: piece complementarity, quotient groups,
-moment-map decomposition, the three-way polytope agreement, and the reduced
-face and the corner chop against a vertex enumeration."""
+moment-map decomposition, the three-way polytope agreement, and the cut's
+pieces and reduced face and the corner chop against a vertex enumeration."""
 
 from fractions import Fraction
 from functools import reduce
@@ -29,11 +29,12 @@ from quasitoric.polyhedron import (
     InfeasibleRegionError,
     NotPointedError,
     hrep_from_vrep,
-    polygon,
     vrep_from_hrep,
 )
 from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
+
+from conftest import polygon
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
 
@@ -51,6 +52,12 @@ def phi(u_sq, z, av):
 def strip_point(u_sq, z):
     """The toric moment image (|u|^2, (z+1)/2) in the strip."""
     return (u_sq, (z + 1) / 2)
+
+
+def is_flat(p) -> bool:
+    """Every vertex difference and ray of P lies on one line."""
+    dirs = [vsub(u, p.vertices[0]) for u in p.vertices[1:]] + list(p.rays)
+    return all(cross(d, e).is_zero() for d in dirs for e in dirs)
 
 
 def unit_square():
@@ -271,9 +278,7 @@ def regions(draw):
         hrep = extra + draw(st.permutations(hrep))
     p = vrep_from_hrep(hrep)
     # drawn points can be collinear, and then read as a segment or ray
-    dirs = [vsub(u, p.vertices[0]) for u in p.vertices[1:]] + list(p.rays)
-    flat = all(cross(d, e).is_zero() for d in dirs for e in dirs)
-    return p, flat, irrational
+    return p, is_flat(p), irrational
 
 
 @st.composite
@@ -296,26 +301,6 @@ def cuts(draw):
         return p, nu, dot(v, nu), False
     level = (dot(v, nu) + dot(w, nu)) / 2 + Q(draw(st.integers(-2, 2)), 4)
     return p, nu, level, flat
-
-
-@settings(max_examples=150, deadline=None)
-@given(cuts())
-def test_reduced_face_matches_enumeration(case):
-    """The reduced face read off the kept piece equals, byte for byte in its
-    JSON form, the vertex enumeration of P's constraints plus the cut line in
-    both directions.  A flat P has no interior to cut: NoOpCutError."""
-    p, nu, c, flat = case
-    if flat:
-        with pytest.raises(NoOpCutError):
-            cut_polyhedron(p, z2(), nu, c)
-        return
-    try:
-        result = cut_polyhedron(p, z2(), nu, c)
-    except NoOpCutError:
-        assume(False)
-    keep = result.cut_halfplane
-    oracle = vrep_from_hrep(list(p.hrep) + [keep, keep.flipped()])
-    assert polyhedron_to_json(result.reduced_face) == polyhedron_to_json(oracle)
 
 
 @st.composite
@@ -342,6 +327,44 @@ _WEDGE = vrep_from_hrep(_halfplanes((0, 1, -1), (1, 0, 0), (0, 1, 0), (1, 1, 1))
 _STRIP = vrep_from_hrep(_halfplanes((1, 0, 0), (0, 1, 0), (0, -1, -1)))
 _SEGMENT = vrep_from_hrep(_halfplanes((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, -1)))
 _ORIGIN = (Q(0), Q(0))
+# x >= 0 and y >= sqrt(2) x: one vertex, two rays, over Q(sqrt(2))
+_SQRT2_WEDGE = vrep_from_hrep([HalfPlane((Q(1), Q(0)), Q(0)), HalfPlane((-sqrt(2), Q(1)), Q(0))])
+
+
+def _has_interior(hrep) -> bool:
+    try:
+        return not is_flat(vrep_from_hrep(hrep))
+    except InfeasibleRegionError:
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(cuts())
+@example((unit_square(), (Q(1), Q(-2)), Q(0), False))  # through (0, 0), across the edge x = 2
+@example((_STRIP, (Q(0), Q(1)), Q(1, 2), False))  # parallel to the ray: a ray face
+@example((_SQRT2_WEDGE, (Q(0), Q(1)), Q(1), False))  # across both unbounded edges
+@example((_WEDGE, (Q(1), Q(1)), Q(2), False))  # P's rays in another order than the pieces'
+def test_cut_matches_enumeration(case):
+    """The kept piece, the other piece and the reduced face from the walk
+    equal, byte for byte in their JSON form, the vertex enumeration of P's
+    constraints plus the cut line, its flip, and both.  The cut raises
+    NoOpCutError iff the line misses the interior, where a piece has none;
+    a flat P has no interior to cut at all."""
+    p, nu, c, flat = case
+    keep = HalfPlane(nu, c)
+    if flat:
+        with pytest.raises(NoOpCutError):
+            cut_polyhedron(p, z2(), nu, c)
+        return
+    enumerated = [list(p.hrep) + k for k in ([keep], [keep.flipped()], [keep, keep.flipped()])]
+    if not (_has_interior(enumerated[0]) and _has_interior(enumerated[1])):
+        with pytest.raises(NoOpCutError):
+            cut_polyhedron(p, z2(), nu, c)
+        return
+    result = cut_polyhedron(p, z2(), nu, c)
+    pieces = (result.kept_piece, result.other_piece, result.reduced_face)
+    for piece, hrep in zip(pieces, enumerated):
+        assert polyhedron_to_json(piece) == polyhedron_to_json(vrep_from_hrep(hrep))
 
 
 @settings(max_examples=150, deadline=None)

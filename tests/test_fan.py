@@ -12,9 +12,11 @@ from quasitoric.fan import (
     normal_fan,
 )
 from quasitoric.pipeline import trapezoid, strip
-from quasitoric.polyhedron import HalfPlane, polygon, vrep_from_hrep
+from quasitoric.polyhedron import HalfPlane, vrep_from_hrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
+
+from conftest import polygon
 
 
 def test_fan_validation():

@@ -8,20 +8,20 @@ from quasitoric.linalg import dot, is_zero_vec, smul, vadd
 from quasitoric.polyhedron import (
     HalfPlane,
     InfeasibleRegionError,
+    NoOpCutError,
     NotPointedError,
     _candidate_vertices,
     _dedup_halfplanes,
     _recession_rays,
     hrep_from_vrep,
-    intersect_halfplane,
-    polygon,
     region_vertices,
     sort_by_angle,
+    split,
     vrep_from_hrep,
 )
 from quasitoric.scalar import Q, sqrt
 
-from conftest import chamber_halfplanes, chambers, fractions
+from conftest import chamber_halfplanes, chambers, fractions, polygon
 
 
 def unit_square():
@@ -108,12 +108,14 @@ def test_single_point_polyhedron():
     assert p.bounded
 
 
-def test_intersect_halfplane():
+def test_split():
+    """The diagonal x + y = 1 halves the unit square; x = 2 misses it."""
     p = unit_square()
-    cut = intersect_halfplane(p, HalfPlane((Q(-1), Q(-1)), Q(-1)))
-    assert cut is not None
-    assert cut.area() == Q(1, 2)
-    assert intersect_halfplane(p, HalfPlane((Q(1), Q(0)), Q(2))) is None
+    kept, other, face = split(p, HalfPlane((Q(-1), Q(-1)), Q(-1)))
+    assert kept.area() == other.area() == Q(1, 2)
+    assert face.vertices == ((Q(0), Q(1)), (Q(1), Q(0)))
+    with pytest.raises(NoOpCutError):
+        split(p, HalfPlane((Q(1), Q(0)), Q(2)))
 
 
 def test_sort_by_angle():
