@@ -24,7 +24,12 @@ For each workload it also prints, and writes as ``rss_kib_per_extra_op``,
 the change in median ``peak_rss_mb`` divided by the change in median ops per
 run, in KiB.  The benchmark keeps every op's output, so a faster change
 raises RSS by that much per op (about 12-13 KiB on ``report-sweep``); a
-value far above it points to a leak rather than to the kept outputs.
+value far above it points to a leak rather than to the kept outputs.  From
+that rate and the parent's medians it prints the RSS headroom, written as
+``rss_headroom``: the ops per run, and their ratio to the parent's, at which
+``peak_rss_mb`` would reach its bound in BENCHMARK.json.  It prints nothing
+for it when the median op counts are equal, or when RSS did not grow with
+them.
 Standard library only; not part of the tests.
 """
 
@@ -109,6 +114,20 @@ def rss_per_extra_op(entry: dict) -> float | None:
     return d_rss * 1024 / d_ops if d_ops else None
 
 
+def rss_headroom(entry: dict, bound: float) -> dict | None:
+    """The ops per run, and their ratio to the parent's median, at which
+    ``peak_rss_mb`` would reach the parent's median times 1 + bound, if RSS
+    grows by ``rss_kib_per_extra_op`` per op from the parent's medians.
+    None when that rate is unknown (the median op counts are equal) or not
+    positive (RSS did not grow with the op count)."""
+    per_op = entry["rss_kib_per_extra_op"]
+    if per_op is None or per_op <= 0:
+        return None
+    ops = entry["ops"]["parent"]["median"]
+    at_bound = ops + entry["metrics"]["peak_rss_mb"]["parent"]["median"] * bound * 1024 / per_op
+    return {"ops_per_run": at_bound, "ratio": at_bound / ops}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", metavar="PARENT_REV")
@@ -159,6 +178,11 @@ def main(argv=None) -> int:
             per_op = entry["rss_kib_per_extra_op"] = rss_per_extra_op(entry)
             print("  peak_rss_mb change per extra op per run: "
                   + ("n/a (same median op count)" if per_op is None else f"{per_op:.1f} KiB"))
+            rss_bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
+            room = entry["rss_headroom"] = rss_headroom(entry, rss_bound)
+            if room is not None:
+                print(f"  peak_rss_mb reaches its {rss_bound:.0%} bound at {room['ops_per_run']:.0f} "
+                      f"ops per run, {room['ratio']:.2f}x the parent's median")
             sys.stdout.flush()
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

@@ -11,6 +11,7 @@ All output is deterministic: JSON uses sorted keys and fixed separators.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -145,7 +146,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: ``parse_args`` leaves
+    it unchanged, and ``prog`` is fixed, so every call reads the same."""
     parser = _Parser(
         prog="quasitoric",
         description="Generalized Hirzebruch surfaces: polytopes, Gale duals, "

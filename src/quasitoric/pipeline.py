@@ -8,6 +8,7 @@ that the three polytope constructions agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import jsonio
@@ -59,8 +60,10 @@ def trapezoid(a: ParamSpec) -> Polyhedron2:
     return vrep_from_hrep(trapezoid_halfplanes(a))
 
 
+@functools.cache
 def strip() -> Polyhedron2:
-    """[0, inf) x [0, 1]."""
+    """[0, inf) x [0, 1], the same for every a: enumerated once per process
+    and shared, which is safe because ``Polyhedron2`` is frozen."""
     return vrep_from_hrep(
         [
             HalfPlane((Q(1), Q(0)), Q(0)),

@@ -7,9 +7,6 @@ constraints go in one pass: one strictly loose at every vertex costs a slack
 test, and only one that touches the region pays another enumeration.  So an
 irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
 
-``region_vertices(hrep)`` is the first step alone: the vertices, with no
-facet pruning and in no order, for O(n^3) steps and no further enumeration.
-
 A region without a vertex is either empty or unpointed.  A nonempty region
 whose normals span the plane is pointed, so the enumeration would have found
 a vertex: two nonparallel normals mean the region is empty.  When all
@@ -264,23 +261,6 @@ def _vertexless_error(hrep: list[HalfPlane]) -> ValueError:
     return NotPointedError("region has no vertex")
 
 
-def _vertices(hrep: list[HalfPlane]) -> list[Vec2]:
-    """``region_vertices`` of an already deduplicated hrep."""
-    verts = _candidate_vertices(hrep)
-    if not verts:
-        raise _vertexless_error(hrep)
-    return verts
-
-
-def region_vertices(hrep: list[HalfPlane]) -> list[Vec2]:
-    """The vertices of a half-plane intersection, in no particular order.
-
-    Raises InfeasibleRegionError for empty regions and NotPointedError for
-    nonempty regions without a vertex, as ``vrep_from_hrep`` does.
-    """
-    return _vertices(_dedup_halfplanes(hrep))
-
-
 def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     """Enumerate vertices and recession rays of a half-plane intersection.
 
@@ -288,7 +268,9 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     nonempty regions without a vertex.
     """
     hrep = _dedup_halfplanes(hrep)
-    verts = _vertices(hrep)
+    verts = _candidate_vertices(hrep)
+    if not verts:
+        raise _vertexless_error(hrep)
     rays = _recession_rays(hrep)
     hrep = _drop_redundant(hrep, verts)
     return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays))

@@ -11,7 +11,13 @@ from quasitoric.gale import (
     relation_basis,
 )
 from quasitoric.pipeline import hirzebruch_vector_config
-from quasitoric.polyhedron import hrep_from_vrep, vrep_from_hrep
+from quasitoric.polyhedron import (
+    _candidate_vertices,
+    _dedup_halfplanes,
+    _vertexless_error,
+    hrep_from_vrep,
+    vrep_from_hrep,
+)
 from quasitoric.scalar import ParamSpec, QuadScalar, parse_scalar
 
 SQUAREFREE_DS = [2, 3, 5, 7]
@@ -21,6 +27,18 @@ def polygon(points):
     """The bounded polyhedron with the given points as vertices, in any order
     (points inside the hull drop out)."""
     return vrep_from_hrep(hrep_from_vrep(points))
+
+
+def region_vertices(hrep):
+    """The vertices of a half-plane intersection, in no particular order,
+    from the O(n^3) enumeration of ``vrep_from_hrep`` with no facet pruning,
+    as ``is_polytopal`` found them before it clipped.  Raises
+    InfeasibleRegionError or NotPointedError as ``vrep_from_hrep`` does."""
+    hrep = _dedup_halfplanes(hrep)
+    verts = _candidate_vertices(hrep)
+    if not verts:
+        raise _vertexless_error(hrep)
+    return verts
 
 
 def fractions(max_num=30, max_den=12):

@@ -74,6 +74,20 @@ def test_help_exits_zero():
         assert code == 0 and out.startswith("usage: ") and err == ""
 
 
+def test_one_parser_serves_every_call():
+    """The parser is built once per process; a usage error, help and a
+    stdin command in between leave a report's exit code and bytes as they
+    were."""
+    first = run_cli(["report", "2"])
+    assert_input_error(*run_cli(["report"])[::2])
+    code, out, _ = run_cli(["-h"])
+    assert code == 0 and out.startswith("usage: quasitoric ")
+    code, out, _ = run_cli(["normal-fan"], stdin_text=SQUARE)
+    assert code == 0 and len(json.loads(out)["ray_generators"]) == 4
+    second = run_cli(["report", "2"])
+    assert first[0] == second[0] == 0 and first[1] == second[1]
+
+
 def test_report_large_d_is_fast():
     # the squarefree test of d runs once, not once per scalar built
     start = time.perf_counter()

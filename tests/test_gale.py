@@ -1,10 +1,13 @@
 """Gale duality: relation bases, ghost augmentation, chambers and
 polytopality."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasitoric import gale, polyhedron
 from quasitoric.gale import (
     NotBalancedError,
     PointConfig,
@@ -21,6 +24,7 @@ from quasitoric.gale import (
 )
 from quasitoric.fan import normal_fan
 from quasitoric.pipeline import (
+    build_report,
     gale_side,
     hirzebruch_vector_config,
     trapezoid,
@@ -198,12 +202,52 @@ _EMPTY_CHAMBER = (
 )
 
 
+def _lam(*pts):
+    return PointConfig(tuple((Q(x), Q(y)) for x, y in pts))
+
+
+def _chamber(*subsets):
+    return VirtualChamber(frozenset(frozenset(s) for s in subsets))
+
+
+# The clip starts from the hull of the chamber's first triangle in iteration
+# order, {1, 2, 3} in each of the first three cases.
+# {1, 2, 3} is the segment [(0, 0), (4, 0)]; triangle {2, 4, 5} crosses it
+# at (1, 0) and keeps (4, 0)
+_SEGMENT_FIRST = (_lam((0, 0), (4, 0), (2, 0), (1, 2), (1, -2)), _chamber({1, 2, 3}, {2, 4, 5}))
+# {1, 2, 3} is the point (1, 1), inside the segment {1, 4, 5}: every line
+# constraint of the segment is tight there
+_POINT_FIRST = (_lam((1, 1), (1, 1), (1, 1), (0, 0), (2, 2)), _chamber({1, 2, 3}, {1, 4, 5}))
+# two segments crossing at their midpoint (0, 0): the first collapses to it
+# at the second's line, and the remaining constraints keep it
+_COLLAPSE_TO_POINT = (
+    _lam((0, 0), (-1, 0), (1, 0), (-1, -1), (1, 1)),
+    _chamber({1, 2, 3}, {1, 4, 5}),
+)
+# three triangles; only the last of the six clipping half-planes empties it
+_EMPTIED_LAST = (
+    _lam((1, 2), (-2, 2), (1, 0), (-1, -1), (-2, 1)),
+    _chamber({1, 2, 4}, {1, 2, 3}, {3, 4, 5}),
+)
+
+
+def _hirzebruch_case(text):
+    a = ParamSpec(parse_scalar(text))
+    return gale_points(relation_basis(hirzebruch_vector_config(a))), hirzebruch_chamber()
+
+
 @settings(max_examples=150, deadline=None)
 @given(chambers())
 @example(_EMPTY_CHAMBER)
+@example(_SEGMENT_FIRST)
+@example(_POINT_FIRST)
+@example(_COLLAPSE_TO_POINT)
+@example(_EMPTIED_LAST)
+@example(_hirzebruch_case("sqrt(2)"))  # a crossing at (-1 + sqrt(2), 2 - sqrt(2))
 def test_polytopal_matches_vrep_oracle(case):
-    """The verdict and witness from the region's vertices alone equal those
-    from its full V-rep, on perturbed and degenerate chambers."""
+    """The verdict and witness from the clipped region's vertices equal
+    those from the full V-rep of the region, on perturbed and degenerate
+    chambers."""
     lam, chamber = case
     assert is_polytopal(lam, chamber) == _polytopal_from_vrep(lam, chamber)
 
@@ -216,3 +260,43 @@ def test_triangulation_validation():
         assert fan_triangulation(text).maximal() == {
             frozenset({1, 2}), frozenset({2, 4}), frozenset({3, 4}), frozenset({1, 3})
         }
+
+
+def test_report_enumeration_counts(monkeypatch):
+    """After a warm-up report, ``build_report`` enumerates an H-rep twice
+    (the trapezoid and the triangle; the strip is built once per process)
+    and ``is_polytopal`` enumerates nothing.  The functions are wrapped from
+    outside, under every name a package module binds them to, as the
+    benchmark's tracer wraps them."""
+    calls, inside = [], []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, bool(inside)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def polytopal(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    wrappers = {
+        polyhedron.vrep_from_hrep: counted,
+        polyhedron._candidate_vertices: counted,
+        gale.is_polytopal: polytopal,
+    }
+    for name, mod in list(sys.modules.items()):
+        if name == "quasitoric" or name.startswith("quasitoric."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[val](val))
+    build_report(ParamSpec(parse_scalar("3/2")))
+    calls.clear()
+    build_report(ParamSpec(parse_scalar("1+sqrt(2)")))
+    assert [c for c in calls if c[0] == "vrep_from_hrep"] == [("vrep_from_hrep", False)] * 2
+    assert not [c for c in calls if c[1]]

@@ -14,14 +14,13 @@ from quasitoric.polyhedron import (
     _dedup_halfplanes,
     _recession_rays,
     hrep_from_vrep,
-    region_vertices,
     sort_by_angle,
     split,
     vrep_from_hrep,
 )
 from quasitoric.scalar import Q, sqrt
 
-from conftest import chamber_halfplanes, chambers, fractions, polygon
+from conftest import chamber_halfplanes, chambers, fractions, polygon, region_vertices
 
 
 def unit_square():
@@ -343,8 +342,9 @@ def test_one_pass_drop_matches_restart_reference(hs):
     chambers().map(lambda case: [h for h, _ in chamber_halfplanes(*case)]),
 ))
 def test_region_vertices_match_enumeration(hs):
-    """The vertices alone are those of the full enumeration, each once, and
-    an empty or unpointed region raises the same error class."""
+    """The vertices alone (the ``conftest`` oracle) are those of the full
+    enumeration, each once, and an empty or unpointed region raises the
+    same error class."""
     try:
         expected = vrep_from_hrep(hs).vertices
     except (InfeasibleRegionError, NotPointedError) as e:
