@@ -8,11 +8,9 @@ on the strip, phi > -1 maps onto the kept piece of a CutResult minus the
 cut line, phi = -1 onto its reduced face, and phi < -1 onto its other piece
 minus the cut line.
 
-A cut costs no vertex enumeration: ``polyhedron.split`` clips P against
-the cut line in one walk of its edges and returns both pieces and the
-reduced face.  Nor does a blow-up: once the chop is checked to cut off one
-vertex and nothing else, ``polyhedron.chop_vertex`` builds the chopped
-polyhedron from the two edges at that vertex.
+Neither a cut nor a blow-up enumerates vertices: a cut is two
+``polyhedron.clip``s of P's boundary cycle (``split``, which reads the
+reduced face off the kept side), and a checked corner chop is one (``cap``).
 
 A cut augments the quasilattice Q by its normal nu, and its gamma is the
 quotient (Q + Z nu) / Q from ``Quasilattice.quotient``, the one place that
@@ -28,7 +26,7 @@ from .polyhedron import (
     HalfPlane,
     NoOpCutError,
     Polyhedron2,
-    chop_vertex,
+    cap,
     flat_direction,
     split,
 )
@@ -72,10 +70,10 @@ def cut_polyhedron(
     off Q's Hermite normal form.
 
     The pieces are P cap {<mu, nu> >= c} and P cap {<mu, nu> <= c}, and the
-    reduced face is P on the cut line, all three from ``split`` without an
-    enumeration; P must have an irredundant hrep, as every Polyhedron2 from
-    ``vrep_from_hrep`` has.  NoOpCutError when P has no interior (a point,
-    segment or ray) or the line misses it."""
+    reduced face is P on the cut line, all three from ``split``'s two clips
+    of P's boundary without an enumeration; P must have an irredundant hrep,
+    as every Polyhedron2 from ``vrep_from_hrep`` has.  NoOpCutError when P
+    has no interior (a point, segment or ray) or the line misses it."""
     keep = HalfPlane(_normal(nu), c)
     if flat_direction(p.vertices, p.rays) is not None:
         raise NoOpCutError("the polyhedron has no interior to cut")
@@ -88,8 +86,7 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
 
     The point must be a vertex of P (else AmountTooLargeError) and the
     amount nonnegative (else ValueError).  amount = 0 returns P unchanged.
-    Otherwise the chop must be a corner chop, which ``chop_vertex`` then
-    builds without an enumeration:
+    Otherwise it must be a corner chop, one ``cap`` clip of P's boundary:
 
     - P has an interior (else NoOpCutError);
     - every other vertex of P is strictly inside the half-plane;
@@ -97,7 +94,9 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
     - neither edge at the vertex is parallel to the chop line, which would
       cut off that whole edge.
 
-    A failed check of the last three raises AmountTooLargeError.
+    A failed check of the last three raises AmountTooLargeError.  Together
+    they leave each edge of P a part of positive length and add the chop
+    line's edge, so the enumeration would keep all of ``p.hrep`` plus h.
     """
     nu = _normal(nu)
     vertex = (Q(vertex[0]), Q(vertex[1]))
@@ -121,4 +120,4 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
         if g.tight(vertex) and cross(g.normal, nu).is_zero():
             raise AmountTooLargeError(f"chop line is parallel to the edge "
                                       f"<mu, {_fmt(g.normal)}> = {g.offset} at {_fmt(vertex)}")
-    return chop_vertex(p, vertex, h)
+    return cap(p, h, p.hrep + (h,))[0]

@@ -20,7 +20,7 @@ from .linalg import (
     vneg,
     vsub,
 )
-from .polyhedron import HalfPlane
+from .polyhedron import HalfPlane, clip
 from .scalar import Q, QuadScalar
 
 
@@ -235,33 +235,12 @@ def _triangle_halfplanes(pts: list[Vec2]) -> list[tuple[HalfPlane, bool]]:
 
 
 def _closed_hull(pts: list[Vec2]) -> list[Vec2]:
-    """The vertices of the convex hull of three points in cyclic order: all
-    three, the two ends of a segment, or the single point.  Collinear points
-    are ordered along their line by the lexicographic order, so the ends are
-    the least and the greatest."""
+    """The cycle of the closed hull of three points: all three, or the least
+    and the greatest of collinear ones, which order them along their line."""
     p1, p2, p3 = pts
     if not cross(vsub(p2, p1), vsub(p3, p1)).is_zero():
         return list(pts)
     return list(dict.fromkeys((min(pts), max(pts))))
-
-
-def _clip(poly: list[Vec2], h: HalfPlane) -> list[Vec2]:
-    """The vertices of conv(poly) cap h, for the cyclic vertex list of a
-    convex polygon, segment or point (Sutherland and Hodgman): each vertex
-    with slack >= 0, and the crossing of h's line on each edge whose ends
-    have strictly opposite slack signs, without repeats."""
-    slacks = [h.slack(v) for v in poly]
-    signs = [s.sign() for s in slacks]
-    out = []
-    for i, v in enumerate(poly):
-        j = (i + 1) % len(poly)
-        if signs[i] >= 0:
-            out.append(v)
-        if signs[i] * signs[j] < 0:
-            t = slacks[i] / (slacks[i] - slacks[j])
-            w = poly[j]
-            out.append((v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1])))
-    return list(dict.fromkeys(out))
 
 
 def is_polytopal(
@@ -272,20 +251,14 @@ def is_polytopal(
     centroid of the vertices of the closed region cut out by the triangles.
 
     (The closed hulls always share the common ghost point, so the meaningful
-    chamber condition is the open one.)  The closed region's vertices come
-    from a Sutherland-Hodgman clip: start from the closed hull of one
-    triangle and clip it by each constraint of the others, stopping at the
-    first empty list.  For k half-planes and a region of m <= k vertices
-    that is O(k*m) exact steps, with no vertex enumeration.
-
-    The clip's points are exactly the region's vertices, the points that an
-    enumeration of the constraints finds on two nonparallel boundary lines.
-    By induction on the clips: a kept vertex stays extreme in the smaller
-    region, and a crossing lies on h's line and on the line of an edge it
-    crosses transversally.  Conversely a vertex of conv(poly) cap h strictly
-    inside h is a vertex of conv(poly), and one on h's line is a vertex of
-    conv(poly) there or the crossing of an edge with ends strictly on both
-    sides.  So the verdict and the witness are those of the enumeration.
+    chamber condition is the open one.)  ``polyhedron.clip`` clips the
+    closed hull of one triangle by each constraint of the others, O(k*m)
+    exact steps for k half-planes and m <= k vertices, and by its invariant
+    leaves the vertices that an enumeration finds, so the verdict and the
+    witness are the enumeration's.  A strict constraint holds somewhere iff
+    it is loose at some vertex, and then the vertex centroid satisfies all
+    of them (slacks are affine).  As three vertices of a convex region are
+    never collinear, that can fail only on at most 2 vertices.
     """
     triangles = []
     for sigma in chamber.subsets:
@@ -297,18 +270,9 @@ def is_polytopal(
     constraints = [_triangle_halfplanes(pts) for pts in triangles]
     vs = _closed_hull(triangles[0])
     for h, _ in (c for cs in constraints[1:] for c in cs):
-        vs = _clip(vs, h)
-        if not vs:
-            return False, None
-    # a strict constraint is satisfiable on the closed region iff some vertex
-    # has positive slack; the vertex centroid then satisfies all of them at
-    # once (slacks are affine, nonnegative at every vertex)
-    for h, strict in (c for cs in constraints for c in cs):
-        if strict and all(h.slack(v).is_zero() for v in vs):
-            return False, None
+        vs = clip(vs, h)
+    if not vs or len(vs) <= 2 and any(strict and all(h.tight(v) for v in vs)
+                                      for cs in constraints for h, strict in cs):
+        return False, None
     n = len(vs)
-    witness = (
-        sum((v[0] for v in vs), Q(0)) / n,
-        sum((v[1] for v in vs), Q(0)) / n,
-    )
-    return True, witness
+    return True, (sum((v[0] for v in vs), Q(0)) / n, sum((v[1] for v in vs), Q(0)) / n)

@@ -103,19 +103,6 @@ def kernel_basis(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
     return basis
 
 
-def solve_linear(rows: list[list[QuadScalar]], rhs: list[QuadScalar]) -> list[QuadScalar] | None:
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    n = len(rows[0]) if rows else 0
-    if n in pivots:
-        return None
-    x = [Q(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
-    return x
-
-
 # -- integer lattices -------------------------------------------------------
 
 

@@ -14,19 +14,10 @@ normals are parallel to n0, each constraint bounds <mu, n0> from one side,
 and the region (a half-plane, slab or line) is nonempty iff the largest
 lower bound is at most the smallest upper bound.
 
-``split(p, h)`` clips P against h's line as Sutherland and Hodgman clip a
-polygon: one walk of P's edges gives both pieces and the face of P on the
-line, with no enumeration.  It needs an irredundant ``p.hrep`` (as
-``vrep_from_hrep`` returns) and P with an interior, and then equals the
-enumeration of ``p.hrep`` plus h, plus h.flipped(), or plus both.
-
-``chop_vertex(p, v, h)`` gives P cap h without an enumeration when h cuts
-off only the vertex v: the two constraints tight at v meet h's line at the
-two new vertices, in O(n) exact steps plus the ccw sort, and O(n^2) for
-the rays of an unbounded P.  It needs an irredundant ``p.hrep``, P with an
-interior, v strictly outside h, every other vertex strictly inside h, no
-ray of P with <r, h.normal> < 0, and neither constraint tight at v parallel
-to h's line; then it equals ``vrep_from_hrep(list(p.hrep) + [h])``.
+A region with an interior is also a boundary cycle: its vertices ccw, then
+its rays as ``Ideal`` points.  A cut (``split``), a corner chop (``cap``)
+and the polytopality test each ``clip`` a cycle by a half-plane, and
+``clip``'s docstring proves the one invariant that they rely on.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .linalg import Vec2, cross, dot, is_zero_vec, rot90, smul, solve2x2, vneg, vsub
+from .linalg import Vec2, cross, dot, is_zero_vec, rot90, smul, solve2x2, vadd, vneg, vsub
 from .scalar import Q, QuadScalar
 
 
@@ -49,6 +40,13 @@ class NotPointedError(ValueError):
 class NoOpCutError(ValueError):
     """The cutting line misses the interior of the polyhedron, or the
     polyhedron has none."""
+
+
+@dataclass(frozen=True)
+class Ideal:
+    """The point at infinity in the direction r, in a boundary cycle."""
+
+    r: Vec2
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,10 @@ class HalfPlane:
 
     def tight(self, point: Vec2) -> bool:
         return self.slack(point).is_zero()
+
+    def level(self, e) -> QuadScalar:
+        """The slack of a point, or <r, normal> of an ideal point r."""
+        return dot(e.r, self.normal) if isinstance(e, Ideal) else self.slack(e)
 
     def flipped(self) -> "HalfPlane":
         return HalfPlane(vneg(self.normal), -self.offset)
@@ -167,18 +169,6 @@ class Polyhedron2:
         return all(
             sum(1 for h in self.hrep if h.tight(v)) == 2 for v in self.vertices
         )
-
-    def contains(self, point: Vec2) -> bool:
-        return all(h.holds(point) for h in self.hrep)
-
-    def area(self) -> QuadScalar:
-        if not self.bounded:
-            raise ValueError("area of an unbounded polyhedron")
-        total = Q(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            total = total + cross(vs[i], vs[(i + 1) % len(vs)])
-        return abs(total) / 2
 
     def same_region(self, other: "Polyhedron2") -> bool:
         return (
@@ -335,47 +325,94 @@ def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlan
     return out
 
 
+def clip(cycle: list, h: HalfPlane) -> list:
+    """The boundary cycle of R cap h from that of R, a convex region with an
+    interior, a segment or a point (Sutherland and Hodgman): the entries of
+    level >= 0 (``HalfPlane.level``) and, on each edge whose ends have
+    levels of strictly opposite signs, its point on h's line; no repeats.
+
+    Invariant: lift a point v to (v, 1) and an ideal point r to (r, 0).  The
+    cycle lists in order the extreme rays of the cone over R, neighbours
+    spanning its 2-faces: the lifts of R's edges and of its recession cone
+    (an arc at infinity).  With L the level, linear on the lift, the rays
+    with L >= 0 and |L(b)| a + |L(a)| b on each 2-face a, b where L changes
+    sign are in order those of the cone's part on h's side.  Read back: the
+    affine crossing, p + t r for a point p and an ideal point r, and a
+    positive combination of two ideal points along h's line.  So the output
+    lists R cap h as the input lists R; a segment's two edges are one, hence
+    the dedupe.
+    """
+    levels = [h.level(e) for e in cycle]
+    signs = [x.sign() for x in levels]
+    out = []
+    for i, a in enumerate(cycle):
+        j = (i + 1) % len(cycle)
+        if signs[i] >= 0:
+            out.append(a)
+        if signs[i] * signs[j] < 0:
+            out.append(_crossing(a, levels[i], cycle[j], levels[j]))
+    return list(dict.fromkeys(out))
+
+
+def _crossing(a, la: QuadScalar, b, lb: QuadScalar):
+    """The point on h's line of the edge a-b, of levels la, lb (``clip``)."""
+    if isinstance(a, Ideal) and isinstance(b, Ideal):  # the arc at infinity
+        return Ideal(vadd(smul(abs(lb), a.r), smul(abs(la), b.r)))
+    if isinstance(a, Ideal):
+        a, la, b, lb = b, lb, a, la
+    if isinstance(b, Ideal):  # along the unbounded edge from a
+        return vadd(a, smul(la / -lb, b.r))
+    return vadd(a, smul(la / (la - lb), vsub(b, a)))
+
+
+def _boundary(p: Polyhedron2) -> list:
+    """The boundary cycle of P with an interior: its vertices ccw from the one
+    on the unbounded edge that comes in, the furthest along rot90 of its
+    direction, then its rays ccw (that direction last) as ideal points."""
+    if not p.rays:
+        return list(p.vertices)
+    rays = p.rays[::-1] if cross(p.rays[0], p.rays[-1]).sign() < 0 else p.rays
+    vs, n = p.vertices, rot90(rays[-1])
+    i = max(range(len(vs)), key=lambda k: dot(vs[k], n))
+    return [*vs[i:], *vs[:i], *map(Ideal, rays)]
+
+
+def cap(p: Polyhedron2, h: HalfPlane, hrep) -> tuple[Polyhedron2, list]:
+    """P cap h with the given irredundant hrep, and its ``clip``ped boundary
+    cycle, for P with an interior and h violated on P.  Vertices and rays
+    equal ``vrep_from_hrep(list(p.hrep) + [h])``'s: its dedupe keeps that
+    list whole (an irredundant ``p.hrep`` has no repeats, and h is none of
+    them), and ``_order_ccw`` orders a vertex set whatever its input order
+    (one or two lexicographically; three or more, never collinear, have
+    distinct angles about their centroid)."""
+    cut = clip(_boundary(p), h)
+    verts = [e for e in cut if not isinstance(e, Ideal)]
+    rays = _recession_rays(list(p.hrep) + [h]) if p.rays else []
+    return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays)), cut
+
+
 def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyhedron2]:
     """The pieces P cap h and P cap h.flipped() and the face of P on h's
-    line, from one walk of P's edges: O(n^2) slack tests find the edges'
-    ends, at most two solves give the crossings, and the rays of an
-    unbounded P take O(n^2) more.
-
-    Preconditions: ``p.hrep`` is irredundant and P has an interior.  Then
-    each constraint g of P has one edge: two vertices tight at g, or one and
-    the ray of P parallel to g (no ray is parallel to a bounded edge, which
-    would then run on).  The edge crosses h's line iff its two ends (a ray by
-    the sign of <r, h.normal>) have strictly opposite slack signs, at g's
-    line cap h's.  The line meets the interior of P iff some vertex or ray
-    lies strictly on each side; NoOpCutError if not.  Otherwise the results
-    equal ``vrep_from_hrep(list(p.hrep) + k)`` for k = [h], [h.flipped()]
-    and [h, h.flipped()], field for field:
-
-    - vertices: a feasible point on two boundary lines is a vertex of P on
-      the closed side (on the line, for the face) or a crossing, which lies
-      inside one edge; ``_order_ccw`` orders a set of vertices the same
-      whatever their input order (see ``chop_vertex``);
-    - rays: the line crosses P, so no constraint of P repeats h or
-      h.flipped(), the enumeration's deduplication keeps its input whole and
-      takes the rays from it, as here.  The face's one possible ray is the
-      line's direction in the recession cone of P, the kept piece's ray
-      orthogonal to h.normal;
-    - hrep: the ``_drop_redundant`` scan keeps, in input order, the
-      constraints whose face has positive length.  On a piece, that is h
-      and each g whose edge has an end strictly on the piece's side (an edge
-      with both ends on the line would lie on it and miss the interior).
-      On the face, a constraint strictly loose at both ends goes; one tight
-      at an end bounds the line there on the side away from the face, as
-      every constraint tight at that end does, so it is redundant while a
-      later one is tight at the same end and needed once it is the last.  h
-      and h.flipped() come last and are both needed.
+    line, from two ``cap`` clips and one scan of P's constraints, O(n^2)
+    slack tests, for P with an interior and an irredundant ``p.hrep``.
+    NoOpCutError unless some vertex or ray of P lies strictly on each side.
+    The results equal ``vrep_from_hrep(list(p.hrep) + k)`` for k = [h],
+    [h.flipped()] and [h, h.flipped()].  Vertices and rays are ``cap``'s, and
+    the face's are the kept cycle's entries on the line.  Each constraint g
+    of P has one edge (two vertices, or one and a ray parallel to g), and
+    ``_drop_redundant`` keeps, in order, the constraints whose face has
+    positive length: on a piece, h and each g whose edge has an end strictly
+    on the piece's side.  On the face, a constraint loose at both ends goes;
+    of those tight at an end, which bound the line there away from the
+    face, the last stays (only g is tight where g's edge crosses the line);
+    then h and h.flipped().
     """
     side = {v: h.slack(v).sign() for v in p.vertices}
     ray_side = {r: dot(r, h.normal).sign() for r in p.rays}
     if not {1, -1} <= {*side.values(), *ray_side.values()}:
         raise NoOpCutError(f"cut line <mu, ({h.normal[0]}, {h.normal[1]})> = {h.offset} "
                            "does not meet the interior")
-    kept_h, other_h, crossings, last = [], [], [], {}
+    kept_h, other_h, last = [], [], {}
     for i, g in enumerate(p.hrep):
         ends = [v for v in p.vertices if g.tight(v)]
         signs = [side[v] for v in ends] + [
@@ -385,61 +422,15 @@ def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyh
             kept_h.append(g)
         if lo < 0:
             other_h.append(g)
+        last.update((v, i) for v in ends if side[v] == 0)
         if hi > 0 > lo:
-            x = solve2x2(g.normal, h.normal, (g.offset, h.offset))
-            crossings.append(x)
-            last[x] = i
-        for v in ends:
-            if side[v] == 0:
-                last[v] = i
-    flip, pieces = h.flipped(), []
-    for k, hrep, s in ((h, kept_h, 1), (flip, other_h, -1)):
-        verts = [v for v in p.vertices if side[v] * s >= 0] + crossings
-        rays = _recession_rays(list(p.hrep) + [k]) if p.rays else []
-        pieces.append(Polyhedron2((*hrep, k), tuple(_order_ccw(verts)), tuple(rays)))
-    kept, other = pieces
+            last[g] = i
+    flip = h.flipped()
+    kept, cut = cap(p, h, (*kept_h, h))
+    on_line = [e for e in cut if h.level(e).is_zero()]
     face = Polyhedron2(
         (*(p.hrep[i] for i in sorted(last.values())), h, flip),
-        tuple(_order_ccw([v for v in p.vertices if side[v] == 0] + crossings)),
-        tuple(r for r in kept.rays if dot(r, h.normal).is_zero()),
+        tuple(_order_ccw([e for e in on_line if not isinstance(e, Ideal)])),
+        tuple(_canonical_ray(e.r) for e in on_line if isinstance(e, Ideal)),
     )
-    return kept, other, face
-
-
-def chop_vertex(p: Polyhedron2, v: Vec2, h: HalfPlane) -> Polyhedron2:
-    """P cap h for a half-plane h that cuts off the vertex v of P and nothing
-    else, without an enumeration.
-
-    Preconditions: ``p.hrep`` is irredundant, P has an interior, v is
-    strictly outside h, every other vertex of P is strictly inside h, no ray
-    r of P has <r, h.normal> < 0, and neither constraint tight at v is
-    parallel to h's line.  Then the result equals
-    ``vrep_from_hrep(list(p.hrep) + [h])`` field for field:
-
-    - vertices: P has an interior and an irredundant hrep, so exactly two
-      constraints are tight at v, one per edge at v.  Each edge runs from v
-      to another vertex, strictly inside h, or along a ray r of P with
-      <r, h.normal> > 0 (>= 0, and not parallel to h's line); so h's line
-      crosses it at one point other than v, where the edge's line meets h's.
-      The other vertices are strictly inside h and stay.  The enumeration
-      finds the same set, and ``_order_ccw`` orders a set of vertices the
-      same whatever their input order: it sorts one or two lexicographically,
-      and of three or more, which are never collinear, no two have the same
-      angle about their centroid, which lies strictly inside their hull.
-    - rays: an irredundant ``p.hrep`` has no duplicates, and h is not one of
-      its constraints (v satisfies each of those, not h), so the
-      enumeration's deduplication keeps ``list(p.hrep) + [h]`` whole and
-      takes its rays from it, as here.  A bounded P has none, and nor
-      does any subset of it.  ``p.rays`` came from P's input hrep, whose
-      redundant constraints can put them in another order.
-    - hrep: the ``_drop_redundant`` scan keeps every constraint whose face
-      on P cap h is an edge.  h's face joins the two new vertices.  A
-      constraint of P keeps a part of its edge of P of positive length: an
-      edge away from v keeps all of it, and an edge at v keeps the part
-      from the new vertex on.  So the hrep is ``p.hrep + (h,)``.
-    """
-    new = [solve2x2(g.normal, h.normal, (g.offset, h.offset)) for g in p.hrep if g.tight(v)]
-    hrep = p.hrep + (h,)
-    rays = _recession_rays(list(hrep)) if p.rays else []
-    verts = [w for w in p.vertices if w != v] + new
-    return Polyhedron2(hrep, tuple(_order_ccw(verts)), tuple(rays))
+    return kept, cap(p, flip, (*other_h, flip))[0], face

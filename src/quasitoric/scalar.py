@@ -165,9 +165,6 @@ class QuadScalar:
             n >>= 1
         return out
 
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar._new(self.r, -self.s, self.d)
-
     # -- order ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -226,9 +223,6 @@ class QuadScalar:
 
     def is_rational(self) -> bool:
         return self.s == 0
-
-    def is_integer(self) -> bool:
-        return self.s == 0 and self.r.denominator == 1
 
     def to_float(self) -> float:
         x = self.r.numerator / self.r.denominator
@@ -381,10 +375,6 @@ class ParamSpec:
         if not self.rational:
             raise ValueError("irrational parameter has no denominator")
         return self.value.r.denominator
-
-    @property
-    def is_integer(self) -> bool:
-        return self.rational and self.q == 1
 
     def __str__(self):
         return format_scalar(self.value)

@@ -10,6 +10,7 @@ from quasitoric.gale import (
     gale_points,
     relation_basis,
 )
+from quasitoric.linalg import cross, rref
 from quasitoric.pipeline import hirzebruch_vector_config
 from quasitoric.polyhedron import (
     _candidate_vertices,
@@ -18,7 +19,7 @@ from quasitoric.polyhedron import (
     hrep_from_vrep,
     vrep_from_hrep,
 )
-from quasitoric.scalar import ParamSpec, QuadScalar, parse_scalar
+from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar
 
 SQUAREFREE_DS = [2, 3, 5, 7]
 
@@ -27,6 +28,41 @@ def polygon(points):
     """The bounded polyhedron with the given points as vertices, in any order
     (points inside the hull drop out)."""
     return vrep_from_hrep(hrep_from_vrep(points))
+
+
+def contains(p, point) -> bool:
+    """The point satisfies every constraint of P."""
+    return all(h.holds(point) for h in p.hrep)
+
+
+def area(p):
+    """The area of a bounded P, by the shoelace formula."""
+    if not p.bounded:
+        raise ValueError("area of an unbounded polyhedron")
+    vs = p.vertices
+    return abs(sum((cross(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))), Q(0))) / 2
+
+
+def conjugate(x):
+    """r - s*sqrt(d) for x = r + s*sqrt(d)."""
+    return QuadScalar(x.r, -x.s, x.d)
+
+
+def is_integer(x) -> bool:
+    """x is a rational integer."""
+    return x.is_rational() and x.r.denominator == 1
+
+
+def solve_linear(rows, rhs):
+    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    n = len(rows[0]) if rows else 0
+    if n in pivots:
+        return None
+    x = [Q(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = red[i][n]
+    return x
 
 
 def region_vertices(hrep):

@@ -28,20 +28,21 @@ from quasitoric.polyhedron import (
     HalfPlane,
     InfeasibleRegionError,
     NotPointedError,
+    Polyhedron2,
     hrep_from_vrep,
     vrep_from_hrep,
 )
 from quasitoric.quasilattice import z2
-from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
+from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
-from conftest import polygon
+from conftest import area, contains, is_integer, polygon
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
 
 
 def open_side(result, mu) -> bool:
     """mu in the kept piece and off the cut line."""
-    return result.kept_piece.contains(mu) and result.cut_halfplane.slack(mu).sign() > 0
+    return contains(result.kept_piece, mu) and result.cut_halfplane.slack(mu).sign() > 0
 
 
 def phi(u_sq, z, av):
@@ -68,8 +69,8 @@ def test_cut_square_pieces():
     p = unit_square()
     result = cut_polyhedron(p, z2(), (Q(1), Q(0)), Q(1))
     kept, other = result.kept_piece, result.other_piece
-    assert kept.area() + other.area() == p.area()
-    assert kept.area() == Q(2)
+    assert area(kept) + area(other) == area(p)
+    assert area(kept) == Q(2)
     # the reduced face is the cut segment
     face = result.reduced_face
     assert set(face.vertices) == {(Q(1), Q(0)), (Q(1), Q(2))}
@@ -106,7 +107,7 @@ def test_strip_cut_matches_trapezoid():
         result = strip_cut(a, z2())
         assert result.kept_piece.same_region(trapezoid(a))
         # gamma mirrors the classification of a
-        if a.is_integer:
+        if is_integer(a.value):
             assert result.gamma.kind == "trivial"
         elif a.rational:
             assert result.gamma.kind == "finite_cyclic" and result.gamma.order == a.q
@@ -133,7 +134,7 @@ def test_report_has_one_gamma(av):
     (Z^2 + Z (-1, a)) / Z^2 are one group, rotation included."""
     doc = build_report(ParamSpec(av))
     assert doc.presentation.gamma == doc.cut.gamma
-    assert doc.presentation.gamma.rotation_coefficient == (None if doc.a.is_integer else av)
+    assert doc.presentation.gamma.rotation_coefficient == (None if is_integer(av) else av)
 
 
 def test_blowup_matches_trapezoid():
@@ -199,9 +200,9 @@ def test_cut_decomposition_exact():
                 if s > 0:
                     assert open_side(cut, mu)
                 elif s == 0:
-                    assert cut.reduced_face.contains(mu)
+                    assert contains(cut.reduced_face, mu)
                 else:
-                    assert cut.other_piece.contains(mu) and not cut.kept_piece.contains(mu)
+                    assert contains(cut.other_piece, mu) and not contains(cut.kept_piece, mu)
         assert all(counts.values()), (text, counts)
 
 
@@ -327,6 +328,11 @@ _WEDGE = vrep_from_hrep(_halfplanes((0, 1, -1), (1, 0, 0), (0, 1, 0), (1, 1, 1))
 _STRIP = vrep_from_hrep(_halfplanes((1, 0, 0), (0, 1, 0), (0, -1, -1)))
 _SEGMENT = vrep_from_hrep(_halfplanes((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, -1)))
 _ORIGIN = (Q(0), Q(0))
+# x >= 0, y <= 1 and x + y >= 0: its boundary runs (0, 1), (0, 0), then out
+# along (1, -1) and back in along (1, 0), against its stored order (0, 0), (0, 1)
+_TURNED = vrep_from_hrep(_halfplanes((1, 0, 0), (0, -1, -1), (1, 1, 0)))
+# the quadrant x, y >= 0
+_QUADRANT = vrep_from_hrep(_halfplanes((1, 0, 0), (0, 1, 0)))
 # x >= 0 and y >= sqrt(2) x: one vertex, two rays, over Q(sqrt(2))
 _SQRT2_WEDGE = vrep_from_hrep([HalfPlane((Q(1), Q(0)), Q(0)), HalfPlane((-sqrt(2), Q(1)), Q(0))])
 
@@ -341,9 +347,14 @@ def _has_interior(hrep) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(cuts())
 @example((unit_square(), (Q(1), Q(-2)), Q(0), False))  # through (0, 0), across the edge x = 2
+@example((unit_square(), (Q(1), Q(-3)), Q(0), False))  # the same, a third of the way up
 @example((_STRIP, (Q(0), Q(1)), Q(1, 2), False))  # parallel to the ray: a ray face
 @example((_SQRT2_WEDGE, (Q(0), Q(1)), Q(1), False))  # across both unbounded edges
 @example((_WEDGE, (Q(1), Q(1)), Q(2), False))  # P's rays in another order than the pieces'
+@example((_QUADRANT, (Q(-1), Q(1)), Q(1, 2), False))  # across the arc at infinity
+@example((_QUADRANT, (Q(2), Q(-1)), Q(1, 2), False))  # the same, its levels 2 and -1
+@example((_STRIP, (Q(1), Q(-4)), Q(1), False))  # across both unbounded edges
+@example((_TURNED, (Q(1), Q(0)), Q(1), False))  # across both unbounded edges
 def test_cut_matches_enumeration(case):
     """The kept piece, the other piece and the reduced face from the walk
     equal, byte for byte in their JSON form, the vertex enumeration of P's
@@ -393,3 +404,37 @@ def test_chop_matches_enumeration(case):
             blowup_corner(p, v, nu, amount)
         return
     assert polyhedron_to_json(blowup_corner(p, v, nu, amount)) == polyhedron_to_json(oracle)
+
+
+def _parabola_gon(n):
+    """The n-gon with vertices (i, i^2) for i < n, built with its edge
+    constraints directly, so that no enumeration runs."""
+    vs = [(Q(i), Q(i * i)) for i in range(n)]
+    normals = [rot90(vsub(vs[(i + 1) % n], vs[i])) for i in range(n)]
+    return Polyhedron2(tuple(HalfPlane(m, dot(v, m)) for v, m in zip(vs, normals)), tuple(vs))
+
+
+def test_cut_and_chop_work_is_bounded(monkeypatch):
+    """QuadScalar multiplications, not wall time: per doubling of n from 8
+    to 32, a cut of the n-gon (O(n^2) slack tests) grows at most 4.5x and a
+    corner chop (one O(n) clip) at most 2.5x.  An O(n^3) enumeration grows
+    about 10x."""
+    calls, mul = [], QuadScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadScalar, "__mul__", counted)
+    cut_muls, chop_muls = [], []
+    for n in (8, 16, 32):
+        p, q = _parabola_gon(n), z2()
+        calls.clear()
+        result = cut_polyhedron(p, q, (Q(1), Q(0)), Q(2 * n - 1, 4))
+        cut_muls.append(len(calls))
+        calls.clear()
+        chopped = blowup_corner(p, p.vertices[0], (Q(1), Q(0)), Q(1, 2))
+        chop_muls.append(len(calls))
+        assert len(result.reduced_face.vertices) == 2 and len(chopped.vertices) == n + 1
+    assert all(b <= 4.5 * a for a, b in zip(cut_muls, cut_muls[1:])), cut_muls
+    assert all(b <= 2.5 * a for a, b in zip(chop_muls, chop_muls[1:])), chop_muls

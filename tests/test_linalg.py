@@ -17,9 +17,10 @@ from quasitoric.linalg import (
     primitive_int_vector,
     rot90,
     solve2x2,
-    solve_linear,
 )
 from quasitoric.scalar import Q, sqrt
+
+from conftest import solve_linear
 
 
 def test_solve2x2():

@@ -1,5 +1,6 @@
-"""The top-level package: every name it exports resolves; and two source
-scans, for floats outside output code and for unused imports."""
+"""The top-level package: every name it exports resolves; and three source
+scans, for floats outside output code, for unused imports, and for
+definitions that nothing in src/ uses."""
 
 import ast
 from pathlib import Path
@@ -18,6 +19,10 @@ BENCHMARK_NAMES = (
     "Q",
     "vrep_from_hrep",
 )
+
+# defined in src/ for callers outside it: the console script of
+# pyproject.toml, and the hook that argparse calls on a usage error
+ENTRY_POINTS = ("main", "_Parser.error")
 
 # scalar.py: the advisory "float" field of the JSON scalar form;
 # svg.py: figure layout
@@ -85,3 +90,31 @@ def test_no_unused_imports():
     a name used only inside a quoted annotation does not."""
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [u for p in files for u in unused_imports(p)] == []
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes,
+    as dotted names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{m.name}"
+                        for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def test_every_definition_is_used_in_src():
+    """Test-only helpers live in tests/conftest.py: every top-level function,
+    class and method in src/ is referenced from src/, is a dunder, or is on
+    the allow-list (ENTRY_POINTS and BENCHMARK_NAMES).  A reference is a
+    name or an attribute equal to the definition's last dotted part."""
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    refs = {n.id if isinstance(n, ast.Name) else n.attr
+            for t in trees for n in ast.walk(t) if isinstance(n, (ast.Name, ast.Attribute))}
+    allowed = set(ENTRY_POINTS) | set(BENCHMARK_NAMES)
+    unused = []
+    for d in (d for t in trees for d in _definitions(t)):
+        last = d.rsplit(".", 1)[-1]
+        if not (last in refs or d in allowed or last.startswith("__") and last.endswith("__")):
+            unused.append(d)
+    assert unused == []
