@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 parse/usage error, 3 well-formed input that the
 geometry rejects (empty or unpointed region, a cut that misses the interior,
 a blow-up point that is not a vertex, a chop that reaches another vertex or
 cuts off an unbounded end, or a polyhedron without interior to cut, chop or
-take the normal fan of), or a failed report check.
-All output is deterministic: JSON uses sorted keys and fixed separators.
+take the normal fan of), or a failed report check; a command's error is one
+stderr line, ``error: <command>: <message>``.  All output is deterministic:
+JSON uses sorted keys and fixed separators.
 """
 
 from __future__ import annotations
@@ -204,15 +205,12 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except PipelineInconsistency as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PipelineInconsistency, InfeasibleRegionError, NotPointedError, NoOpCutError,
+            AmountTooLargeError, NonSimpleError) as e:
+        print(f"error: {args.command}: {e}", file=sys.stderr)
         return 3
-    except (InfeasibleRegionError, NotPointedError, NoOpCutError, AmountTooLargeError,
-            NonSimpleError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, KeyError) as e:
+        print(f"error: {args.command}: {e}", file=sys.stderr)
         return 2
 
 

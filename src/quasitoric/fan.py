@@ -45,20 +45,15 @@ class Fan2:
 
 def normal_fan(p: Polyhedron2) -> Fan2:
     """Rays are the inward facet normals as stored in the hrep; maximal
-    cones pair the two facets meeting at each vertex.  NonSimpleError when
-    P is flat or a vertex lies on more than two constraints."""
+    cones pair the two facets meeting at each vertex, read off
+    ``p.incidence``.  NonSimpleError when P is flat or a vertex lies on more
+    than two constraints."""
     if flat_direction(p.vertices, p.rays) is not None:
         raise NonSimpleError("the region is flat (it has no interior), so it has no normal fan")
-    rays = tuple(h.normal for h in p.hrep)
-    cones = []
-    for v in p.vertices:
-        tight = [i for i, h in enumerate(p.hrep) if h.tight(v)]
+    for v, tight in zip(p.vertices, p.incidence):
         if len(tight) != 2:
-            raise NonSimpleError(
-                f"vertex ({v[0]}, {v[1]}) lies on {len(tight)} facets"
-            )
-        cones.append(tuple(tight))
-    return Fan2(rays, tuple(cones))
+            raise NonSimpleError(f"vertex ({v[0]}, {v[1]}) lies on {len(tight)} facets")
+    return Fan2(tuple(h.normal for h in p.hrep), p.incidence)
 
 
 def is_complete(fan: Fan2) -> bool:

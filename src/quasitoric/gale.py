@@ -258,7 +258,8 @@ def is_polytopal(
     witness are the enumeration's.  A strict constraint holds somewhere iff
     it is loose at some vertex, and then the vertex centroid satisfies all
     of them (slacks are affine).  As three vertices of a convex region are
-    never collinear, that can fail only on at most 2 vertices.
+    never collinear, that can fail only on at most 2 vertices, so the first
+    triangle's constraints are built only then; the others' once each.
     """
     triangles = []
     for sigma in chamber.subsets:
@@ -267,12 +268,12 @@ def is_polytopal(
         triangles.append([lam.points[i - 1] for i in sorted(sigma)])
     if not triangles:
         raise ValueError("the chamber has no triangle")
-    constraints = [_triangle_halfplanes(pts) for pts in triangles]
+    constraints = [c for pts in triangles[1:] for c in _triangle_halfplanes(pts)]
     vs = _closed_hull(triangles[0])
-    for h, _ in (c for cs in constraints[1:] for c in cs):
+    for h, _ in constraints:
         vs = clip(vs, h)
-    if not vs or len(vs) <= 2 and any(strict and all(h.tight(v) for v in vs)
-                                      for cs in constraints for h, strict in cs):
+    if not vs or len(vs) <= 2 and any(strict and all(h.tight(v) for v in vs) for h, strict
+                                      in constraints + _triangle_halfplanes(triangles[0])):
         return False, None
     n = len(vs)
     return True, (sum((v[0] for v in vs), Q(0)) / n, sum((v[1] for v in vs), Q(0)) / n)

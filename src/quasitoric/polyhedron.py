@@ -154,7 +154,8 @@ def _canonical_ray(r: Vec2) -> Vec2:
 @dataclass(frozen=True)
 class Polyhedron2:
     """A pointed 2D convex polyhedron; vertices counterclockwise, plus
-    recession-ray directions when unbounded."""
+    recession-ray directions when unbounded; ``incidence``, its one slack
+    scan, is shared by ``simple``, ``fan.normal_fan`` and ``split``."""
 
     hrep: tuple[HalfPlane, ...]
     vertices: tuple[Vec2, ...]
@@ -164,11 +165,15 @@ class Polyhedron2:
     def bounded(self) -> bool:
         return not self.rays
 
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the indices of the constraints exactly tight there."""
+        return tuple(tuple(i for i, h in enumerate(self.hrep) if h.tight(v))
+                     for v in self.vertices)
+
     @property
     def simple(self) -> bool:
-        return all(
-            sum(1 for h in self.hrep if h.tight(v)) == 2 for v in self.vertices
-        )
+        return all(len(t) == 2 for t in self.incidence)
 
     def same_region(self, other: "Polyhedron2") -> bool:
         return (
@@ -342,16 +347,20 @@ def clip(cycle: list, h: HalfPlane) -> list:
     lists R cap h as the input lists R; a segment's two edges are one, hence
     the dedupe.
     """
-    levels = [h.level(e) for e in cycle]
+    return list(_clip_levels(cycle, [h.level(e) for e in cycle]))
+
+
+def _clip_levels(cycle: list, levels: list) -> dict:
+    """``clip`` by given levels: each output entry to its sign (0 if new)."""
     signs = [x.sign() for x in levels]
-    out = []
+    out = {}
     for i, a in enumerate(cycle):
         j = (i + 1) % len(cycle)
         if signs[i] >= 0:
-            out.append(a)
+            out.setdefault(a, signs[i])
         if signs[i] * signs[j] < 0:
-            out.append(_crossing(a, levels[i], cycle[j], levels[j]))
-    return list(dict.fromkeys(out))
+            out.setdefault(_crossing(a, levels[i], cycle[j], levels[j]), 0)
+    return out
 
 
 def _crossing(a, la: QuadScalar, b, lb: QuadScalar):
@@ -365,72 +374,84 @@ def _crossing(a, la: QuadScalar, b, lb: QuadScalar):
     return vadd(a, smul(la / (la - lb), vsub(b, a)))
 
 
-def _boundary(p: Polyhedron2) -> list:
-    """The boundary cycle of P with an interior: its vertices ccw from the one
-    on the unbounded edge that comes in, the furthest along rot90 of its
-    direction, then its rays ccw (that direction last) as ideal points."""
+def _boundary(p: Polyhedron2) -> tuple[list, int]:
+    """The boundary cycle of P with an interior: its vertices ccw from the
+    one on the incoming unbounded edge, the furthest along rot90 of its
+    direction, then its rays ccw (that one last) as ideal points; and the
+    index of its first entry in ``p.vertices``."""
     if not p.rays:
-        return list(p.vertices)
+        return list(p.vertices), 0
     rays = p.rays[::-1] if cross(p.rays[0], p.rays[-1]).sign() < 0 else p.rays
     vs, n = p.vertices, rot90(rays[-1])
     i = max(range(len(vs)), key=lambda k: dot(vs[k], n))
-    return [*vs[i:], *vs[:i], *map(Ideal, rays)]
+    return [*vs[i:], *vs[:i], *map(Ideal, rays)], i
 
 
-def cap(p: Polyhedron2, h: HalfPlane, hrep) -> tuple[Polyhedron2, list]:
-    """P cap h with the given irredundant hrep, and its ``clip``ped boundary
-    cycle, for P with an interior and h violated on P.  Vertices and rays
-    equal ``vrep_from_hrep(list(p.hrep) + [h])``'s: its dedupe keeps that
-    list whole (an irredundant ``p.hrep`` has no repeats, and h is none of
-    them), and ``_order_ccw`` orders a vertex set whatever its input order
-    (one or two lexicographically; three or more, never collinear, have
-    distinct angles about their centroid)."""
-    cut = clip(_boundary(p), h)
-    verts = [e for e in cut if not isinstance(e, Ideal)]
-    rays = _recession_rays(list(p.hrep) + [h]) if p.rays else []
-    return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays)), cut
+def cap(p: Polyhedron2, h: HalfPlane, hrep) -> Polyhedron2:
+    """P cap h with the given irredundant hrep, from one ``clip`` of P's
+    boundary cycle, for P with an interior and h violated on P."""
+    return _piece(p, h, hrep, clip(_boundary(p)[0], h))
+
+
+def _piece(p: Polyhedron2, h: HalfPlane, hrep, cut) -> Polyhedron2:
+    """P cap h from its clipped cycle, with the vertices and rays of
+    ``vrep_from_hrep(list(p.hrep) + [h])``: its dedupe keeps that list whole
+    (``p.hrep`` has no repeats, h is none of them), and ``_order_ccw``
+    orders a vertex set whatever its input order.  Each ray that
+    ``_recession_rays`` keeps lies in the recession cone C and on the line of
+    a half-plane containing C, so is an extreme ray of the pointed C; by
+    ``clip``'s invariant the cycle's ideal points are those, in O(n).  Sort
+    them as it does, by the first constraint of ``p.hrep + [h]`` parallel to
+    each (never both by one: r and -r are not both in C)."""
+    rays = list(dict.fromkeys(_canonical_ray(e.r) for e in cut if isinstance(e, Ideal)))
+    if len(rays) == 2:
+        rays.sort(key=lambda r: next(
+            i for i, g in enumerate((*p.hrep, h)) if dot(r, g.normal).is_zero()))
+    verts = _order_ccw([e for e in cut if not isinstance(e, Ideal)])
+    return Polyhedron2(tuple(hrep), tuple(verts), tuple(rays))
 
 
 def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyhedron2]:
     """The pieces P cap h and P cap h.flipped() and the face of P on h's
-    line, from two ``cap`` clips and one scan of P's constraints, O(n^2)
-    slack tests, for P with an interior and an irredundant ``p.hrep``.
+    line, for P with an interior and an irredundant ``p.hrep``, from
+    ``p.incidence`` and the levels of P's boundary cycle against h, taken
+    once and kept by cycle position (a vertex and a ray can be equal tuples).
     NoOpCutError unless some vertex or ray of P lies strictly on each side.
     The results equal ``vrep_from_hrep(list(p.hrep) + k)`` for k = [h],
-    [h.flipped()] and [h, h.flipped()].  Vertices and rays are ``cap``'s, and
-    the face's are the kept cycle's entries on the line.  Each constraint g
-    of P has one edge (two vertices, or one and a ray parallel to g), and
-    ``_drop_redundant`` keeps, in order, the constraints whose face has
-    positive length: on a piece, h and each g whose edge has an end strictly
-    on the piece's side.  On the face, a constraint loose at both ends goes;
-    of those tight at an end, which bound the line there away from the
-    face, the last stays (only g is tight where g's edge crosses the line);
-    then h and h.flipped().
-    """
-    side = {v: h.slack(v).sign() for v in p.vertices}
-    ray_side = {r: dot(r, h.normal).sign() for r in p.rays}
-    if not {1, -1} <= {*side.values(), *ray_side.values()}:
+    [h.flipped()] and [h, h.flipped()]; the face is the kept clip's entries
+    on the line.  Each g of P has one edge (two vertices, or one and a ray
+    parallel to g), and ``_drop_redundant`` keeps, in order, the constraints
+    whose face has positive length: on a piece, h and each g whose edge has
+    an end strictly on its side.  On the face, of the g tight at an end,
+    which bound the line there away from the face, the last stays (only g is
+    tight where g's edge crosses the line); then h and h.flipped()."""
+    cycle, start = _boundary(p)
+    levels = [h.level(e) for e in cycle]
+    signs = [x.sign() for x in levels]
+    if not {1, -1} <= set(signs):
         raise NoOpCutError(f"cut line <mu, ({h.normal[0]}, {h.normal[1]})> = {h.offset} "
                            "does not meet the interior")
+    m = len(p.vertices)
+    side = signs[m - start:m] + signs[:m - start]  # by index in p.vertices
     kept_h, other_h, last = [], [], {}
     for i, g in enumerate(p.hrep):
-        ends = [v for v in p.vertices if g.tight(v)]
-        signs = [side[v] for v in ends] + [
-            ray_side[r] for r in p.rays if dot(r, g.normal).is_zero()]
-        lo, hi = min(signs), max(signs)
+        ends = [k for k, tight in enumerate(p.incidence) if i in tight]
+        sides = [side[k] for k in ends] + [
+            s for e, s in zip(cycle[m:], signs[m:]) if dot(e.r, g.normal).is_zero()]
+        lo, hi = min(sides), max(sides)
         if hi > 0:
             kept_h.append(g)
         if lo < 0:
             other_h.append(g)
-        last.update((v, i) for v in ends if side[v] == 0)
+        last.update((k, i) for k in ends if side[k] == 0)
         if hi > 0 > lo:
             last[g] = i
-    flip = h.flipped()
-    kept, cut = cap(p, h, (*kept_h, h))
-    on_line = [e for e in cut if h.level(e).is_zero()]
+    flip, kept = h.flipped(), _clip_levels(cycle, levels)
+    on_line = [e for e, s in kept.items() if s == 0]
     face = Polyhedron2(
         (*(p.hrep[i] for i in sorted(last.values())), h, flip),
         tuple(_order_ccw([e for e in on_line if not isinstance(e, Ideal)])),
         tuple(_canonical_ray(e.r) for e in on_line if isinstance(e, Ideal)),
     )
-    return kept, cap(p, flip, (*other_h, flip))[0], face
+    other = _clip_levels(cycle, [-x for x in levels])
+    return _piece(p, h, (*kept_h, h), kept), _piece(p, flip, (*other_h, flip), other), face

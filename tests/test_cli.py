@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,28 @@ def test_parse_error_exit_code():
         ["no-such-command"],  # unknown command
     ):
         assert_input_error(*run_cli(argv, stdin_text=SQUARE)[::2])
+
+
+EMPTY = json.dumps({"hrep": [{"normal": ["1", "0"], "offset": "0"},
+                             {"normal": ["-1", "0"], "offset": "1"}]})
+
+
+ERRORS = [
+    (["report", "bananas"], "", 2, "cannot parse scalar 'bananas' at position 0"),
+    (["normal-fan"], EMPTY, 3, "constraints have empty intersection"),
+    (["gale-dual"], '{"vectors": [[1, 0]]}', 2, "need at least two vectors"),
+    (["cut", "1", "0", "5"], SQUARE, 3, "cut line <mu, (1, 0)> = 5 does not meet the interior"),
+    (["blowup", "5", "5", "1", "0", "1/2"], SQUARE, 3,
+     "blow-up point (5, 5) is not a vertex of the polyhedron"),
+    (["classify-leaves", "0"], "", 2, "parameter must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin_text, code, message", ERRORS, ids=[e[0][0] for e in ERRORS])
+def test_error_names_its_command(argv, stdin_text, code, message):
+    """An input or geometry error of a subcommand is one line, 'error:
+    <command>: <message>', with the command's exit code."""
+    assert run_cli(argv, stdin_text) == (code, "", f"error: {argv[0]}: {message}\n")
 
 
 def test_help_exits_zero():

@@ -355,6 +355,8 @@ def _has_interior(hrep) -> bool:
 @example((_QUADRANT, (Q(2), Q(-1)), Q(1, 2), False))  # the same, its levels 2 and -1
 @example((_STRIP, (Q(1), Q(-4)), Q(1), False))  # across both unbounded edges
 @example((_TURNED, (Q(1), Q(0)), Q(1), False))  # across both unbounded edges
+# the other piece's rays: ccw (1, 0), (0, 1) on its cycle, (0, 1) first by x >= 0
+@example((_QUADRANT, (Q(-1), Q(-1)), Q(-1), False))
 def test_cut_matches_enumeration(case):
     """The kept piece, the other piece and the reduced face from the walk
     equal, byte for byte in their JSON form, the vertex enumeration of P's
@@ -383,6 +385,10 @@ def test_cut_matches_enumeration(case):
 @example((_WEDGE, (Q(1), Q(0)), (Q(1), Q(2)), Q(1, 2), False))
 @example((_STRIP, _ORIGIN, (Q(-1), Q(1)), Q(1, 2), False))
 @example((_SEGMENT, _ORIGIN, (Q(1), Q(1)), Q(1, 2), True))
+# rays ccw on the cycle, (1, 0), (0, 1) and (1, sqrt(2)), (0, 1), but (0, 1)
+# first by x >= 0
+@example((_QUADRANT, _ORIGIN, (Q(1), Q(1)), Q(1, 2), False))
+@example((_SQRT2_WEDGE, _ORIGIN, (Q(0), Q(1)), Q(1), False))
 def test_chop_matches_enumeration(case):
     """A corner chop (P keeps every other vertex and its rays, and gains two
     vertices) equals, byte for byte in its JSON form, the vertex enumeration
@@ -414,11 +420,28 @@ def _parabola_gon(n):
     return Polyhedron2(tuple(HalfPlane(m, dot(v, m)) for v, m in zip(vs, normals)), tuple(vs))
 
 
+def _chain_region(n):
+    """The region above the chain (i, i^2), i < n, with 0 <= x <= n - 1: the
+    chain's edge constraints, then the two bounds.  Built directly in
+    ``vrep_from_hrep``'s form, so that no enumeration runs: at n = 32 one
+    takes seconds."""
+    hrep = [HalfPlane((Q(-2 * i - 1), Q(1)), Q(-i * (i + 1))) for i in range(n - 1)]
+    hrep += [HalfPlane((Q(1), Q(0)), Q(0)), HalfPlane((Q(-1), Q(0)), Q(1 - n))]
+    return Polyhedron2(tuple(hrep), tuple((Q(i), Q(i * i)) for i in range(n)), ((Q(0), Q(1)),))
+
+
 def test_cut_and_chop_work_is_bounded(monkeypatch):
     """QuadScalar multiplications, not wall time: per doubling of n from 8
     to 32, a cut of the n-gon (O(n^2) slack tests) grows at most 4.5x and a
-    corner chop (one O(n) clip) at most 2.5x.  An O(n^3) enumeration grows
-    about 10x."""
+    corner chop (one O(n) clip) at most 2.5x, of the n-gon or of the
+    unbounded region above its chain, whose rays are read off the clipped
+    cycle.  An O(n^3) enumeration grows about 10x, and O(n^2) recession rays
+    about 4x.  The cut of the 8-gon reads P's levels once: at most the 186
+    multiplications of the edge walk that ``split`` replaced."""
+    chain = _chain_region(8)
+    enumerated = vrep_from_hrep(list(chain.hrep))
+    assert (chain.hrep, chain.vertices, chain.rays) == (
+        enumerated.hrep, enumerated.vertices, enumerated.rays)
     calls, mul = [], QuadScalar.__mul__
 
     def counted(self, other):
@@ -426,15 +449,21 @@ def test_cut_and_chop_work_is_bounded(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(QuadScalar, "__mul__", counted)
-    cut_muls, chop_muls = [], []
+    cut_muls, chop_muls, unbounded_muls = [], [], []
     for n in (8, 16, 32):
-        p, q = _parabola_gon(n), z2()
+        p, q, chain = _parabola_gon(n), z2(), _chain_region(n)
         calls.clear()
         result = cut_polyhedron(p, q, (Q(1), Q(0)), Q(2 * n - 1, 4))
         cut_muls.append(len(calls))
         calls.clear()
         chopped = blowup_corner(p, p.vertices[0], (Q(1), Q(0)), Q(1, 2))
         chop_muls.append(len(calls))
+        calls.clear()
+        unbounded = blowup_corner(chain, _ORIGIN, (Q(1), Q(1)), Q(1, 2))
+        unbounded_muls.append(len(calls))
         assert len(result.reduced_face.vertices) == 2 and len(chopped.vertices) == n + 1
+        assert len(unbounded.vertices) == n + 1 and unbounded.rays == chain.rays
+    assert cut_muls[0] <= 186, cut_muls
     assert all(b <= 4.5 * a for a, b in zip(cut_muls, cut_muls[1:])), cut_muls
-    assert all(b <= 2.5 * a for a, b in zip(chop_muls, chop_muls[1:])), chop_muls
+    for muls in (chop_muls, unbounded_muls):
+        assert all(b <= 2.5 * a for a, b in zip(muls, muls[1:])), muls

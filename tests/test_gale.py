@@ -285,18 +285,70 @@ def test_report_enumeration_counts(monkeypatch):
                 inside.pop()
         return wrapper
 
-    wrappers = {
+    _wrap_in_package(monkeypatch, {
         polyhedron.vrep_from_hrep: counted,
         polyhedron._candidate_vertices: counted,
         gale.is_polytopal: polytopal,
-    }
-    for name, mod in list(sys.modules.items()):
-        if name == "quasitoric" or name.startswith("quasitoric."):
-            for attr, val in list(vars(mod).items()):
-                if callable(val) and val in wrappers:
-                    monkeypatch.setattr(mod, attr, wrappers[val](val))
+    })
     build_report(ParamSpec(parse_scalar("3/2")))
     calls.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)")))
     assert [c for c in calls if c[0] == "vrep_from_hrep"] == [("vrep_from_hrep", False)] * 2
     assert not [c for c in calls if c[1]]
+
+
+def _wrap_in_package(monkeypatch, wrappers):
+    """Replace each function f of ``wrappers`` by ``wrappers[f](f)`` under
+    every name a package module binds it to."""
+    for name, mod in list(sys.modules.items()):
+        if name == "quasitoric" or name.startswith("quasitoric."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[val](val))
+
+
+def test_report_facts_are_computed_once(monkeypatch):
+    """After a warm-up, one serialised report takes recession rays only in
+    its two enumerations (the other calls are ``_drop_redundant``'s, inside
+    them), builds constraints only for the chamber triangles that clip the
+    first one's hull, and runs one tight test per vertex and constraint of
+    each polyhedron it prints, plus three of the blow-up's checks: 65 in
+    all.  Rescanning for ``simple``, ``normal_fan`` and ``split`` made 115,
+    taking the strip cut's pieces' rays from ``_recession_rays`` 2 more
+    calls, and building the first triangle's constraints too 4 in all."""
+    stack, rays, triangles, tight = [], [], [], []
+
+    def within(name):
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapper
+        return wrap
+
+    def logged(log):
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                log.append(tuple(stack))
+                return fn(*args, **kwargs)
+            return wrapper
+        return wrap
+
+    _wrap_in_package(monkeypatch, {
+        polyhedron.vrep_from_hrep: within("vrep_from_hrep"),
+        polyhedron._drop_redundant: within("_drop_redundant"),
+        polyhedron._recession_rays: logged(rays),
+        gale._triangle_halfplanes: logged(triangles),
+    })
+    monkeypatch.setattr(polyhedron.HalfPlane, "tight", logged(tight)(polyhedron.HalfPlane.tight))
+    build_report(ParamSpec(parse_scalar("3/2"))).to_json()
+    for log in (rays, triangles, tight):
+        log.clear()
+    doc = build_report(ParamSpec(parse_scalar("1+sqrt(2)")))
+    doc.to_json()
+    assert [s for s in rays if "_drop_redundant" not in s] == [("vrep_from_hrep",)] * 2
+    assert len(triangles) == len(doc.gale.chamber.subsets) - 1 == 3
+    assert len(tight) <= 65
