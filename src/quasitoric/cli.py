@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 parse/usage error, 3 well-formed input that the
 geometry rejects (empty or unpointed region, a cut that misses the interior,
 a blow-up point that is not a vertex, a chop that reaches another vertex or
 cuts off an unbounded end, or a polyhedron without interior to cut, chop or
-take the normal fan of), or a failed report check; a command's error is one
-stderr line, ``error: <command>: <message>``.  All output is deterministic:
-JSON uses sorted keys and fixed separators.
+take the normal fan of), or a failed report check.  Every error is one
+stderr line, ``error: <command>: <message>``, usage errors included; a usage
+error before the command reads ``error: quasitoric: <message>``.  All
+output is deterministic: JSON uses sorted keys and fixed separators.
 """
 
 from __future__ import annotations
@@ -141,10 +142,12 @@ def cmd_classify_leaves(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors end in one 'error:' line and exit 2, like every other
-    bad input; subparsers inherit the class."""
+    bad input; subparsers inherit the class.  The line names the command as
+    a run error does (a subparser's prog is 'quasitoric <command>'), or
+    'quasitoric' when there is none."""
 
     def error(self, message):
-        self.exit(2, f"error: {self.prog}: {message}\n")
+        self.exit(2, f"error: {self.prog.split()[-1]}: {message}\n")
 
 
 @functools.cache

@@ -120,4 +120,4 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
         if g.tight(vertex) and cross(g.normal, nu).is_zero():
             raise AmountTooLargeError(f"chop line is parallel to the edge "
                                       f"<mu, {_fmt(g.normal)}> = {g.offset} at {_fmt(vertex)}")
-    return cap(p, h, p.hrep + (h,))
+    return cap(p, h)

@@ -118,12 +118,14 @@ def five_constraint_triple(p: Polyhedron2, qa: Quasilattice) -> PolytopeTriple:
 
 @dataclass(frozen=True)
 class GaleSide:
-    """V_a, its relation basis, the dual points Lambda read off that basis,
-    and the chamber of the fan's triangulation with its polytopality
-    witness."""
+    """V_a, whether it is balanced, its relation basis and whether that
+    makes V_a odd, the dual points Lambda read off that basis, and the
+    chamber of the fan's triangulation with its polytopality witness."""
 
     vector_config: VectorConfig
+    balanced: bool
     relation_matrix: tuple[tuple[QuadScalar, ...], ...]
+    odd: bool
     gale_points: PointConfig
     triangulation: Triangulation
     chamber: VirtualChamber
@@ -139,7 +141,8 @@ def gale_side(a: ParamSpec, fan: Fan2) -> GaleSide:
     tri = triangulation_from_fan(fan)
     chamber = chamber_from_triangulation(tri, len(vc))
     polytopal, witness = is_polytopal(lam, chamber)
-    return GaleSide(vc, rows, lam, tri, chamber, polytopal, witness)
+    return GaleSide(vc, is_balanced(vc), rows, relations_odd(rows), lam, tri, chamber,
+                    polytopal, witness)
 
 
 MOMENT_CONSTANT_NOTE = (
@@ -183,8 +186,8 @@ class ReportDocument:
             "quasilattice": jsonio.quasilattice_to_json(self.quasilattice),
             "gamma": jsonio.group_to_json(self.presentation.gamma),
             "vector_config": jsonio.vector_config_to_json(g.vector_config),
-            "vector_config_balanced": is_balanced(g.vector_config),
-            "vector_config_odd": relations_odd(g.relation_matrix),
+            "vector_config_balanced": g.balanced,
+            "vector_config_odd": g.odd,
             "triangulation": jsonio.triangulation_to_json(g.triangulation),
             "relation_matrix": jsonio.matrix_to_json(g.relation_matrix),
             "gale_points": jsonio.point_config_to_json(g.gale_points),

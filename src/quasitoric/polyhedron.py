@@ -2,9 +2,11 @@
 
 Polyhedra may be unbounded but must be pointed (have at least one vertex).
 Vertex enumeration intersects every pair of the n boundary lines and keeps
-the points that satisfy all n constraints, O(n^3) exact steps.  Redundant
-constraints go in one pass: one strictly loose at every vertex costs a slack
-test, and only one that touches the region pays another enumeration.  So an
+the points that satisfy all n constraints, O(n^3) exact steps; the slack
+signs that accept a vertex also give the constraints tight there.  Redundant
+constraints go in one pass.  One tight at no vertex goes at once: the least
+slack over the region is reached at a vertex, so its line misses the region.
+Only one that touches the region pays another enumeration.  So an
 irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
 
 A region without a vertex is either empty or unpointed.  A nonempty region
@@ -154,8 +156,11 @@ def _canonical_ray(r: Vec2) -> Vec2:
 @dataclass(frozen=True)
 class Polyhedron2:
     """A pointed 2D convex polyhedron; vertices counterclockwise, plus
-    recession-ray directions when unbounded; ``incidence``, its one slack
-    scan, is shared by ``simple``, ``fan.normal_fan`` and ``split``."""
+    recession-ray directions when unbounded.  ``incidence`` is shared by
+    ``simple``, ``fan.normal_fan`` and ``split``.  It comes from the
+    construction: ``vrep_from_hrep`` reads it off the signs that accept each
+    vertex, and a piece of ``split`` or ``cap`` derives it from the clip on
+    its first read.  Only a hand-built Polyhedron2 scans for it."""
 
     hrep: tuple[HalfPlane, ...]
     vertices: tuple[Vec2, ...]
@@ -168,6 +173,9 @@ class Polyhedron2:
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the indices of the constraints exactly tight there."""
+        derive = self.__dict__.pop("_derive_incidence", None)
+        if derive is not None:
+            return derive()
         return tuple(tuple(i for i, h in enumerate(self.hrep) if h.tight(v))
                      for v in self.vertices)
 
@@ -191,6 +199,15 @@ class Polyhedron2:
         return hash((self.vertices, self.rays))
 
 
+def _built(hrep, vertices, rays, incidence) -> Polyhedron2:
+    """A Polyhedron2 with the incidence of its construction: a tuple, or a
+    function that derives it on its first read.  Either goes into the
+    instance dict, where ``functools.cached_property`` keeps its value."""
+    p = Polyhedron2(tuple(hrep), tuple(vertices), tuple(rays))
+    p.__dict__["incidence" if isinstance(incidence, tuple) else "_derive_incidence"] = incidence
+    return p
+
+
 def _recession_rays(hrep: list[HalfPlane]) -> list[Vec2]:
     candidates = []
     for h in hrep:
@@ -204,23 +221,25 @@ def _recession_rays(hrep: list[HalfPlane]) -> list[Vec2]:
     return out
 
 
-def _drop_redundant(hrep: list[HalfPlane], verts: list[Vec2]) -> list[HalfPlane]:
-    """Drop the redundant constraints of the pointed region P with vertices
-    ``verts`` in one left-to-right pass.
+def _drop_redundant(hrep: list[HalfPlane], tight_at: dict) -> list[int]:
+    """The indices of the constraints that survive one left-to-right pass
+    dropping redundant ones from the pointed region P, whose vertices are
+    the keys of ``tight_at``, each mapped to the constraints tight there.
 
-    A constraint strictly loose at every vertex of P goes without an
-    enumeration: the least slack over P is reached at a vertex, so its line
-    misses P.  Any other constraint is redundant iff the region of the
-    others (which must have a vertex) is inside it.  A drop leaves the
-    region equal to P, so a kept constraint stays needed: no restart.
+    A constraint tight at no vertex goes without an enumeration: the least
+    slack over P is reached at a vertex, so its line misses P.  Any other
+    constraint is redundant iff the region of the others (which must have a
+    vertex) is inside it.  A drop leaves the region equal to P, so a kept
+    constraint stays needed: no restart.
     """
-    kept, idx = list(hrep), 0
+    touching = set().union(*tight_at.values())
+    kept, idx = list(range(len(hrep))), 0
     while idx < len(kept):
-        h, others = kept[idx], kept[:idx] + kept[idx + 1 :]
-        if all(h.slack(v).sign() > 0 for v in verts) or (
+        k, others = kept[idx], [hrep[g] for g in kept[:idx] + kept[idx + 1 :]]
+        if k not in touching or (
             (cands := _candidate_vertices(others))
-            and all(h.holds(v) for v in cands)
-            and all(dot(r, h.normal).sign() >= 0 for r in _recession_rays(others))
+            and all(hrep[k].holds(v) for v in cands)
+            and all(dot(r, hrep[k].normal).sign() >= 0 for r in _recession_rays(others))
         ):
             kept.pop(idx)
         else:
@@ -228,16 +247,25 @@ def _drop_redundant(hrep: list[HalfPlane], verts: list[Vec2]) -> list[HalfPlane]
     return kept
 
 
-def _candidate_vertices(hrep: list[HalfPlane]) -> list[Vec2]:
-    pts = []
+def _candidate_vertices(hrep: list[HalfPlane]) -> dict:
+    """The vertices of the region, each mapped to the indices of the
+    constraints tight there, read off the slack signs that accept it."""
+    pts = {}
     for i in range(len(hrep)):
         for j in range(i + 1, len(hrep)):
             p = solve2x2(hrep[i].normal, hrep[j].normal,
                          (hrep[i].offset, hrep[j].offset))
-            if p is None:
+            if p is None or p in pts:
                 continue
-            if all(h.holds(p) for h in hrep) and p not in pts:
-                pts.append(p)
+            tight = []
+            for k, h in enumerate(hrep):
+                s = h.slack(p).sign()
+                if s < 0:
+                    break
+                if s == 0:
+                    tight.append(k)
+            else:
+                pts[p] = tight
     return pts
 
 
@@ -263,12 +291,15 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     nonempty regions without a vertex.
     """
     hrep = _dedup_halfplanes(hrep)
-    verts = _candidate_vertices(hrep)
-    if not verts:
+    tight_at = _candidate_vertices(hrep)
+    if not tight_at:
         raise _vertexless_error(hrep)
     rays = _recession_rays(hrep)
-    hrep = _drop_redundant(hrep, verts)
-    return Polyhedron2(tuple(hrep), tuple(_order_ccw(verts)), tuple(rays))
+    kept = _drop_redundant(hrep, tight_at)
+    index = {k: i for i, k in enumerate(kept)}
+    verts = _order_ccw(list(tight_at))
+    incidence = tuple(tuple(index[k] for k in tight_at[v] if k in index) for v in verts)
+    return _built((hrep[k] for k in kept), verts, rays, incidence)
 
 
 def flat_direction(vertices, rays) -> Vec2 | None:
@@ -347,19 +378,22 @@ def clip(cycle: list, h: HalfPlane) -> list:
     lists R cap h as the input lists R; a segment's two edges are one, hence
     the dedupe.
     """
-    return list(_clip_levels(cycle, [h.level(e) for e in cycle]))
+    levels = [h.level(e) for e in cycle]
+    return list(_clip_levels(cycle, levels, [x.sign() for x in levels]))
 
 
-def _clip_levels(cycle: list, levels: list) -> dict:
-    """``clip`` by given levels: each output entry to its sign (0 if new)."""
-    signs = [x.sign() for x in levels]
+def _clip_levels(cycle: list, levels: list, signs: list) -> dict:
+    """``clip`` by given levels and their signs: each output entry to the
+    cycle positions it comes from, (i,) for an entry kept off h's line, and
+    for one on it, (i, j) for the crossing on the edge i-j or (i, i) for the
+    entry i itself, of level 0."""
     out = {}
     for i, a in enumerate(cycle):
         j = (i + 1) % len(cycle)
         if signs[i] >= 0:
-            out.setdefault(a, signs[i])
+            out.setdefault(a, (i, i) if signs[i] == 0 else (i,))
         if signs[i] * signs[j] < 0:
-            out.setdefault(_crossing(a, levels[i], cycle[j], levels[j]), 0)
+            out.setdefault(_crossing(a, levels[i], cycle[j], levels[j]), (i, j))
     return out
 
 
@@ -387,28 +421,61 @@ def _boundary(p: Polyhedron2) -> tuple[list, int]:
     return [*vs[i:], *vs[:i], *map(Ideal, rays)], i
 
 
-def cap(p: Polyhedron2, h: HalfPlane, hrep) -> Polyhedron2:
-    """P cap h with the given irredundant hrep, from one ``clip`` of P's
-    boundary cycle, for P with an interior and h violated on P."""
-    return _piece(p, h, hrep, clip(_boundary(p)[0], h))
+def _source_tight(p: Polyhedron2, cycle: list, start: int):
+    """For a finite entry of ``_clip_levels`` of P's boundary cycle (first
+    entry ``p.vertices[start]``), from its source: the sorted indices of P's
+    constraints tight there.  An entry kept is tight where P's vertex is.
+    On the crossing of the edge a-b (strictly inside a segment, or a + t r
+    with t > 0 for an ideal point r), each g of P is >= 0 at a and b
+    (<r, n_g> >= 0 for r) and affine along the edge, so g is tight there iff
+    it is tight at a and b (parallel to r)."""
+    m = len(p.vertices)
+
+    def tight(src):
+        finite = [set(p.incidence[(k + start) % m]) for k in src if k < m]
+        rays = [cycle[k].r for k in src if k >= m]
+        return sorted(i for i in finite[0].intersection(*finite[1:])
+                      if all(dot(r, p.hrep[i].normal).is_zero() for r in rays))
+    return tight
 
 
-def _piece(p: Polyhedron2, h: HalfPlane, hrep, cut) -> Polyhedron2:
-    """P cap h from its clipped cycle, with the vertices and rays of
-    ``vrep_from_hrep(list(p.hrep) + [h])``: its dedupe keeps that list whole
-    (``p.hrep`` has no repeats, h is none of them), and ``_order_ccw``
-    orders a vertex set whatever its input order.  Each ray that
-    ``_recession_rays`` keeps lies in the recession cone C and on the line of
-    a half-plane containing C, so is an extreme ray of the pointed C; by
-    ``clip``'s invariant the cycle's ideal points are those, in O(n).  Sort
-    them as it does, by the first constraint of ``p.hrep + [h]`` parallel to
-    each (never both by one: r and -r are not both in C)."""
+def cap(p: Polyhedron2, h: HalfPlane) -> Polyhedron2:
+    """P cap h with the hrep of P then h, from one ``clip`` of P's boundary
+    cycle, for P with an interior and h violated on P; the caller checks
+    that each constraint of P keeps an edge."""
+    cycle, start = _boundary(p)
+    levels = [h.level(e) for e in cycle]
+    cut = _clip_levels(cycle, levels, [x.sign() for x in levels])
+    return _piece(p, range(len(p.hrep)), (h,), cut, _source_tight(p, cycle, start))
+
+
+def _piece(p: Polyhedron2, ids, lines: tuple, cut: dict, tight) -> Polyhedron2:
+    """The region of the clipped cycle ``cut`` with hrep P's constraints at
+    ``ids`` then ``lines`` (h, or its flip, or both for the face), with the
+    vertices and rays of ``vrep_from_hrep(list(p.hrep) + list(lines))``:
+    its dedupe keeps that list whole (``p.hrep`` has no repeats, h is none
+    of them), and ``_order_ccw`` orders a vertex set whatever its input
+    order.  Each ray that ``_recession_rays`` keeps lies in the recession
+    cone C and on the line of a half-plane containing C, so is an extreme
+    ray of the pointed C; by ``clip``'s invariant the cycle's ideal points
+    are those, in O(n).  Sort them as it does, by the first constraint of
+    ``p.hrep + lines`` parallel to each (never both by one: r and -r are not
+    both in C; a face has at most one ray).  Its incidence is each vertex's
+    ``tight`` constraints that it keeps, then ``lines`` if it is on h's
+    line, derived on its first read."""
+    hrep = (*(p.hrep[i] for i in ids), *lines)
     rays = list(dict.fromkeys(_canonical_ray(e.r) for e in cut if isinstance(e, Ideal)))
     if len(rays) == 2:
         rays.sort(key=lambda r: next(
-            i for i, g in enumerate((*p.hrep, h)) if dot(r, g.normal).is_zero()))
+            i for i, g in enumerate((*p.hrep, *lines)) if dot(r, g.normal).is_zero()))
     verts = _order_ccw([e for e in cut if not isinstance(e, Ideal)])
-    return Polyhedron2(tuple(hrep), tuple(verts), tuple(rays))
+
+    def incidence():
+        index = {i: k for k, i in enumerate(ids)}
+        on_line = tuple(range(len(index), len(hrep)))
+        return tuple(tuple(index[i] for i in tight(cut[v]) if i in index)
+                     + (on_line if len(cut[v]) == 2 else ()) for v in verts)
+    return _built(hrep, verts, rays, incidence)
 
 
 def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyhedron2]:
@@ -433,25 +500,22 @@ def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyh
                            "does not meet the interior")
     m = len(p.vertices)
     side = signs[m - start:m] + signs[:m - start]  # by index in p.vertices
-    kept_h, other_h, last = [], [], {}
+    kept_ids, other_ids, last = [], [], {}
     for i, g in enumerate(p.hrep):
         ends = [k for k, tight in enumerate(p.incidence) if i in tight]
         sides = [side[k] for k in ends] + [
             s for e, s in zip(cycle[m:], signs[m:]) if dot(e.r, g.normal).is_zero()]
         lo, hi = min(sides), max(sides)
         if hi > 0:
-            kept_h.append(g)
+            kept_ids.append(i)
         if lo < 0:
-            other_h.append(g)
+            other_ids.append(i)
         last.update((k, i) for k in ends if side[k] == 0)
         if hi > 0 > lo:
             last[g] = i
-    flip, kept = h.flipped(), _clip_levels(cycle, levels)
-    on_line = [e for e, s in kept.items() if s == 0]
-    face = Polyhedron2(
-        (*(p.hrep[i] for i in sorted(last.values())), h, flip),
-        tuple(_order_ccw([e for e in on_line if not isinstance(e, Ideal)])),
-        tuple(_canonical_ray(e.r) for e in on_line if isinstance(e, Ideal)),
-    )
-    other = _clip_levels(cycle, [-x for x in levels])
-    return _piece(p, h, (*kept_h, h), kept), _piece(p, flip, (*other_h, flip), other), face
+    flip, tight = h.flipped(), _source_tight(p, cycle, start)
+    kept = _clip_levels(cycle, levels, signs)
+    other = _clip_levels(cycle, [-x for x in levels], [-s for s in signs])
+    on_line = {e: src for e, src in kept.items() if len(src) == 2}
+    return (_piece(p, kept_ids, (h,), kept, tight), _piece(p, other_ids, (flip,), other, tight),
+            _piece(p, sorted(last.values()), (h, flip), on_line, tight))

@@ -71,10 +71,18 @@ def region_vertices(hrep):
     as ``is_polytopal`` found them before it clipped.  Raises
     InfeasibleRegionError or NotPointedError as ``vrep_from_hrep`` does."""
     hrep = _dedup_halfplanes(hrep)
-    verts = _candidate_vertices(hrep)
+    verts = list(_candidate_vertices(hrep))
     if not verts:
         raise _vertexless_error(hrep)
     return verts
+
+
+def scan_incidence(p):
+    """Per vertex of P, the indices of the constraints of slack 0 there, by
+    a scan of every vertex against every constraint: the oracle for the
+    incidence that ``vrep_from_hrep``, ``split`` and ``cap`` build."""
+    return tuple(tuple(i for i, h in enumerate(p.hrep) if h.slack(v).is_zero())
+                 for v in p.vertices)
 
 
 def fractions(max_num=30, max_den=12):

@@ -91,6 +91,25 @@ def test_error_names_its_command(argv, stdin_text, code, message):
     assert run_cli(argv, stdin_text) == (code, "", f"error: {argv[0]}: {message}\n")
 
 
+USAGE_ERRORS = [
+    (["report"], "report: the following arguments are required: a"),
+    (["normal-fan", "--a"], "normal-fan: argument --a: expected one argument"),
+    (["gale-dual", "--a"], "gale-dual: argument --a: expected one argument"),
+    (["cut", "1"], "cut: the following arguments are required: nu_y, level"),
+    (["blowup", "1", "2"], "blowup: the following arguments are required: nu_x, nu_y, amount"),
+    (["classify-leaves"], "classify-leaves: the following arguments are required: a"),
+    ([], "quasitoric: the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[e[0][0] if e[0] else "none" for e in USAGE_ERRORS])
+def test_usage_error_names_its_command(argv, message):
+    """A usage error names its subcommand as a run error does, not as
+    'quasitoric <command>'; one with no subcommand names 'quasitoric'."""
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
 def test_help_exits_zero():
     for argv in (["-h"], ["report", "-h"]):
         code, out, err = run_cli(argv)

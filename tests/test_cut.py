@@ -35,7 +35,7 @@ from quasitoric.polyhedron import (
 from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
-from conftest import area, contains, is_integer, polygon
+from conftest import area, contains, is_integer, polygon, scan_incidence
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
 
@@ -410,6 +410,37 @@ def test_chop_matches_enumeration(case):
             blowup_corner(p, v, nu, amount)
         return
     assert polyhedron_to_json(blowup_corner(p, v, nu, amount)) == polyhedron_to_json(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cuts())
+@example((unit_square(), (Q(1), Q(-3)), Q(0), False))  # through the vertex (0, 0), at level 0
+@example((_STRIP, (Q(1), Q(-4)), Q(1), False))  # point-to-ideal crossings
+@example((_STRIP, (Q(0), Q(1)), Q(1, 2), False))  # a ray face from a crossing, tight to x >= 0
+def test_cut_incidence_matches_scan(case):
+    """The incidence that both pieces and the face of a cut derive from the
+    clip, on their first read, is the scan's."""
+    p, nu, c, _ = case
+    try:
+        result = cut_polyhedron(p, z2(), nu, c)
+    except NoOpCutError:
+        return
+    for piece in (result.kept_piece, result.other_piece, result.reduced_face):
+        assert piece.incidence == scan_incidence(piece)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chops())
+@example((_WEDGE, (Q(1), Q(0)), (Q(1), Q(2)), Q(1, 2), False))  # a crossing on an unbounded edge
+@example((_SQRT2_WEDGE, _ORIGIN, (Q(0), Q(1)), Q(1), False))
+def test_chop_incidence_matches_scan(case):
+    """The incidence that a corner chop derives from its clip is the scan's."""
+    p, v, nu, amount, _ = case
+    try:
+        chopped = blowup_corner(p, v, nu, amount)
+    except (AmountTooLargeError, NoOpCutError):
+        return
+    assert chopped.incidence == scan_incidence(chopped)
 
 
 def _parabola_gon(n):

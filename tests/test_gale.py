@@ -31,7 +31,7 @@ from quasitoric.pipeline import (
     triangulation_from_fan,
 )
 from quasitoric.polyhedron import InfeasibleRegionError, vrep_from_hrep
-from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
+from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
 from conftest import HIRZEBRUCH_CHAMBER, chamber_halfplanes, chambers, fractions
 
@@ -352,3 +352,26 @@ def test_report_facts_are_computed_once(monkeypatch):
     assert [s for s in rays if "_drop_redundant" not in s] == [("vrep_from_hrep",)] * 2
     assert len(triangles) == len(doc.gale.chamber.subsets) - 1 == 3
     assert len(tight) <= 65
+
+
+def test_report_takes_incidence_from_construction(monkeypatch):
+    """After a warm-up, a serialised report for 1+sqrt(2) takes every
+    polyhedron's incidence from its construction, so only the blow-up's
+    checks make tight tests (65 when serialisation rescanned), and it makes
+    at most 1000 QuadScalar products (1120 then)."""
+    tight, products = [], []
+
+    def logged(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polyhedron.HalfPlane, "tight", logged(tight, polyhedron.HalfPlane.tight))
+    monkeypatch.setattr(QuadScalar, "__mul__", logged(products, QuadScalar.__mul__))
+    build_report(ParamSpec(parse_scalar("3/2"))).to_json()
+    tight.clear()
+    products.clear()
+    build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
+    assert len(tight) <= 11
+    assert len(products) <= 1000

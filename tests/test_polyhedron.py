@@ -1,7 +1,7 @@
 """H-rep / V-rep conversions, containment, and random-polytope oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasitoric.linalg import dot, is_zero_vec, smul, vadd
@@ -28,6 +28,7 @@ from conftest import (
     fractions,
     polygon,
     region_vertices,
+    scan_incidence,
 )
 
 
@@ -314,7 +315,7 @@ def halfplane_systems(draw):
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["loose", "through", "support", "flip"]))
         g = hs[draw(st.integers(0, len(hs) - 1))]
-        verts = _candidate_vertices(hs)
+        verts = list(_candidate_vertices(hs))
         v = verts[draw(st.integers(0, len(verts) - 1))] if verts else None
         tight = [f.normal for f in hs if v is not None and f.tight(v)]
         if kind == "loose":
@@ -361,3 +362,19 @@ def test_region_vertices_match_enumeration(hs):
         return
     verts = region_vertices(hs)
     assert len(verts) == len(set(verts)) and set(verts) == set(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(halfplane_systems())
+# x + y >= 0 first: it touches the square only at (0, 0) and goes, so every
+# kept index moves down by one
+@example([HalfPlane((Q(1), Q(1)), Q(0)), *unit_square().hrep])
+def test_enumerated_incidence_matches_scan(hs):
+    """The incidence that ``vrep_from_hrep`` reads off the slack signs of
+    its enumeration, remapped to the kept constraints and in vertex order,
+    is the scan's."""
+    try:
+        p = vrep_from_hrep(hs)
+    except (InfeasibleRegionError, NotPointedError):
+        return
+    assert p.incidence == scan_incidence(p)
