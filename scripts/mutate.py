@@ -2,13 +2,12 @@
 
 Usage, from anywhere inside the repository:
 
-    python3 scripts/mutate.py [--list FILE] [NAME ...]
+    python3 scripts/mutate.py
 
-The mutations are a JSON list (default ``scripts/mutations.json``) of
-objects with a ``name``, a ``file`` relative to the repository root, an
-exact ``old`` snippet that must occur in that file exactly once, its ``new``
+The mutations are the JSON list ``scripts/mutations.json`` of objects with
+a ``name``, a ``file`` relative to the repository root, an exact ``old``
+snippet that must occur in that file exactly once, its ``new``
 replacement, and the ``tests`` (pytest node ids) expected to catch it.
-Names on the command line pick a subset.
 
 ``src/``, ``tests/`` and ``pyproject.toml`` of the working tree are copied
 into a temporary directory, removed on exit.  The listed tests must first
@@ -26,7 +25,6 @@ not part of the tests.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -36,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MUTATIONS = ROOT / "scripts" / "mutations.json"
 PROFILE = """from hypothesis import settings
 
 settings.register_profile("mutate", database=None)
@@ -71,16 +70,7 @@ def apply(copy: Path, m: dict) -> bool:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--list", type=Path, default=ROOT / "scripts" / "mutations.json")
-    ap.add_argument("names", nargs="*", help="run only these mutations")
-    args = ap.parse_args()
-    mutations = json.loads(args.list.read_text())
-    if args.names:
-        unknown = set(args.names) - {m["name"] for m in mutations}
-        if unknown:
-            raise SystemExit(f"error: unknown mutations: {', '.join(sorted(unknown))}")
-        mutations = [m for m in mutations if m["name"] in args.names]
+    mutations = json.loads(MUTATIONS.read_text())
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
