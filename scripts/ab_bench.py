@@ -21,15 +21,17 @@ length and pair count, and for each workload and end-to-end metric both
 sides' median, q1 and q3, the pairs won and the verdict, plus the op counts.
 
 For each workload it also prints, and writes as ``rss_kib_per_extra_op``,
-the change in median ``peak_rss_mb`` divided by the change in median ops per
-run, in KiB.  The benchmark keeps every op's output, so a faster change
-raises RSS by that much per op (about 12-13 KiB on ``report-sweep``); a
-value far above it points to a leak rather than to the kept outputs.  From
-that rate and the parent's medians it prints the RSS headroom, written as
+the least-squares slope of ``peak_rss_mb`` against ops per run over all 2N
+runs of both sides, in KiB per op.  The benchmark keeps every op's output,
+so a faster change raises RSS by that much per op (about 11-13 KiB on
+``report-sweep``); a value far above it points to a leak rather than to the
+kept outputs.  A fit over every run does not swing, as a ratio of the two
+medians' differences does, when those medians are close.  From that rate
+and the parent's medians it prints the RSS headroom, written as
 ``rss_headroom``: the ops per run, and their ratio to the parent's, at which
 ``peak_rss_mb`` would reach its bound in BENCHMARK.json.  It prints nothing
-for it when the median op counts are equal, or when RSS did not grow with
-them.
+for it when every run made the same number of ops, or when RSS did not grow
+with them.
 Standard library only; not part of the tests.
 """
 
@@ -104,22 +106,23 @@ def op_counts(runs: list[dict]) -> dict:
             "failed": sum(r["failed"] for r in runs), "total": sum(ops)}
 
 
-def rss_per_extra_op(entry: dict) -> float | None:
-    """KiB of peak RSS per extra op per run: the change in median
-    ``peak_rss_mb`` (MiB) over the change in median ops per run, or None
-    when the medians of the op counts are equal."""
-    rss = entry["metrics"]["peak_rss_mb"]
-    d_rss = rss["change"]["median"] - rss["parent"]["median"]
-    d_ops = entry["ops"]["change"]["median"] - entry["ops"]["parent"]["median"]
-    return d_rss * 1024 / d_ops if d_ops else None
+def rss_per_extra_op(runs: list[dict]) -> float | None:
+    """KiB of peak RSS per extra op per run: the least-squares slope of
+    ``peak_rss_mb`` (MiB) against ops per run over the given runs, or None
+    when they all made the same number of ops."""
+    ops = [r["attempted"] for r in runs]
+    if len(set(ops)) < 2:
+        return None
+    rss = [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
+    return statistics.linear_regression(ops, rss).slope * 1024
 
 
 def rss_headroom(entry: dict, bound: float) -> dict | None:
     """The ops per run, and their ratio to the parent's median, at which
     ``peak_rss_mb`` would reach the parent's median times 1 + bound, if RSS
     grows by ``rss_kib_per_extra_op`` per op from the parent's medians.
-    None when that rate is unknown (the median op counts are equal) or not
-    positive (RSS did not grow with the op count)."""
+    None when that rate is unknown (every run made the same number of ops)
+    or not positive (RSS did not grow with the op count)."""
     per_op = entry["rss_kib_per_extra_op"]
     if per_op is None or per_op <= 0:
         return None
@@ -175,9 +178,10 @@ def main(argv=None) -> int:
                 print(f"  {side} ops per run: median {ops['median']:g} "
                       f"(min {ops['min']}, max {ops['max']}), "
                       f"failed {ops['failed']} of {ops['total']}")
-            per_op = entry["rss_kib_per_extra_op"] = rss_per_extra_op(entry)
-            print("  peak_rss_mb change per extra op per run: "
-                  + ("n/a (same median op count)" if per_op is None else f"{per_op:.1f} KiB"))
+            per_op = rss_per_extra_op(runs["parent"] + runs["change"])
+            entry["rss_kib_per_extra_op"] = per_op
+            print("  peak_rss_mb slope per extra op per run: "
+                  + ("n/a (same op count in every run)" if per_op is None else f"{per_op:.1f} KiB"))
             rss_bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
             room = entry["rss_headroom"] = rss_headroom(entry, rss_bound)
             if room is not None:

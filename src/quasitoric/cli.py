@@ -6,14 +6,17 @@ a blow-up point that is not a vertex, a chop that reaches another vertex or
 cuts off an unbounded end, or a polyhedron without interior to cut, chop or
 take the normal fan of), or a failed report check.  Every error is one
 stderr line, ``error: <command>: <message>``, usage errors included; a usage
-error before the command reads ``error: quasitoric: <message>``.  All
-output is deterministic: JSON uses sorted keys and fixed separators.
+error before the command reads ``error: quasitoric: <message>``, and an
+empty or unpointed stdin region ``error: <command>: stdin polyhedron:
+<message>``.  All output is deterministic: JSON uses sorted keys and fixed
+separators.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -52,6 +55,14 @@ def _read_stdin():
         raise ValueError("stdin JSON is nested too deeply") from None
 
 
+def _stdin_polyhedron():
+    """The polyhedron on stdin; an empty or unpointed one names this stage."""
+    try:
+        return polyhedron_from_json(_read_stdin())
+    except (InfeasibleRegionError, NotPointedError) as e:
+        raise type(e)(f"stdin polyhedron: {e}") from None
+
+
 def _param(text: str) -> ParamSpec:
     return ParamSpec(parse_scalar(text))
 
@@ -78,7 +89,7 @@ def cmd_normal_fan(args) -> int:
     if args.a is not None:
         p = trapezoid(_param(args.a))
     else:
-        p = polyhedron_from_json(_read_stdin())
+        p = _stdin_polyhedron()
     fan = normal_fan(p)
     sys.stdout.write(_dump(fan_to_json(fan)))
     if args.svg_dir:
@@ -112,7 +123,7 @@ def cmd_gale_dual(args) -> int:
 
 
 def cmd_cut(args) -> int:
-    p = polyhedron_from_json(_read_stdin())
+    p = _stdin_polyhedron()
     nu = (parse_scalar(args.nu_x), parse_scalar(args.nu_y))
     c = parse_scalar(args.level)
     q = hirzebruch_quasilattice(_param(args.a)) if args.a is not None else z2()
@@ -124,7 +135,7 @@ def cmd_cut(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    p = polyhedron_from_json(_read_stdin())
+    p = _stdin_polyhedron()
     vertex = (parse_scalar(args.vx), parse_scalar(args.vy))
     nu = (parse_scalar(args.nu_x), parse_scalar(args.nu_y))
     out = blowup_corner(p, vertex, nu, parse_scalar(args.amount))
@@ -202,7 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # help is the only option before the command; argparse would set any
+    # other aside and read the word after it as the command
+    flags = itertools.takewhile(lambda t: t.startswith("-") and t != "--", argv)
+    unknown = [t for t in flags if not (t == "-h" or len(t) > 2 and "--help".startswith(t))]
     try:
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0

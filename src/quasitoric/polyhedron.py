@@ -8,6 +8,10 @@ constraints go in one pass.  One tight at no vertex goes at once: the least
 slack over the region is reached at a vertex, so its line misses the region.
 Only one that touches the region pays another enumeration.  So an
 irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
+One table of the signs of cross(n_i, n_j), n(n-1)/2 products per
+enumeration, decides without another product which +-rot90(n_i) are
+recession rays, of the region or of the others in a redundancy test, and
+which normals are parallel.
 
 A region without a vertex is either empty or unpointed.  A nonempty region
 whose normals span the plane is pointed, so the enumeration would have found
@@ -208,20 +212,32 @@ def _built(hrep, vertices, rays, incidence) -> Polyhedron2:
     return p
 
 
-def _recession_rays(hrep: list[HalfPlane]) -> list[Vec2]:
-    candidates = []
-    for h in hrep:
-        for r in (rot90(h.normal), vneg(rot90(h.normal))):
-            if all(dot(r, g.normal).sign() >= 0 for g in hrep):
-                candidates.append(_canonical_ray(r))
+def _normal_signs(hrep: list[HalfPlane]) -> list[list[int]]:
+    """signs[i][j], the sign of cross(n_i, n_j), which is that of <rot90(n_i),
+    n_j>: n(n-1)/2 exact products, the rest by antisymmetry."""
+    signs = [[0] * len(hrep) for _ in hrep]
+    for i, h in enumerate(hrep):
+        for j in range(i + 1, len(hrep)):
+            c = cross(h.normal, hrep[j].normal).sign()
+            signs[i][j], signs[j][i] = c, -c
+    return signs
+
+
+def _recession_rays(hrep: list[HalfPlane], signs) -> list[Vec2]:
+    """The extreme rays of the recession cone: each s*rot90(n_i), s = +-1,
+    with <s*rot90(n_i), n_j> = s*signs[i][j] >= 0 for every j (``signs`` of
+    ``_normal_signs``), canonical, each once, in constraint order."""
     out = []
-    for r in candidates:
-        if r not in out:
-            out.append(r)
+    for h, row in zip(hrep, signs):
+        for s in (1, -1):
+            if all(s * c >= 0 for c in row):
+                r = _canonical_ray(rot90(h.normal) if s > 0 else vneg(rot90(h.normal)))
+                if r not in out:
+                    out.append(r)
     return out
 
 
-def _drop_redundant(hrep: list[HalfPlane], tight_at: dict) -> list[int]:
+def _drop_redundant(hrep: list[HalfPlane], tight_at: dict, signs) -> list[int]:
     """The indices of the constraints that survive one left-to-right pass
     dropping redundant ones from the pointed region P, whose vertices are
     the keys of ``tight_at``, each mapped to the constraints tight there.
@@ -229,17 +245,21 @@ def _drop_redundant(hrep: list[HalfPlane], tight_at: dict) -> list[int]:
     A constraint tight at no vertex goes without an enumeration: the least
     slack over P is reached at a vertex, so its line misses P.  Any other
     constraint is redundant iff the region of the others (which must have a
-    vertex) is inside it.  A drop leaves the region equal to P, so a kept
-    constraint stays needed: no restart.
+    vertex) is inside it: its vertices hold it, and so do its rays.  Those
+    are the s*rot90(n_g), s = +-1, whose row of ``signs`` (``_normal_signs``)
+    restricted to the others has s*signs >= 0, as in ``_recession_rays``,
+    and <s*rot90(n_g), n_k> is s*signs[g][k]: no product.  A drop leaves the
+    region equal to P, so a kept constraint stays needed: no restart.
     """
     touching = set().union(*tight_at.values())
     kept, idx = list(range(len(hrep))), 0
     while idx < len(kept):
-        k, others = kept[idx], [hrep[g] for g in kept[:idx] + kept[idx + 1 :]]
+        k, ids = kept[idx], kept[:idx] + kept[idx + 1 :]
         if k not in touching or (
-            (cands := _candidate_vertices(others))
+            (cands := _candidate_vertices([hrep[g] for g in ids]))
             and all(hrep[k].holds(v) for v in cands)
-            and all(dot(r, hrep[k].normal).sign() >= 0 for r in _recession_rays(others))
+            and all(s * signs[g][k] >= 0 for g in ids for s in (1, -1)
+                    if all(s * signs[g][i] >= 0 for i in ids))
         ):
             kept.pop(idx)
         else:
@@ -269,12 +289,13 @@ def _candidate_vertices(hrep: list[HalfPlane]) -> dict:
     return pts
 
 
-def _vertexless_error(hrep: list[HalfPlane]) -> ValueError:
-    """Empty or unpointed, for a region without a vertex (module docstring)."""
+def _vertexless_error(hrep: list[HalfPlane], signs) -> ValueError:
+    """Empty or unpointed, for a region without a vertex (module docstring),
+    with ``signs`` from ``_normal_signs``."""
     n0 = hrep[0].normal if hrep else None
     lower, upper = [], []
-    for h in hrep:
-        if not cross(h.normal, n0).is_zero():
+    for h, row in zip(hrep, signs):
+        if row[0]:
             return InfeasibleRegionError("constraints have empty intersection")
         # bounds <mu, n0> / |n0|^2 by offset / s, from below iff s > 0
         s = dot(h.normal, n0)
@@ -291,11 +312,12 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     nonempty regions without a vertex.
     """
     hrep = _dedup_halfplanes(hrep)
+    signs = _normal_signs(hrep)
     tight_at = _candidate_vertices(hrep)
     if not tight_at:
-        raise _vertexless_error(hrep)
-    rays = _recession_rays(hrep)
-    kept = _drop_redundant(hrep, tight_at)
+        raise _vertexless_error(hrep, signs)
+    rays = _recession_rays(hrep, signs)
+    kept = _drop_redundant(hrep, tight_at, signs)
     index = {k: i for i, k in enumerate(kept)}
     verts = _order_ccw(list(tight_at))
     incidence = tuple(tuple(index[k] for k in tight_at[v] if k in index) for v in verts)
@@ -455,14 +477,15 @@ def _piece(p: Polyhedron2, ids, lines: tuple, cut: dict, tight) -> Polyhedron2:
     vertices and rays of ``vrep_from_hrep(list(p.hrep) + list(lines))``:
     its dedupe keeps that list whole (``p.hrep`` has no repeats, h is none
     of them), and ``_order_ccw`` orders a vertex set whatever its input
-    order.  Each ray that ``_recession_rays`` keeps lies in the recession
+    order.  Each ray that ``_recession_rays`` keeps, a +-rot90(n_i) whose
+    row of the enumeration's sign table has one sign, lies in the recession
     cone C and on the line of a half-plane containing C, so is an extreme
     ray of the pointed C; by ``clip``'s invariant the cycle's ideal points
-    are those, in O(n).  Sort them as it does, by the first constraint of
-    ``p.hrep + lines`` parallel to each (never both by one: r and -r are not
-    both in C; a face has at most one ray).  Its incidence is each vertex's
-    ``tight`` constraints that it keeps, then ``lines`` if it is on h's
-    line, derived on its first read."""
+    are those, in O(n) and with no table.  Sort them as it does, by the
+    first constraint of ``p.hrep + lines`` parallel to each (never both by
+    one: r and -r are not both in C; a face has at most one ray).  Its
+    incidence is each vertex's ``tight`` constraints that it keeps, then
+    ``lines`` if it is on h's line, derived on its first read."""
     hrep = (*(p.hrep[i] for i in ids), *lines)
     rays = list(dict.fromkeys(_canonical_ray(e.r) for e in cut if isinstance(e, Ideal)))
     if len(rays) == 2:

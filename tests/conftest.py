@@ -10,7 +10,7 @@ from quasitoric.gale import (
     gale_points,
     relation_basis,
 )
-from quasitoric.linalg import cross, rref
+from quasitoric.linalg import cross, dot, rot90, rref, vneg
 from quasitoric.pipeline import hirzebruch_vector_config
 from quasitoric.polyhedron import (
     _candidate_vertices,
@@ -73,8 +73,17 @@ def region_vertices(hrep):
     hrep = _dedup_halfplanes(hrep)
     verts = list(_candidate_vertices(hrep))
     if not verts:
-        raise _vertexless_error(hrep)
+        raise _vertexless_error(hrep, [[cross(g.normal, h.normal).sign() for h in hrep]
+                                       for g in hrep])
     return verts
+
+
+def recession_rays(hrep):
+    """The directions +-rot90(n) of the constraints' normals n that make
+    <r, n_g> >= 0 with every constraint g, by exact dot products: the oracle
+    for the rays that ``vrep_from_hrep`` reads off its table of cross signs."""
+    return [r for h in hrep for r in (rot90(h.normal), vneg(rot90(h.normal)))
+            if all(dot(r, g.normal).sign() >= 0 for g in hrep)]
 
 
 def scan_incidence(p):

@@ -75,7 +75,7 @@ EMPTY = json.dumps({"hrep": [{"normal": ["1", "0"], "offset": "0"},
 
 ERRORS = [
     (["report", "bananas"], "", 2, "cannot parse scalar 'bananas' at position 0"),
-    (["normal-fan"], EMPTY, 3, "constraints have empty intersection"),
+    (["normal-fan"], EMPTY, 3, "stdin polyhedron: constraints have empty intersection"),
     (["gale-dual"], '{"vectors": [[1, 0]]}', 2, "need at least two vectors"),
     (["cut", "1", "0", "5"], SQUARE, 3, "cut line <mu, (1, 0)> = 5 does not meet the interior"),
     (["blowup", "5", "5", "1", "0", "1/2"], SQUARE, 3,
@@ -91,6 +91,22 @@ def test_error_names_its_command(argv, stdin_text, code, message):
     assert run_cli(argv, stdin_text) == (code, "", f"error: {argv[0]}: {message}\n")
 
 
+SLAB = json.dumps({"hrep": [{"normal": ["0", "1"], "offset": "0"},
+                            {"normal": ["0", "-1"], "offset": "-1"}]})
+STDIN_COMMANDS = [["normal-fan"], ["cut", "1", "0", "1/2"], ["blowup", "0", "0", "1", "1", "1/2"]]
+
+
+@pytest.mark.parametrize("argv", STDIN_COMMANDS, ids=[c[0] for c in STDIN_COMMANDS])
+@pytest.mark.parametrize("stdin_text, message", [
+    (EMPTY, "constraints have empty intersection"),
+    (SLAB, "region has no vertex"),
+], ids=["empty", "unpointed"])
+def test_stdin_errors_name_their_stage(argv, stdin_text, message):
+    """An empty or unpointed region on stdin fails in the enumeration of the
+    stdin polyhedron, before the command's own geometry: the line says so."""
+    assert run_cli(argv, stdin_text) == (3, "", f"error: {argv[0]}: stdin polyhedron: {message}\n")
+
+
 USAGE_ERRORS = [
     (["report"], "report: the following arguments are required: a"),
     (["normal-fan", "--a"], "normal-fan: argument --a: expected one argument"),
@@ -99,6 +115,8 @@ USAGE_ERRORS = [
     (["blowup", "1", "2"], "blowup: the following arguments are required: nu_x, nu_y, amount"),
     (["classify-leaves"], "classify-leaves: the following arguments are required: a"),
     ([], "quasitoric: the following arguments are required: command"),
+    # an unknown flag before the command, whose value is no command
+    (["--tol", "1", "report", "2"], "quasitoric: unrecognized arguments: --tol"),
 ]
 
 

@@ -11,8 +11,8 @@ from quasitoric.polyhedron import (
     NoOpCutError,
     NotPointedError,
     _candidate_vertices,
+    _canonical_ray,
     _dedup_halfplanes,
-    _recession_rays,
     hrep_from_vrep,
     sort_by_angle,
     split,
@@ -27,6 +27,7 @@ from conftest import (
     contains,
     fractions,
     polygon,
+    recession_rays,
     region_vertices,
     scan_incidence,
 )
@@ -107,6 +108,14 @@ def test_hrep_vrep_roundtrip():
     assert len(p.vertices) == 4
     q = vrep_from_hrep(hrep_from_vrep(list(p.vertices)))
     assert q.same_region(p)
+
+
+def test_same_region_compares_rays():
+    """Regions are the same when their vertex sets and canonical ray sets
+    are: the quadrant and the wedge y >= x >= 0 share only their vertex."""
+    quadrant = vrep_from_hrep([_hp(1, 0, 0), _hp(0, 1, 0)])
+    assert quadrant.same_region(vrep_from_hrep([_hp(0, 2, 0), _hp(3, 0, 0)]))
+    assert not quadrant.same_region(vrep_from_hrep([_hp(1, 0, 0), _hp(-1, 1, 0)]))
 
 
 def test_single_point_polyhedron():
@@ -283,7 +292,7 @@ def _restart_drop_redundant(hrep):
             if not verts:
                 continue
             if all(h.holds(v) for v in verts) and all(
-                dot(r, h.normal).sign() >= 0 for r in _recession_rays(others)
+                dot(r, h.normal).sign() >= 0 for r in recession_rays(others)
             ):
                 kept.pop(idx)
                 changed = True
@@ -335,6 +344,13 @@ def halfplane_systems(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(halfplane_systems())
+# Unbounded regions where the others' vertex holds the last constraint and
+# only one of their rays breaks it, so the ray test alone keeps it: y <= 1
+# against the quadrant's ray rot90(n) of x >= 0, x <= 1 against its ray
+# -rot90(n) of y >= 0, and x - sqrt(2) y >= -1 against the ray (0, 1).
+@example([_hp(1, 0, 0), _hp(0, 1, 0), _hp(0, -1, -1)])
+@example([_hp(1, 0, 0), _hp(0, 1, 0), _hp(-1, 0, -1)])
+@example([_hp(1, 0, 0), _hp(0, 1, 0), HalfPlane((Q(1), -sqrt(2)), Q(-1))])
 def test_one_pass_drop_matches_restart_reference(hs):
     """The one-pass scan keeps the same constraints, in the same order, as
     the restart algorithm it replaced."""
@@ -343,6 +359,20 @@ def test_one_pass_drop_matches_restart_reference(hs):
     except (InfeasibleRegionError, NotPointedError):
         return
     assert list(p.hrep) == _restart_drop_redundant(_dedup_halfplanes(hs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(halfplane_systems())
+@example([_hp(1, 0, 0), _hp(0, 1, 0), _hp(0, -1, -1)])
+def test_enumerated_rays_match_dot_products(hs):
+    """The rays that ``vrep_from_hrep`` reads off its table of cross signs
+    are, canonical and in order, those of the ``conftest`` oracle."""
+    try:
+        p = vrep_from_hrep(hs)
+    except (InfeasibleRegionError, NotPointedError):
+        return
+    expected = [_canonical_ray(r) for r in recession_rays(_dedup_halfplanes(hs))]
+    assert list(p.rays) == list(dict.fromkeys(expected))
 
 
 @settings(max_examples=150, deadline=None)
