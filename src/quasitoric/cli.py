@@ -8,8 +8,9 @@ take the normal fan of), or a failed report check.  Every error is one
 stderr line, ``error: <command>: <message>``, usage errors included; a usage
 error before the command reads ``error: quasitoric: <message>``, and an
 empty or unpointed stdin region ``error: <command>: stdin polyhedron:
-<message>``.  All output is deterministic: JSON uses sorted keys and fixed
-separators.
+<message>``, and stdin that is not JSON ``error: <command>: stdin JSON:
+<message>``.  A ``--`` before the command ends the options, as usual.  All
+output is deterministic: JSON uses sorted keys and fixed separators.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ def _dump(obj) -> str:
 
 
 def _read_stdin():
+    """The JSON on stdin; a syntax error, or nesting deeper than
+    ``json.load`` can recurse, names this stage with the parser's message."""
     try:
         return json.load(sys.stdin)
-    except RecursionError:
-        raise ValueError("stdin JSON is nested too deeply") from None
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"stdin JSON: {e}") from None
 
 
 def _stdin_polyhedron():
@@ -216,11 +219,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # help is the only option before the command; argparse would set any
     # other aside and read the word after it as the command
-    flags = itertools.takewhile(lambda t: t.startswith("-") and t != "--", argv)
+    flags = list(itertools.takewhile(lambda t: t.startswith("-") and t != "--", argv))
     unknown = [t for t in flags if not (t == "-h" or len(t) > 2 and "--help".startswith(t))]
+    rest = argv[len(flags):]
     try:
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # '--' only ends the options, but argparse would take it for the command
+        if rest[:1] == ["--"]:
+            if rest[1:2] and rest[1].startswith("-"):
+                parser.error(f"argument command: invalid choice: {rest[1]!r}")
+            argv = flags + rest[1:]
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0

@@ -8,9 +8,10 @@ on the strip, phi > -1 maps onto the kept piece of a CutResult minus the
 cut line, phi = -1 onto its reduced face, and phi < -1 onto its other piece
 minus the cut line.
 
-Neither a cut nor a blow-up enumerates vertices: a cut is two
-``polyhedron.clip``s of P's boundary cycle (``split``, which reads the
-reduced face off the kept side), and a checked corner chop is one (``cap``).
+Neither a cut nor a blow-up enumerates vertices or scans for tight
+constraints: a cut is two labelled ``polyhedron.clip``s of P's boundary
+cycle (``split``, which reads the reduced face off both), and a checked
+corner chop is one (``cap``), each labelled off ``P.incidence``.
 
 A cut augments the quasilattice Q by its normal nu, and its gamma is the
 quotient (Q + Z nu) / Q from ``Quasilattice.quotient``, the one place that
@@ -91,8 +92,8 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
     - P has an interior (else NoOpCutError);
     - every other vertex of P is strictly inside the half-plane;
     - no ray r of P has <r, nu> < 0, which would cut off an unbounded end;
-    - neither edge at the vertex is parallel to the chop line, which would
-      cut off that whole edge.
+    - neither edge at the vertex, whose constraints ``p.incidence`` gives,
+      is parallel to the chop line, which would cut off that whole edge.
 
     A failed check of the last three raises AmountTooLargeError.  Together
     they leave each edge of P a part of positive length and add the chop
@@ -116,8 +117,8 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
     for r in p.rays:
         if dot(r, nu).sign() < 0:
             raise AmountTooLargeError(f"chop cuts off the unbounded end along the ray {_fmt(r)}")
-    for g in p.hrep:
-        if g.tight(vertex) and cross(g.normal, nu).is_zero():
+    for g in (p.hrep[i] for i in p.incidence[p.vertices.index(vertex)]):
+        if cross(g.normal, nu).is_zero():
             raise AmountTooLargeError(f"chop line is parallel to the edge "
                                       f"<mu, {_fmt(g.normal)}> = {g.offset} at {_fmt(vertex)}")
     return cap(p, h)

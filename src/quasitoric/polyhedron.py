@@ -23,7 +23,9 @@ lower bound is at most the smallest upper bound.
 A region with an interior is also a boundary cycle: its vertices ccw, then
 its rays as ``Ideal`` points.  A cut (``split``), a corner chop (``cap``)
 and the polytopality test each ``clip`` a cycle by a half-plane, and
-``clip``'s docstring proves the one invariant that they rely on.
+``clip``'s docstring proves the one invariant that they rely on.  For a
+cut or a chop, each edge carries the label of its constraint, so a piece
+reads its hrep, incidence and vertex order off one clip, with no scan.
 """
 
 from __future__ import annotations
@@ -124,32 +126,21 @@ def sort_by_angle(vectors: list[Vec2]) -> list[Vec2]:
     return sorted(vectors, key=functools.cmp_to_key(_angle_cmp))
 
 
-def _lex_cmp(p: Vec2, q: Vec2) -> int:
-    for a, b in zip(p, q):
-        s = (a - b).sign()
-        if s:
-            return s
-    return 0
-
-
 def _order_ccw(points: list[Vec2]) -> list[Vec2]:
-    if len(points) <= 2:
-        return sorted(points, key=functools.cmp_to_key(_lex_cmp))
-    n = len(points)
-    cx = points[0][0]
-    cy = points[0][1]
-    for p in points[1:]:
-        cx = cx + p[0]
-        cy = cy + p[1]
-    centroid = (cx / n, cy / n)
-    rel = sorted(points, key=functools.cmp_to_key(
-        lambda p, q: _angle_cmp(vsub(p, centroid), vsub(q, centroid))))
-    # rotate so the lexicographically smallest vertex comes first
-    best = 0
-    for i in range(1, n):
-        if _lex_cmp(rel[i], rel[best]) < 0:
-            best = i
-    return rel[best:] + rel[:best]
+    """Points in convex position, ccw by their angle about their centroid,
+    from the lexicographically least (a lex sort for at most two)."""
+    if len(points) > 2:
+        n = len(points)
+        centroid = (sum((p[0] for p in points), Q(0)) / n, sum((p[1] for p in points), Q(0)) / n)
+        points = sorted(points, key=functools.cmp_to_key(
+            lambda p, q: _angle_cmp(vsub(p, centroid), vsub(q, centroid))))
+    return _from_least(points)
+
+
+def _from_least(cycle: list) -> list:
+    """The cycle rotated to start at its lexicographically least entry."""
+    i = cycle.index(min(cycle))
+    return cycle[i:] + cycle[:i]
 
 
 def _canonical_ray(r: Vec2) -> Vec2:
@@ -160,28 +151,19 @@ def _canonical_ray(r: Vec2) -> Vec2:
 @dataclass(frozen=True)
 class Polyhedron2:
     """A pointed 2D convex polyhedron; vertices counterclockwise, plus
-    recession-ray directions when unbounded.  ``incidence`` is shared by
-    ``simple``, ``fan.normal_fan`` and ``split``.  It comes from the
-    construction: ``vrep_from_hrep`` reads it off the signs that accept each
-    vertex, and a piece of ``split`` or ``cap`` derives it from the clip on
-    its first read.  Only a hand-built Polyhedron2 scans for it."""
+    recession-ray directions when unbounded.  ``incidence`` gives, per
+    vertex, the sorted indices of the constraints tight there, as its
+    construction found them: ``vrep_from_hrep`` off the signs that accept
+    each vertex, ``split`` and ``cap`` off the labels of their clip."""
 
-    hrep: tuple[HalfPlane, ...]
+    hrep: tuple[HalfPlane, ...] = field(compare=False)
     vertices: tuple[Vec2, ...]
-    rays: tuple[Vec2, ...] = field(default_factory=tuple)
+    rays: tuple[Vec2, ...]
+    incidence: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def bounded(self) -> bool:
         return not self.rays
-
-    @functools.cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the indices of the constraints exactly tight there."""
-        derive = self.__dict__.pop("_derive_incidence", None)
-        if derive is not None:
-            return derive()
-        return tuple(tuple(i for i, h in enumerate(self.hrep) if h.tight(v))
-                     for v in self.vertices)
 
     @property
     def simple(self) -> bool:
@@ -193,23 +175,6 @@ class Polyhedron2:
             and {_canonical_ray(r) for r in self.rays}
             == {_canonical_ray(r) for r in other.rays}
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Polyhedron2):
-            return NotImplemented
-        return self.vertices == other.vertices and self.rays == other.rays
-
-    def __hash__(self):
-        return hash((self.vertices, self.rays))
-
-
-def _built(hrep, vertices, rays, incidence) -> Polyhedron2:
-    """A Polyhedron2 with the incidence of its construction: a tuple, or a
-    function that derives it on its first read.  Either goes into the
-    instance dict, where ``functools.cached_property`` keeps its value."""
-    p = Polyhedron2(tuple(hrep), tuple(vertices), tuple(rays))
-    p.__dict__["incidence" if isinstance(incidence, tuple) else "_derive_incidence"] = incidence
-    return p
 
 
 def _normal_signs(hrep: list[HalfPlane]) -> list[list[int]]:
@@ -321,7 +286,7 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     index = {k: i for i, k in enumerate(kept)}
     verts = _order_ccw(list(tight_at))
     incidence = tuple(tuple(index[k] for k in tight_at[v] if k in index) for v in verts)
-    return _built((hrep[k] for k in kept), verts, rays, incidence)
+    return Polyhedron2(tuple(hrep[k] for k in kept), tuple(verts), tuple(rays), incidence)
 
 
 def flat_direction(vertices, rays) -> Vec2 | None:
@@ -401,21 +366,25 @@ def clip(cycle: list, h: HalfPlane) -> list:
     the dedupe.
     """
     levels = [h.level(e) for e in cycle]
-    return list(_clip_levels(cycle, levels, [x.sign() for x in levels]))
+    return list(_clip_levels(cycle, [None] * len(cycle), levels, [x.sign() for x in levels]))
 
 
-def _clip_levels(cycle: list, levels: list, signs: list) -> dict:
-    """``clip`` by given levels and their signs: each output entry to the
-    cycle positions it comes from, (i,) for an entry kept off h's line, and
-    for one on it, (i, j) for the crossing on the edge i-j or (i, i) for the
-    entry i itself, of level 0."""
+def _clip_levels(cycle: list, labels: list, levels: list, signs: list, line=None) -> dict:
+    """``clip`` by given levels and their signs, of a cycle labelled by the
+    constraints of its entries' outgoing edges: each output entry to the
+    label of its own, ``line`` on h's line.  By ``clip``'s invariant the
+    output edges are the input edges' parts on h's side and one on h's line:
+    an entry leaves along its input edge if it is off the line or the next
+    entry is strictly on h's side, a crossing if it enters it; else along
+    h's line."""
     out = {}
     for i, a in enumerate(cycle):
         j = (i + 1) % len(cycle)
         if signs[i] >= 0:
-            out.setdefault(a, (i, i) if signs[i] == 0 else (i,))
+            out.setdefault(a, labels[i] if signs[i] > 0 or signs[j] > 0 else line)
         if signs[i] * signs[j] < 0:
-            out.setdefault(_crossing(a, levels[i], cycle[j], levels[j]), (i, j))
+            out.setdefault(_crossing(a, levels[i], cycle[j], levels[j]),
+                           line if signs[i] > 0 else labels[i])
     return out
 
 
@@ -430,115 +399,100 @@ def _crossing(a, la: QuadScalar, b, lb: QuadScalar):
     return vadd(a, smul(la / (la - lb), vsub(b, a)))
 
 
-def _boundary(p: Polyhedron2) -> tuple[list, int]:
-    """The boundary cycle of P with an interior: its vertices ccw from the
+def _boundary(p: Polyhedron2) -> tuple[list, list]:
+    """The boundary cycle of P with an interior, its vertices ccw from the
     one on the incoming unbounded edge, the furthest along rot90 of its
     direction, then its rays ccw (that one last) as ideal points; and the
-    index of its first entry in ``p.vertices``."""
-    if not p.rays:
-        return list(p.vertices), 0
-    rays = p.rays[::-1] if cross(p.rays[0], p.rays[-1]).sign() < 0 else p.rays
-    vs, n = p.vertices, rot90(rays[-1])
-    i = max(range(len(vs)), key=lambda k: dot(vs[k], n))
-    return [*vs[i:], *vs[:i], *map(Ideal, rays)], i
+    labels of their outgoing edges, each the index of its constraint, None
+    on the arc at infinity.  In an irredundant hrep a vertex is tight at its
+    two edges' constraints only (``p.incidence``): neighbours share exactly
+    one, and of an unbounded edge it is the one parallel to the ray."""
+    vs, inc, rays = p.vertices, p.incidence, p.rays
+    if rays:
+        rays = rays[::-1] if cross(rays[0], rays[-1]).sign() < 0 else rays
+        n = rot90(rays[-1])
+        i = max(range(len(vs)), key=lambda k: dot(vs[k], n))
+        vs, inc = vs[i:] + vs[:i], inc[i:] + inc[:i]
+    labels = [(set(a) & set(b)).pop() for a, b in zip(inc, inc[1:] + (() if rays else inc[:1]))]
+    if not rays:
+        return list(vs), labels
 
-
-def _source_tight(p: Polyhedron2, cycle: list, start: int):
-    """For a finite entry of ``_clip_levels`` of P's boundary cycle (first
-    entry ``p.vertices[start]``), from its source: the sorted indices of P's
-    constraints tight there.  An entry kept is tight where P's vertex is.
-    On the crossing of the edge a-b (strictly inside a segment, or a + t r
-    with t > 0 for an ideal point r), each g of P is >= 0 at a and b
-    (<r, n_g> >= 0 for r) and affine along the edge, so g is tight there iff
-    it is tight at a and b (parallel to r)."""
-    m = len(p.vertices)
-
-    def tight(src):
-        finite = [set(p.incidence[(k + start) % m]) for k in src if k < m]
-        rays = [cycle[k].r for k in src if k >= m]
-        return sorted(i for i in finite[0].intersection(*finite[1:])
-                      if all(dot(r, p.hrep[i].normal).is_zero() for r in rays))
-    return tight
+    def along(tight, r):
+        return tight[0] if dot(r, p.hrep[tight[0]].normal).is_zero() else tight[1]
+    labels += [along(inc[-1], rays[0]), *[None] * (len(rays) - 1), along(inc[0], rays[-1])]
+    return [*vs, *map(Ideal, rays)], labels
 
 
 def cap(p: Polyhedron2, h: HalfPlane) -> Polyhedron2:
-    """P cap h with the hrep of P then h, from one ``clip`` of P's boundary
-    cycle, for P with an interior and h violated on P; the caller checks
-    that each constraint of P keeps an edge."""
-    cycle, start = _boundary(p)
+    """P cap h with the hrep of P then h, from one labelled ``clip`` of P's
+    boundary cycle, for P with an interior and h violated on P; the caller
+    checks that each constraint of P keeps an edge."""
+    cycle, labels = _boundary(p)
     levels = [h.level(e) for e in cycle]
-    cut = _clip_levels(cycle, levels, [x.sign() for x in levels])
-    return _piece(p, range(len(p.hrep)), (h,), cut, _source_tight(p, cycle, start))
+    return _side(p, cycle, labels, levels, [x.sign() for x in levels], h)[0]
 
 
-def _piece(p: Polyhedron2, ids, lines: tuple, cut: dict, tight) -> Polyhedron2:
-    """The region of the clipped cycle ``cut`` with hrep P's constraints at
-    ``ids`` then ``lines`` (h, or its flip, or both for the face), with the
-    vertices and rays of ``vrep_from_hrep(list(p.hrep) + list(lines))``:
-    its dedupe keeps that list whole (``p.hrep`` has no repeats, h is none
-    of them), and ``_order_ccw`` orders a vertex set whatever its input
-    order.  Each ray that ``_recession_rays`` keeps, a +-rot90(n_i) whose
-    row of the enumeration's sign table has one sign, lies in the recession
-    cone C and on the line of a half-plane containing C, so is an extreme
-    ray of the pointed C; by ``clip``'s invariant the cycle's ideal points
-    are those, in O(n) and with no table.  Sort them as it does, by the
-    first constraint of ``p.hrep + lines`` parallel to each (never both by
-    one: r and -r are not both in C; a face has at most one ray).  Its
-    incidence is each vertex's ``tight`` constraints that it keeps, then
-    ``lines`` if it is on h's line, derived on its first read."""
-    hrep = (*(p.hrep[i] for i in ids), *lines)
-    rays = list(dict.fromkeys(_canonical_ray(e.r) for e in cut if isinstance(e, Ideal)))
+def _side(p: Polyhedron2, cycle, labels, levels, signs, line) -> tuple[Polyhedron2, dict]:
+    """The piece of ``_clip_levels`` of P's labelled cycle by ``line``,
+    labelled ``len(p.hrep)``, and per entry the labels of its two edges,
+    which are the constraints tight at a vertex; no entry repeats, so every
+    labelled edge has positive length."""
+    cut = _clip_levels(cycle, labels, levels, signs, len(p.hrep))
+    entries, out = list(cut), list(cut.values())
+    edges = {e: (out[k - 1], out[k]) for k, e in enumerate(entries)}
+    return _piece(p, (line,), entries, edges), edges
+
+
+def _piece(p: Polyhedron2, lines: tuple, cycle: list, tight: dict) -> Polyhedron2:
+    """The region of the clipped cycle ``cycle``, with the labels of the
+    constraints ``tight`` at each vertex, ``len(p.hrep) + t`` for the t-th
+    of ``lines`` (h, or its flip, or both for the face), and hrep P's among
+    them, sorted, then ``lines``.  That is ``vrep_from_hrep(list(p.hrep) +
+    list(lines))``: its dedupe keeps that list whole (``p.hrep`` has no
+    repeats, h is none of them), and ``_drop_redundant`` keeps, in order,
+    the constraints whose face has positive length.  The cycle's finite
+    entries are in convex position and ccw, the angular order about their
+    centroid of ``_order_ccw``, which also starts at the lex-least.  Each ray
+    that ``_recession_rays`` keeps, a +-rot90(n_i) whose row of the
+    enumeration's sign table has one sign, lies in the recession cone C and
+    on the line of a half-plane containing C, so is an extreme ray of the
+    pointed C; by ``clip``'s invariant the cycle's ideal points are those,
+    in O(n) and with no table.  Sort them as it does, by the first
+    constraint of ``p.hrep + lines`` parallel to each (never both by one: r
+    and -r are not both in C; a face has at most one ray)."""
+    k = len(p.hrep)
+    verts = _from_least([e for e in cycle if not isinstance(e, Ideal)])
+    ids = sorted({i for v in verts for i in tight[v] if i < k})
+    index = {i: t for t, i in enumerate([*ids, *range(k, k + len(lines))])}
+    rays = [_canonical_ray(e.r) for e in cycle if isinstance(e, Ideal)]
     if len(rays) == 2:
         rays.sort(key=lambda r: next(
             i for i, g in enumerate((*p.hrep, *lines)) if dot(r, g.normal).is_zero()))
-    verts = _order_ccw([e for e in cut if not isinstance(e, Ideal)])
-
-    def incidence():
-        index = {i: k for k, i in enumerate(ids)}
-        on_line = tuple(range(len(index), len(hrep)))
-        return tuple(tuple(index[i] for i in tight(cut[v]) if i in index)
-                     + (on_line if len(cut[v]) == 2 else ()) for v in verts)
-    return _built(hrep, verts, rays, incidence)
+    return Polyhedron2((*(p.hrep[i] for i in ids), *lines), tuple(verts), tuple(rays),
+                       tuple(tuple(sorted(index[i] for i in tight[v])) for v in verts))
 
 
 def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyhedron2]:
     """The pieces P cap h and P cap h.flipped() and the face of P on h's
-    line, for P with an interior and an irredundant ``p.hrep``, from
-    ``p.incidence`` and the levels of P's boundary cycle against h, taken
-    once and kept by cycle position (a vertex and a ray can be equal tuples).
-    NoOpCutError unless some vertex or ray of P lies strictly on each side.
-    The results equal ``vrep_from_hrep(list(p.hrep) + k)`` for k = [h],
-    [h.flipped()] and [h, h.flipped()]; the face is the kept clip's entries
-    on the line.  Each g of P has one edge (two vertices, or one and a ray
-    parallel to g), and ``_drop_redundant`` keeps, in order, the constraints
-    whose face has positive length: on a piece, h and each g whose edge has
-    an end strictly on its side.  On the face, of the g tight at an end,
-    which bound the line there away from the face, the last stays (only g is
-    tight where g's edge crosses the line); then h and h.flipped()."""
-    cycle, start = _boundary(p)
+    line, for P with an interior and an irredundant ``p.hrep``, from two
+    labelled clips of P's boundary cycle by its levels against h, taken
+    once.  NoOpCutError unless some vertex or ray of P lies strictly on each
+    side.  The results equal ``vrep_from_hrep(list(p.hrep) + k)`` for k =
+    [h], [h.flipped()] and [h, h.flipped()] (``_piece``); the face is the
+    ends of the kept clip's edge on the line.  Of the g tight at a finite
+    end, which bound the line there away from the face, ``_drop_redundant``
+    keeps the last: the larger of the two pieces' labels there other than
+    h's (g twice where g's edge crosses the line, one each at P's vertex)."""
+    cycle, labels = _boundary(p)
     levels = [h.level(e) for e in cycle]
     signs = [x.sign() for x in levels]
     if not {1, -1} <= set(signs):
         raise NoOpCutError(f"cut line <mu, ({h.normal[0]}, {h.normal[1]})> = {h.offset} "
                            "does not meet the interior")
-    m = len(p.vertices)
-    side = signs[m - start:m] + signs[:m - start]  # by index in p.vertices
-    kept_ids, other_ids, last = [], [], {}
-    for i, g in enumerate(p.hrep):
-        ends = [k for k, tight in enumerate(p.incidence) if i in tight]
-        sides = [side[k] for k in ends] + [
-            s for e, s in zip(cycle[m:], signs[m:]) if dot(e.r, g.normal).is_zero()]
-        lo, hi = min(sides), max(sides)
-        if hi > 0:
-            kept_ids.append(i)
-        if lo < 0:
-            other_ids.append(i)
-        last.update((k, i) for k in ends if side[k] == 0)
-        if hi > 0 > lo:
-            last[g] = i
-    flip, tight = h.flipped(), _source_tight(p, cycle, start)
-    kept = _clip_levels(cycle, levels, signs)
-    other = _clip_levels(cycle, [-x for x in levels], [-s for s in signs])
-    on_line = {e: src for e, src in kept.items() if len(src) == 2}
-    return (_piece(p, kept_ids, (h,), kept, tight), _piece(p, other_ids, (flip,), other, tight),
-            _piece(p, sorted(last.values()), (h, flip), on_line, tight))
+    k, flip = len(p.hrep), h.flipped()
+    kept, edges = _side(p, cycle, labels, levels, signs, h)
+    other, other_edges = _side(p, cycle, labels, [-x for x in levels], [-s for s in signs], flip)
+    face = [e for e, pair in edges.items() if k in pair]
+    ends = [e for e in face if not isinstance(e, Ideal)]
+    return kept, other, _piece(p, (h, flip), face, {
+        e: (max({*edges[e], *other_edges[e]} - {k}), k, k + 1) for e in ends})

@@ -13,6 +13,7 @@ from quasitoric.gale import (
 from quasitoric.linalg import cross, dot, rot90, rref, vneg
 from quasitoric.pipeline import hirzebruch_vector_config
 from quasitoric.polyhedron import (
+    Polyhedron2,
     _candidate_vertices,
     _dedup_halfplanes,
     _vertexless_error,
@@ -92,6 +93,15 @@ def scan_incidence(p):
     incidence that ``vrep_from_hrep``, ``split`` and ``cap`` build."""
     return tuple(tuple(i for i, h in enumerate(p.hrep) if h.slack(v).is_zero())
                  for v in p.vertices)
+
+
+def hand_built(hrep, vertices, rays=()):
+    """The Polyhedron2 with the given hrep, vertices and rays, as given, and
+    the incidence of ``scan_incidence``: a polyhedron built without an
+    enumeration, as a test needs one that ``vrep_from_hrep`` would not make
+    or would make too slowly."""
+    p = Polyhedron2(tuple(hrep), tuple(vertices), tuple(rays), ())
+    return Polyhedron2(p.hrep, p.vertices, p.rays, scan_incidence(p))
 
 
 def fractions(max_num=30, max_den=12):

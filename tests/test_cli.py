@@ -128,6 +128,15 @@ def test_usage_error_names_its_command(argv, message):
     assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
+def test_separator_before_the_command():
+    """'--' before the command only ends the options: the report is the
+    same bytes, and a word after it that looks like an option is no
+    command."""
+    separated = run_cli(["--", "report", "2"])
+    assert separated == run_cli(["report", "2"]) and separated[0] == 0
+    assert run_cli(["--", "-h"]) == (2, "", "error: quasitoric: argument command: invalid choice: '-h'\n")
+
+
 def test_help_exits_zero():
     for argv in (["-h"], ["report", "-h"]):
         code, out, err = run_cli(argv)
@@ -202,6 +211,9 @@ def test_bad_stdin_schema():
             "[" * 100000,  # deeper than json.load can recurse
         ):
             assert_input_error(*run_cli(cmd, stdin_text=payload)[::2])
+    # a syntax error names the stage that read it
+    assert run_cli(["cut", "1", "0", "1"], stdin_text="") == (
+        2, "", "error: cut: stdin JSON: Expecting value: line 1 column 1 (char 0)\n")
 
 
 def test_gale_dual_command():

@@ -28,14 +28,13 @@ from quasitoric.polyhedron import (
     HalfPlane,
     InfeasibleRegionError,
     NotPointedError,
-    Polyhedron2,
     hrep_from_vrep,
     vrep_from_hrep,
 )
 from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
-from conftest import area, contains, is_integer, polygon, scan_incidence
+from conftest import area, contains, hand_built, is_integer, polygon, scan_incidence
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
 
@@ -445,10 +444,10 @@ def test_chop_incidence_matches_scan(case):
 
 def _parabola_gon(n):
     """The n-gon with vertices (i, i^2) for i < n, built with its edge
-    constraints directly, so that no enumeration runs."""
+    constraints and its incidence directly, so that no enumeration runs."""
     vs = [(Q(i), Q(i * i)) for i in range(n)]
     normals = [rot90(vsub(vs[(i + 1) % n], vs[i])) for i in range(n)]
-    return Polyhedron2(tuple(HalfPlane(m, dot(v, m)) for v, m in zip(vs, normals)), tuple(vs))
+    return hand_built((HalfPlane(m, dot(v, m)) for v, m in zip(vs, normals)), vs)
 
 
 def _chain_region(n):
@@ -458,17 +457,20 @@ def _chain_region(n):
     takes seconds."""
     hrep = [HalfPlane((Q(-2 * i - 1), Q(1)), Q(-i * (i + 1))) for i in range(n - 1)]
     hrep += [HalfPlane((Q(1), Q(0)), Q(0)), HalfPlane((Q(-1), Q(0)), Q(1 - n))]
-    return Polyhedron2(tuple(hrep), tuple((Q(i), Q(i * i)) for i in range(n)), ((Q(0), Q(1)),))
+    return hand_built(hrep, ((Q(i), Q(i * i)) for i in range(n)), ((Q(0), Q(1)),))
 
 
 def test_cut_and_chop_work_is_bounded(monkeypatch):
-    """QuadScalar multiplications, not wall time: per doubling of n from 8
-    to 32, a cut of the n-gon (O(n^2) slack tests) grows at most 4.5x and a
-    corner chop (one O(n) clip) at most 2.5x, of the n-gon or of the
+    """QuadScalar multiplications, not wall time, with P's incidence built
+    before counting: per doubling of n from 8 to 32, a cut of the n-gon (two
+    O(n) labelled clips) and a corner chop (one), of the n-gon or of the
     unbounded region above its chain, whose rays are read off the clipped
-    cycle.  An O(n^3) enumeration grows about 10x, and O(n^2) recession rays
-    about 4x.  The cut of the 8-gon reads P's levels once: at most the 186
-    multiplications of the edge walk that ``split`` replaced."""
+    cycle, each grow at most 2.5x.  An O(n^3) enumeration grows about 10x,
+    and O(n^2) recession rays or slack scans about 4x.  The cut of the
+    8-gon reads P's levels once and its pieces' incidence off the clip's
+    labels: at most 45 multiplications (186 for the edge walk that
+    ``split`` replaced, 56 while the pieces sorted their vertices by
+    angle)."""
     chain = _chain_region(8)
     enumerated = vrep_from_hrep(list(chain.hrep))
     assert (chain.hrep, chain.vertices, chain.rays) == (
@@ -494,7 +496,6 @@ def test_cut_and_chop_work_is_bounded(monkeypatch):
         unbounded_muls.append(len(calls))
         assert len(result.reduced_face.vertices) == 2 and len(chopped.vertices) == n + 1
         assert len(unbounded.vertices) == n + 1 and unbounded.rays == chain.rays
-    assert cut_muls[0] <= 186, cut_muls
-    assert all(b <= 4.5 * a for a, b in zip(cut_muls, cut_muls[1:])), cut_muls
-    for muls in (chop_muls, unbounded_muls):
+    assert cut_muls[0] <= 45, cut_muls
+    for muls in (cut_muls, chop_muls, unbounded_muls):
         assert all(b <= 2.5 * a for a, b in zip(muls, muls[1:])), muls

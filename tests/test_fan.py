@@ -16,7 +16,7 @@ from quasitoric.polyhedron import HalfPlane, vrep_from_hrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
-from conftest import polygon
+from conftest import hand_built, polygon
 
 
 def test_fan_validation():
@@ -41,8 +41,6 @@ def test_normal_fan_of_square():
 def test_normal_fan_nonsimple():
     # vrep_from_hrep drops tangent constraints as redundant, so build the
     # defective description by hand: a corner-touching diagonal facet
-    from quasitoric.polyhedron import Polyhedron2
-
     square = vrep_from_hrep(
         [
             HalfPlane((Q(1), Q(0)), Q(0)),
@@ -51,7 +49,7 @@ def test_normal_fan_nonsimple():
             HalfPlane((Q(0), Q(-1)), Q(-1)),
         ]
     )
-    defective = Polyhedron2(
+    defective = hand_built(
         square.hrep + (HalfPlane((Q(1), Q(1)), Q(0)),),
         square.vertices,
         square.rays,
