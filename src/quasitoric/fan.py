@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector, solve2x2
+from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector
 from .polyhedron import Polyhedron2, flat_direction, sort_by_angle
 from .quasilattice import Quasilattice
 from .scalar import Q
@@ -80,33 +80,21 @@ def is_rational(fan: Fan2, q: Quasilattice) -> bool:
     return all(q.ray_meets(g) for g in fan.ray_generators)
 
 
-def _primitive_in_lattice(g: Vec2, basis) -> list[int] | None:
-    """Primitive lattice coordinates of the ray through g, or None if the
-    ray misses the lattice."""
-    c = solve2x2(
-        (basis[0][0], basis[1][0]),
-        (basis[0][1], basis[1][1]),
-        g,
-    )
-    if c is None:
-        return None
-    if not (c[0].is_rational() and c[1].is_rational()):
-        return None
-    return primitive_int_vector([c[0].r, c[1].r])
-
-
 def is_smooth(fan: Fan2, lattice: Quasilattice) -> bool:
     """Rational with respect to the lattice, and the primitive generators of
-    each maximal cone form a lattice basis (determinant +-1)."""
+    each maximal cone form a lattice basis (determinant +-1).  A ray's
+    coordinates on the lattice's HNF basis come from the integer reduction
+    of ``Quasilattice.coordinates``: none (off the basis' rational span)
+    means the ray misses the lattice, and otherwise ``primitive_int_vector``
+    of them is its primitive generator, in the coordinates of that basis."""
     if not lattice.is_lattice():
         raise NotALatticeError("primitivity is undefined for dense quasilattices")
-    basis = lattice.lattice_basis()
     prims = []
     for g in fan.ray_generators:
-        p = _primitive_in_lattice(g, basis)
-        if p is None:
+        c = lattice.coordinates(g)
+        if c is None:
             return False  # ray not rational in this lattice
-        prims.append(p)
+        prims.append(primitive_int_vector(c))
     for i, j in fan.maximal_cones:
         det = prims[i][0] * prims[j][1] - prims[i][1] * prims[j][0]
         if abs(det) != 1:

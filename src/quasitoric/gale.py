@@ -9,17 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import (
-    Vec2,
-    cross,
-    dot,
-    is_zero_vec,
-    kernel_basis,
-    matrix_rank,
-    rot90,
-    vneg,
-    vsub,
-)
+from .linalg import Vec2, cross, dot, is_zero_vec, kernel_basis, rot90, rref, vneg, vsub
 from .polyhedron import HalfPlane, clip
 from .scalar import Q, QuadScalar
 
@@ -50,7 +40,14 @@ class VectorConfig:
         return (sx, sy)
 
     def span_dim(self) -> int:
-        return matrix_rank([[v[0], v[1]] for v in self.vectors])
+        """The rank of the configuration, read off cross products: 2 if some
+        vector is independent of the first nonzero one u (a nonzero
+        cross(u, v)), 1 if only u's multiples occur, 0 if every vector is
+        zero."""
+        u = next((v for v in self.vectors if not is_zero_vec(v)), None)
+        if u is None:
+            return 0
+        return 2 if any(not cross(u, v).is_zero() for v in self.vectors) else 1
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,8 @@ def relation_basis(v: VectorConfig) -> list[list[QuadScalar]]:
 
     The first row is all ones (this is where balance is used); the remaining
     rows come from the standard kernel basis of the configuration matrix,
-    echelon-reduced so each has leading entry 1 in its own column.
+    echelon-reduced so each has leading entry 1 in its own column, and kept
+    in their order (``_input_order``).
     """
     if not is_balanced(v):
         raise NotBalancedError("configuration must sum to zero")
@@ -138,8 +136,7 @@ def relation_basis(v: VectorConfig) -> list[list[QuadScalar]]:
     ones = [Q(1)] * d
     # the all-ones vector is the sum of all standard kernel vectors, so
     # dropping the last of them keeps a basis once ones is prepended
-    reduced = _echelonize(rows[:-1])
-    return [ones] + reduced
+    return [ones] + _input_order(rref(rows[:-1]))
 
 
 def kernel_rows_for(normals: list[Vec2]) -> list[list[QuadScalar]]:
@@ -148,7 +145,7 @@ def kernel_rows_for(normals: list[Vec2]) -> list[list[QuadScalar]]:
     config = VectorConfig(tuple(normals))
     if is_balanced(config):
         return relation_basis(config)
-    return _echelonize(_kernel_rows(normals))
+    return _input_order(rref(_kernel_rows(normals)))
 
 
 def relations_odd(rows) -> bool:
@@ -162,22 +159,15 @@ def _kernel_rows(vectors) -> list[list[QuadScalar]]:
     return kernel_basis(mat)
 
 
-def _echelonize(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
-    """Scale each row's leading entry to 1 and clear it from later rows,
-    preserving row order. That order defines Lambda = (i, 1, 1+ia, i, 0);
-    rref would swap the two kernel rows of V_a."""
-    rows = [list(r) for r in rows]
-    for i, row in enumerate(rows):
-        lead = next((c for c, x in enumerate(row) if not x.is_zero()), None)
-        if lead is None:
-            raise ValueError("zero row in kernel basis")
-        inv = row[lead].inv()
-        rows[i] = [x * inv for x in row]
-        for j in range(len(rows)):
-            if j != i and not rows[j][lead].is_zero():
-                f = rows[j][lead]
-                rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
-    return rows
+def _input_order(reduced) -> list[list[QuadScalar]]:
+    """The rows of ``rref``'s result ``(rows, pivots, sources)`` of
+    independent rows, each moved to the place of the input row that was its
+    pivot row: the order in which reducing the input rows one by one, each
+    against the earlier ones, gives each its leading column.  That order
+    defines Lambda = (i, 1, 1+ia, i, 0); ``rref``'s own, by pivot column,
+    would swap the two kernel rows of V_a."""
+    red, _, sources = reduced
+    return [red[k] for k in sorted(range(len(sources)), key=sources.__getitem__)]
 
 
 def gale_points(rows) -> PointConfig:
@@ -201,15 +191,17 @@ def chamber_from_triangulation(t: Triangulation, d: int) -> VirtualChamber:
 def _triangle_halfplanes(pts: list[Vec2]) -> list[tuple[HalfPlane, bool]]:
     """Constraints cutting out the relative interior of the convex hull of
     three points, as (half-plane, strict) pairs; degenerate cases (segment,
-    single point) turn facet constraints into weak equalities."""
+    single point) turn facet constraints into weak equalities.  A proper
+    triangle's three inward normals come from its one orientation sign:
+    for each edge u -> v with third vertex w, dot(w - u, rot90(v - u)) is
+    the same cross product, so rot90(v - u) points inward iff the triangle
+    is ccw."""
     p1, p2, p3 = pts
-    orient = cross(vsub(p2, p1), vsub(p3, p1))
-    if not orient.is_zero():
+    orient = cross(vsub(p2, p1), vsub(p3, p1)).sign()
+    if orient:
         out = []
-        for u, v, w in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2)):
-            n = rot90(vsub(v, u))
-            if dot(vsub(w, u), n).sign() < 0:
-                n = vneg(n)
+        for u, v in ((p1, p2), (p2, p3), (p3, p1)):
+            n = rot90(vsub(v, u)) if orient > 0 else rot90(vsub(u, v))
             out.append((HalfPlane(n, dot(u, n)), True))
         return out
     # collinear: the relative interior of the extreme segment

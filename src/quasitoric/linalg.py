@@ -58,19 +58,23 @@ def solve2x2(a: Vec2, b: Vec2, rhs: Vec2) -> Vec2 | None:
 # -- generic exact row reduction ------------------------------------------
 
 
-def rref(rows: list[list[QuadScalar]]) -> tuple[list[list[QuadScalar]], list[int]]:
-    """Reduced row echelon form over the scalar field; returns (rows, pivots)."""
+def rref(rows: list[list[QuadScalar]]) -> tuple[list[list[QuadScalar]], list[int], list[int]]:
+    """Reduced row echelon form over the scalar field; returns (rows,
+    pivots, sources): the reduced rows, nonzero ones first by pivot column,
+    the pivot columns, and for each row the index of the input row it was
+    reduced from.  Each column's pivot row is the first nonzero one there
+    among the rows not yet pivots, in input order: a pivot row moves up to
+    its place and the others keep their order."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    sources = list(range(len(rows)))
     pivots: list[int] = []
     rank = 0
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows.insert(rank, rows.pop(piv))
+        sources.insert(rank, sources.pop(piv))
         inv = rows[rank][col].inv()
         rows[rank] = [x * inv for x in rows[rank]]
         for i in range(len(rows)):
@@ -79,11 +83,7 @@ def rref(rows: list[list[QuadScalar]]) -> tuple[list[list[QuadScalar]], list[int
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
-    return rows, pivots
-
-
-def matrix_rank(rows: list[list[QuadScalar]]) -> int:
-    return len(rref(rows)[1])
+    return rows, pivots, sources
 
 
 def kernel_basis(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
@@ -91,7 +91,7 @@ def kernel_basis(rows: list[list[QuadScalar]]) -> list[list[QuadScalar]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    red, pivots, _ = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

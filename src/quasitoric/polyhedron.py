@@ -369,22 +369,26 @@ def clip(cycle: list, h: HalfPlane) -> list:
     return list(_clip_levels(cycle, [None] * len(cycle), levels, [x.sign() for x in levels]))
 
 
-def _clip_levels(cycle: list, labels: list, levels: list, signs: list, line=None) -> dict:
+def _clip_levels(cycle: list, labels: list, levels: list, signs: list, line=None,
+                 crossings=None) -> dict:
     """``clip`` by given levels and their signs, of a cycle labelled by the
     constraints of its entries' outgoing edges: each output entry to the
     label of its own, ``line`` on h's line.  By ``clip``'s invariant the
     output edges are the input edges' parts on h's side and one on h's line:
     an entry leaves along its input edge if it is off the line or the next
     entry is strictly on h's side, a crossing if it enters it; else along
-    h's line."""
-    out = {}
+    h's line.  ``crossings`` maps the index of an edge's first entry to its
+    point on h's line, which is the same for h's flip: taken from it when
+    there, added to it when computed."""
+    out, crossings = {}, {} if crossings is None else crossings
     for i, a in enumerate(cycle):
         j = (i + 1) % len(cycle)
         if signs[i] >= 0:
             out.setdefault(a, labels[i] if signs[i] > 0 or signs[j] > 0 else line)
         if signs[i] * signs[j] < 0:
-            out.setdefault(_crossing(a, levels[i], cycle[j], levels[j]),
-                           line if signs[i] > 0 else labels[i])
+            if i not in crossings:
+                crossings[i] = _crossing(a, levels[i], cycle[j], levels[j])
+            out.setdefault(crossings[i], line if signs[i] > 0 else labels[i])
     return out
 
 
@@ -432,12 +436,13 @@ def cap(p: Polyhedron2, h: HalfPlane) -> Polyhedron2:
     return _side(p, cycle, labels, levels, [x.sign() for x in levels], h)[0]
 
 
-def _side(p: Polyhedron2, cycle, labels, levels, signs, line) -> tuple[Polyhedron2, dict]:
+def _side(p: Polyhedron2, cycle, labels, levels, signs, line,
+          crossings=None) -> tuple[Polyhedron2, dict]:
     """The piece of ``_clip_levels`` of P's labelled cycle by ``line``,
     labelled ``len(p.hrep)``, and per entry the labels of its two edges,
     which are the constraints tight at a vertex; no entry repeats, so every
     labelled edge has positive length."""
-    cut = _clip_levels(cycle, labels, levels, signs, len(p.hrep))
+    cut = _clip_levels(cycle, labels, levels, signs, len(p.hrep), crossings)
     entries, out = list(cut), list(cut.values())
     edges = {e: (out[k - 1], out[k]) for k, e in enumerate(entries)}
     return _piece(p, (line,), entries, edges), edges
@@ -476,13 +481,15 @@ def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyh
     """The pieces P cap h and P cap h.flipped() and the face of P on h's
     line, for P with an interior and an irredundant ``p.hrep``, from two
     labelled clips of P's boundary cycle by its levels against h, taken
-    once.  NoOpCutError unless some vertex or ray of P lies strictly on each
-    side.  The results equal ``vrep_from_hrep(list(p.hrep) + k)`` for k =
-    [h], [h.flipped()] and [h, h.flipped()] (``_piece``); the face is the
-    ends of the kept clip's edge on the line.  Of the g tight at a finite
-    end, which bound the line there away from the face, ``_drop_redundant``
-    keeps the last: the larger of the two pieces' labels there other than
-    h's (g twice where g's edge crosses the line, one each at P's vertex)."""
+    once; the flip's clip reuses the points where the first one's edges
+    cross h's line.  NoOpCutError unless some vertex or ray of P lies
+    strictly on each side.  The results equal ``vrep_from_hrep(list(p.hrep)
+    + k)`` for k = [h], [h.flipped()] and [h, h.flipped()] (``_piece``);
+    the face is the ends of the kept clip's edge on the line.  Of the g
+    tight at a finite end, which bound the line there away from the face,
+    ``_drop_redundant`` keeps the last: the larger of the two pieces' labels
+    there other than h's (g twice where g's edge crosses the line, one each
+    at P's vertex)."""
     cycle, labels = _boundary(p)
     levels = [h.level(e) for e in cycle]
     signs = [x.sign() for x in levels]
@@ -490,8 +497,10 @@ def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyh
         raise NoOpCutError(f"cut line <mu, ({h.normal[0]}, {h.normal[1]})> = {h.offset} "
                            "does not meet the interior")
     k, flip = len(p.hrep), h.flipped()
-    kept, edges = _side(p, cycle, labels, levels, signs, h)
-    other, other_edges = _side(p, cycle, labels, [-x for x in levels], [-s for s in signs], flip)
+    crossings = {}
+    kept, edges = _side(p, cycle, labels, levels, signs, h, crossings)
+    other, other_edges = _side(p, cycle, labels, [-x for x in levels], [-s for s in signs], flip,
+                               crossings)
     face = [e for e, pair in edges.items() if k in pair]
     ends = [e for e in face if not isinstance(e, Ideal)]
     return kept, other, _piece(p, (h, flip), face, {

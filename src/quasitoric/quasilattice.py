@@ -3,7 +3,7 @@
 Splitting every coordinate into its rational and sqrt(d) parts maps a
 quasilattice onto a Z-module in Q^4. Each instance reduces its generators
 once, to the Hermite normal form of that module scaled into Z^4, and answers
-membership, discreteness, its lattice basis, ray rationality and the
+membership, coordinates on that basis, discreteness, ray rationality and the
 quotient by a sublattice exactly from that one form.  This module alone
 decides whether a quotient Gamma is trivial, finite cyclic or dense: the
 quasilattice Q_a over Z^2 (``delzant``) and the cut's augmented group over
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .linalg import Vec2, cross, hnf_rows
@@ -85,20 +85,23 @@ class Quasilattice:
             raise ValueError("generators must span the plane")
 
     @cached_property
-    def _hnf(self) -> tuple[list[list[int]], int, int | None]:
+    def _hnf(self) -> tuple[tuple[tuple[int, ...], ...], int, int | None]:
         """(Hermite normal form rows of the generators scaled into Z^4, the
-        scale, the sqrt(d) context)."""
+        scale, the sqrt(d) context).  The rows are tuples: a shared instance
+        such as ``z2()`` hands the same rows to every caller."""
         d = _context_d(self.generators)
         rows, den = _scaled_rows(self.generators)
-        return hnf_rows(rows), den, d
+        return tuple(map(tuple, hnf_rows(rows))), den, d
 
     # -- membership -----------------------------------------------------------
 
-    def _coefficients(self, v: Vec2) -> list[Fraction] | None:
-        """The rational coefficients of den*v on the HNF rows, from reducing
-        it against the echelon rows; None when something is left, i.e. v is
-        off the rows' rational span.  The reduction runs on integers w with
-        w/s = what is left of den*v, and s grows so each pivot divides."""
+    def coordinates(self, v: Vec2) -> list[Fraction] | None:
+        """v's rational coordinates on the HNF rows, a Z-basis of the
+        quasilattice (den*v's coefficients on the scaled rows), from
+        reducing den*v against the echelon rows; None when something is
+        left, i.e. v is off the rows' rational span.  The reduction runs on
+        integers w with w/s = what is left of den*v, and s grows so each
+        pivot divides."""
         v = (Q(v[0]), Q(v[1]))
         basis, den, d = self._hnf
         _context_d([v], d)
@@ -118,7 +121,7 @@ class Quasilattice:
     def member(self, v: Vec2) -> bool:
         """Is v an integer combination of the generators? The HNF rows are
         a Z-basis, so iff v's coefficients on them exist and are integers."""
-        coeffs = self._coefficients(v)
+        coeffs = self.coordinates(v)
         return coeffs is not None and all(k.denominator == 1 for k in coeffs)
 
     def ray_meets(self, g: Vec2) -> bool:
@@ -133,27 +136,13 @@ class Quasilattice:
         basis, _, d = self._hnf
         d = _context_d([g], d)
         t = [g] if d is None else [g, (sqrt(d) * g[0], sqrt(d) * g[1])]
-        return len(hnf_rows(basis + _scaled_rows(t)[0])) < len(basis) + len(t)
+        return len(hnf_rows([*basis, *_scaled_rows(t)[0]])) < len(basis) + len(t)
 
     # -- structure -------------------------------------------------------------
 
     def is_lattice(self) -> bool:
         """Discrete iff the generators span a Z-module of rank <= 2."""
         return len(self._hnf[0]) <= 2
-
-    def lattice_basis(self) -> tuple[Vec2, Vec2]:
-        """A Z-basis of a rank-2 discrete quasilattice: its HNF rows."""
-        basis, den, d = self._hnf
-        if len(basis) != 2:  # generators span the plane, so rank >= 2
-            raise ValueError("dense quasilattice has no lattice basis")
-        # d is the context of the generators, checked when they were built
-        return tuple(
-            (
-                QuadScalar._new(Fraction(h[0], den), Fraction(h[1], den), d),
-                QuadScalar._new(Fraction(h[2], den), Fraction(h[3], den), d),
-            )
-            for h in basis
-        )
 
     def augment(self, nu: Vec2) -> "Quasilattice":
         nu = (Q(nu[0]), Q(nu[1]))
@@ -173,7 +162,7 @@ class Quasilattice:
         if len(outside) > 1:
             raise ValueError("the quotient is only described for a cyclic extension sub + Z nu")
         (nu,) = outside
-        coeffs = sub._coefficients(nu)
+        coeffs = sub.coordinates(nu)
         zero = Q(0)
         if sub.member((nu[0], zero)):
             rotation = nu[1]
@@ -187,7 +176,11 @@ class Quasilattice:
         return GroupDesc("finite_cyclic", order=order, rotation_coefficient=rotation)
 
 
+@cache
 def z2() -> Quasilattice:
+    """Z^2, built once per process and shared, as ``pipeline.strip`` is,
+    so its Hermite normal form is computed once; safe because a
+    ``Quasilattice`` is frozen and its HNF rows are tuples."""
     return Quasilattice(((Q(1), Q(0)), (Q(0), Q(1))))
 
 

@@ -9,9 +9,10 @@ Values are checked where they enter: the ``QuadScalar`` constructor, ``Q``,
 ``sqrt``, ``coerce``, ``parse_scalar`` and ``scalar_from_json`` coerce both
 parts to ``Fraction``, test d (squarefree, in 2..MAX_D) and reject an
 irrational part without d.  Arithmetic does not check again: its operands
-were checked when they were built, so ``+ - * / inv conjugate **`` build
-their results with the trusted ``QuadScalar._new``, and only mixing two
-contexts raises (``_join_d``).
+were checked when they were built, so ``+ - * / inv **`` build their
+results with the trusted ``QuadScalar._new``, which fills the three
+``__slots__`` of a new instance, and only mixing two contexts raises
+(``_join_d``).
 """
 
 from __future__ import annotations
@@ -63,33 +64,41 @@ def _check_d(d):
     return d
 
 
-@dataclass(frozen=True)
 class QuadScalar:
-    """An exact element r + s*sqrt(d); canonical form has d=None when s=0."""
+    """An exact element r + s*sqrt(d); canonical form has d=None when s=0.
 
-    r: Fraction
-    s: Fraction = Fraction(0)
-    d: int | None = None
+    Immutable: the three parts live in ``__slots__`` and assigning or
+    deleting one raises AttributeError.  ``__init__`` checks its arguments;
+    arithmetic fills the slots of results through ``_new``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "s", Fraction(self.s))
-        _check_d(self.d)
-        if self.s == 0:
-            object.__setattr__(self, "d", None)
-        elif self.d is None:
+    __slots__ = ("r", "s", "d")
+
+    def __init__(self, r, s=Fraction(0), d=None):
+        r, s = Fraction(r), Fraction(s)
+        if _check_d(d) is None and s:
             raise ScalarContextError("irrational part given without a d context")
+        _set_r(self, r)
+        _set_s(self, s)
+        _set_d(self, d if s else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadScalar is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadScalar is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return QuadScalar, (self.r, self.s, self.d)
 
     @staticmethod
     def _new(r: Fraction, s: Fraction, d: int | None) -> "QuadScalar":
         """The trusted constructor, for parts that are already valid: r and s
         Fractions, d checked (or None) when s != 0.  It only drops d when
-        s == 0.  Frozen dataclass fields live in the instance __dict__."""
-        x = object.__new__(QuadScalar)
-        fields = x.__dict__
-        fields["r"] = r
-        fields["s"] = s
-        fields["d"] = d if s else None
+        s == 0, and fills the slots directly, past ``__setattr__``."""
+        x = _new_object(QuadScalar)
+        _set_r(x, r)
+        _set_s(x, s)
+        _set_d(x, d if s else None)
         return x
 
     # -- context handling ----------------------------------------------------
@@ -238,6 +247,10 @@ class QuadScalar:
     def __str__(self):
         return format_scalar(self)
 
+
+# the slots' own setters, which ``__setattr__`` refuses to be
+_set_r, _set_s, _set_d = (QuadScalar.__dict__[k].__set__ for k in QuadScalar.__slots__)
+_new_object = object.__new__
 
 ZERO = QuadScalar(0)
 ONE = QuadScalar(1)

@@ -10,9 +10,21 @@ from quasitoric.gale import (
     gale_points,
     relation_basis,
 )
-from quasitoric.linalg import cross, dot, rot90, rref, vneg
+from quasitoric.linalg import (
+    cross,
+    dot,
+    is_zero_vec,
+    primitive_int_vector,
+    rot90,
+    rref,
+    smul,
+    solve2x2,
+    vadd,
+    vneg,
+)
 from quasitoric.pipeline import hirzebruch_vector_config
 from quasitoric.polyhedron import (
+    HalfPlane,
     Polyhedron2,
     _candidate_vertices,
     _dedup_halfplanes,
@@ -20,7 +32,7 @@ from quasitoric.polyhedron import (
     hrep_from_vrep,
     vrep_from_hrep,
 )
-from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar
+from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
 SQUAREFREE_DS = [2, 3, 5, 7]
 
@@ -56,7 +68,7 @@ def is_integer(x) -> bool:
 
 def solve_linear(rows, rhs):
     """One exact solution of rows * x = rhs, or None if inconsistent."""
-    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    red, pivots, _ = rref([list(r) + [b] for r, b in zip(rows, rhs)])
     n = len(rows[0]) if rows else 0
     if n in pivots:
         return None
@@ -64,6 +76,60 @@ def solve_linear(rows, rhs):
     for i, p in enumerate(pivots):
         x[p] = red[i][n]
     return x
+
+
+def matrix_rank(rows):
+    """The rank over the scalar field, by ``rref``: the oracle for
+    ``VectorConfig.span_dim``, which reads it off cross products."""
+    return len(rref(rows)[1])
+
+
+def echelonize(rows):
+    """Scale each row's leading entry to 1 and clear it from the other rows,
+    one row at a time in input order: the row reduction that defined the
+    order of a relation basis (and so Lambda) before it was ``rref``'s rows
+    in the input rows' order."""
+    rows = [list(r) for r in rows]
+    for i, row in enumerate(rows):
+        lead = next(c for c, x in enumerate(row) if not x.is_zero())
+        inv = row[lead].inv()
+        rows[i] = [x * inv for x in row]
+        for j in range(len(rows)):
+            if j != i and not rows[j][lead].is_zero():
+                f = rows[j][lead]
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
+    return rows
+
+
+def lattice_basis(q):
+    """A Z-basis of a discrete quasilattice: its HNF rows, scaled back into
+    the plane.  ValueError for a dense one."""
+    basis, den, d = q._hnf
+    if len(basis) != 2:
+        raise ValueError("dense quasilattice has no lattice basis")
+    return tuple((QuadScalar(Fraction(h[0], den), Fraction(h[1], den), d),
+                  QuadScalar(Fraction(h[2], den), Fraction(h[3], den), d)) for h in basis)
+
+
+def primitive_in_lattice(g, basis):
+    """Primitive coordinates on the basis of the ray through g, by solving
+    for g's coordinates over the field with ``solve2x2``; None if they are
+    irrational, i.e. the ray misses the lattice."""
+    c = solve2x2((basis[0][0], basis[1][0]), (basis[0][1], basis[1][1]), g)
+    if c is None or not (c[0].is_rational() and c[1].is_rational()):
+        return None
+    return primitive_int_vector([c[0].r, c[1].r])
+
+
+def smooth_by_solving(fan, lattice):
+    """``fan.is_smooth`` as it was before it read coordinates off the HNF
+    reduction: each ray solved on ``lattice_basis`` by
+    ``primitive_in_lattice``, and every maximal cone of determinant +-1."""
+    basis = lattice_basis(lattice)
+    prims = [primitive_in_lattice(g, basis) for g in fan.ray_generators]
+    return None not in prims and all(
+        abs(prims[i][0] * prims[j][1] - prims[i][1] * prims[j][0]) == 1
+        for i, j in fan.maximal_cones)
 
 
 def region_vertices(hrep):
@@ -179,3 +245,45 @@ def chamber_halfplanes(lam, chamber):
     """The (half-plane, strict) constraints of the chamber's open triangles."""
     return [c for sigma in chamber.subsets
             for c in _triangle_halfplanes([lam.points[i - 1] for i in sorted(sigma)])]
+
+
+@st.composite
+def halfplane_systems(draw):
+    """Small systems over Q or Q(sqrt(2)), with redundancy mixed in: strictly
+    loose copies, lines through a vertex of the region (some supporting it),
+    flipped copies that flatten the region to a segment, and, when ``upper``,
+    normals in the closed upper half-plane so the region is unbounded."""
+    irrational = draw(st.booleans())
+    upper = draw(st.booleans())
+
+    def scalar(bound):
+        r = draw(st.integers(-bound, bound))
+        s = draw(st.integers(-1, 1)) if irrational else 0
+        return Q(r) + s * sqrt(2) if s else Q(r)
+
+    def normal():
+        n = (scalar(3), scalar(3))
+        if upper:
+            n = (n[0], abs(n[1])) if n[1] else (abs(n[0]), n[1])
+        return n if not is_zero_vec(n) else (Q(0), Q(1))
+
+    hs = [HalfPlane(normal(), scalar(6)) for _ in range(draw(st.integers(2, 5)))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["loose", "through", "support", "flip"]))
+        g = hs[draw(st.integers(0, len(hs) - 1))]
+        verts = list(_candidate_vertices(hs))
+        v = verts[draw(st.integers(0, len(verts) - 1))] if verts else None
+        tight = [f.normal for f in hs if v is not None and f.tight(v)]
+        if kind == "loose":
+            k = draw(st.integers(1, 2))
+            new = HalfPlane(smul(k, g.normal), k * g.offset - draw(st.integers(1, 3)))
+        elif kind == "through" and v is not None:
+            n = normal()
+            new = HalfPlane(n, dot(v, n))
+        elif kind == "support" and len(tight) >= 2 and not is_zero_vec(vadd(*tight[:2])):
+            n = vadd(*tight[:2])
+            new = HalfPlane(n, dot(v, n))
+        else:
+            new = g.flipped()
+        hs.insert(draw(st.integers(0, len(hs))), new)
+    return hs

@@ -467,10 +467,11 @@ def test_cut_and_chop_work_is_bounded(monkeypatch):
     unbounded region above its chain, whose rays are read off the clipped
     cycle, each grow at most 2.5x.  An O(n^3) enumeration grows about 10x,
     and O(n^2) recession rays or slack scans about 4x.  The cut of the
-    8-gon reads P's levels once and its pieces' incidence off the clip's
-    labels: at most 45 multiplications (186 for the edge walk that
-    ``split`` replaced, 56 while the pieces sorted their vertices by
-    angle)."""
+    8-gon reads P's levels once, each crossing once for both pieces, and
+    its pieces' incidence off the clip's labels: at most 32 multiplications
+    (28; 34 while each piece's clip computed its own crossings, 186 for the
+    edge walk that ``split`` replaced, 56 while the pieces sorted their
+    vertices by angle)."""
     chain = _chain_region(8)
     enumerated = vrep_from_hrep(list(chain.hrep))
     assert (chain.hrep, chain.vertices, chain.rays) == (
@@ -496,6 +497,6 @@ def test_cut_and_chop_work_is_bounded(monkeypatch):
         unbounded_muls.append(len(calls))
         assert len(result.reduced_face.vertices) == 2 and len(chopped.vertices) == n + 1
         assert len(unbounded.vertices) == n + 1 and unbounded.rays == chain.rays
-    assert cut_muls[0] <= 45, cut_muls
+    assert cut_muls[0] <= 32, cut_muls
     for muls in (cut_muls, chop_muls, unbounded_muls):
         assert all(b <= 2.5 * a for a, b in zip(muls, muls[1:])), muls

@@ -1,6 +1,10 @@
 """Normal fans and the complete / rational / smooth predicates."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasitoric.fan import (
     Fan2,
@@ -11,12 +15,17 @@ from quasitoric.fan import (
     is_smooth,
     normal_fan,
 )
-from quasitoric.pipeline import trapezoid, strip
-from quasitoric.polyhedron import HalfPlane, vrep_from_hrep
+from quasitoric.pipeline import trapezoid, trapezoid_halfplanes, strip
+from quasitoric.polyhedron import (
+    HalfPlane,
+    InfeasibleRegionError,
+    NotPointedError,
+    vrep_from_hrep,
+)
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
-from conftest import hand_built, polygon
+from conftest import fractions, halfplane_systems, hand_built, polygon, smooth_by_solving
 
 
 def test_fan_validation():
@@ -99,3 +108,36 @@ def test_is_complete_needs_all_cones():
     assert is_complete(fan)
     partial = Fan2(fan.ray_generators, fan.maximal_cones[:-1])
     assert not is_complete(partial)
+
+
+def _rational_qa(p, q):
+    return hirzebruch_quasilattice(ParamSpec(Q(Fraction(p, q))))
+
+
+def lattices():
+    """Z^2, Q_a for a rational a > 0, and Z^2 augmented by a nonzero
+    rational vector."""
+    return st.one_of(
+        st.just(z2()),
+        st.builds(_rational_qa, st.integers(1, 12), st.integers(1, 12)),
+        st.tuples(fractions(4, 6), fractions(4, 6)).filter(any).map(
+            lambda v: z2().augment((Q(v[0]), Q(v[1])))),
+    )
+
+
+_TRAPEZOID_3_2 = trapezoid_halfplanes(ParamSpec(parse_scalar("3/2")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfplane_systems(), lattices())
+@example(_TRAPEZOID_3_2, _rational_qa(3, 2))  # smooth in Q_a, not in Z^2
+@example(_TRAPEZOID_3_2, z2())
+def test_is_smooth_matches_solving_oracle(hs, lattice):
+    """Smoothness from the HNF reduction's coordinates is smoothness from
+    solving each ray on the lattice basis over the field, on the normal fans
+    of random half-plane systems, over Q and Q(sqrt(2))."""
+    try:
+        fan = normal_fan(vrep_from_hrep(hs))
+    except (InfeasibleRegionError, NotPointedError, NonSimpleError):
+        return
+    assert is_smooth(fan, lattice) == smooth_by_solving(fan, lattice)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric import gale, polyhedron
+from quasitoric import gale, linalg, polyhedron
 from quasitoric.gale import (
     NotBalancedError,
     PointConfig,
@@ -30,10 +30,21 @@ from quasitoric.pipeline import (
     trapezoid,
     triangulation_from_fan,
 )
+from quasitoric.linalg import rref
 from quasitoric.polyhedron import InfeasibleRegionError, vrep_from_hrep
+from quasitoric.quasilattice import Quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
-from conftest import HIRZEBRUCH_CHAMBER, chamber_halfplanes, chambers, fractions
+from conftest import (
+    HIRZEBRUCH_CHAMBER,
+    chamber_halfplanes,
+    chambers,
+    echelonize,
+    fractions,
+    matrix_rank,
+    quad_scalars,
+    rational_scalars,
+)
 
 
 HIRZEBRUCH_PARAMS = ("2", "3/2", "sqrt(2)")  # integer, rational, irrational
@@ -121,9 +132,55 @@ def test_relation_basis_annihilates_random_configs(raw):
             sx, sy = sx + b * v[0], sy + b * v[1]
         assert sx.is_zero() and sy.is_zero()
     # the rows are independent: the echelon leading columns are distinct
-    from quasitoric.linalg import matrix_rank
-
     assert matrix_rank([list(r) for r in rows]) == len(rows)
+
+
+@st.composite
+def vector_configs(draw):
+    """Planar configurations of 2 to 6 vectors over Q or Q(sqrt(d)): all
+    zero, collinear (multiples of one vector, zero ones among them), or
+    drawn freely."""
+    d = draw(st.sampled_from([None, 2, 5]))
+    scalars = rational_scalars(6, 3) if d is None else quad_scalars(d, 6, 3)
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["zero", "collinear", "free"]))
+    if kind == "zero":
+        return [(Q(0), Q(0))] * n
+    if kind == "collinear":
+        u = (draw(scalars), draw(scalars))
+        return [(t * u[0], t * u[1]) for t in draw(st.lists(scalars, min_size=n, max_size=n))]
+    return [(draw(scalars), draw(scalars)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_configs())
+def test_span_dim_matches_rank(vectors):
+    """The rank read off cross products is the rank by row reduction."""
+    vc = VectorConfig(tuple(vectors))
+    assert vc.span_dim() == matrix_rank([list(v) for v in vc.vectors])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(fractions(3, 2), fractions(3, 2)), min_size=3, max_size=7))
+def test_relation_rows_keep_input_order(raw):
+    """``_input_order`` of ``rref`` gives the kernel rows, and the rows a
+    relation basis is built from, as the reduction one row at a time in
+    input order (``conftest.echelonize``) did."""
+    rows = gale._kernel_rows([(Q(x), Q(y)) for x, y in raw])
+    for sub in (rows, rows[:-1]):
+        if sub:
+            assert gale._input_order(rref(sub)) == echelonize(sub)
+
+
+def test_input_order_undoes_rref_swap():
+    """Of the two kernel rows behind V_a's relation basis, the second has
+    the first pivot column, so ``rref`` swaps them; ``_input_order`` puts
+    them back, which gives Lambda_a = (i, 1, 1+ia, i, 0)."""
+    a = ParamSpec(parse_scalar("1+sqrt(2)"))
+    rows = gale._kernel_rows(hirzebruch_vector_config(a).vectors)[:-1]
+    reduced = rref(rows)
+    assert reduced[2] == [1, 0]
+    assert gale._input_order(reduced) == reduced[0][::-1] == echelonize(rows)
 
 
 def test_chamber_from_triangulation():
@@ -361,9 +418,11 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     polyhedron's incidence from its construction, and the blow-up's
     parallel-edge check reads the vertex's constraints off it, so it makes
     no tight test (65 when serialisation rescanned, 3 while the check
-    tested every constraint), and at most 780 QuadScalar products (748;
+    tested every constraint), and at most 700 QuadScalar products (680;
     1120 then, 998 while ``_drop_redundant`` took its others' rays by dot
-    products, 794 while the pieces sorted their vertices by angle)."""
+    products, 794 while the pieces sorted their vertices by angle, 748
+    before the Gale, fan and lattice stages below stopped re-deriving
+    facts)."""
     tight, products = [], []
 
     def logged(log, fn):
@@ -379,4 +438,35 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     products.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
     assert len(tight) == 0
-    assert len(products) <= 780
+    assert len(products) <= 700
+
+
+def test_report_side_stages_compute_each_fact_once(monkeypatch):
+    """After a warm-up, a serialised report for 1+sqrt(2) makes at most 74
+    QuadScalar inversions (70; 82 when ``is_smooth`` solved each ray over
+    the field, V_a's rank took an ``rref`` and each piece of the strip cut
+    computed its own crossings) and 4 ``rref`` calls, 2 per relation basis:
+    the kernel, then its rows in input order.  V_a's rank is read off cross
+    products: ``matrix_rank`` and ``Quasilattice.lattice_basis`` are gone
+    from the package (their oracles are in conftest).  Z^2 is one instance
+    per process, so its HNF is computed once."""
+    inversions, reductions = [], []
+
+    def logged(log):
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                log.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+        return wrap
+
+    _wrap_in_package(monkeypatch, {linalg.rref: logged(reductions)})
+    monkeypatch.setattr(QuadScalar, "inv", logged(inversions)(QuadScalar.inv))
+    build_report(ParamSpec(parse_scalar("3/2"))).to_json()
+    inversions.clear()
+    reductions.clear()
+    build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
+    assert len(inversions) <= 74
+    assert len(reductions) == 4
+    assert z2() is z2()
+    assert not hasattr(linalg, "matrix_rank") and not hasattr(Quasilattice, "lattice_basis")

@@ -13,14 +13,14 @@ from quasitoric.linalg import (
     dot,
     hnf_rows,
     kernel_basis,
-    matrix_rank,
     primitive_int_vector,
     rot90,
+    rref,
     solve2x2,
 )
 from quasitoric.scalar import Q, sqrt
 
-from conftest import solve_linear
+from conftest import matrix_rank, solve_linear
 
 
 def test_solve2x2():
@@ -50,6 +50,15 @@ def test_rank_and_kernel_over_quadratic_field():
             for x, y in zip(row, v):
                 acc = acc + x * y
             assert acc.is_zero()
+
+
+def test_rref_names_each_rows_source():
+    """Each column's pivot row is the first nonzero one there, in input
+    order, among the rows not yet pivots; a zero row comes last."""
+    rows = [[Q(0), Q(1), Q(1)], [Q(0), Q(0), Q(0)], [Q(1), Q(2), Q(0)], [Q(1), Q(0), Q(0)]]
+    red, pivots, sources = rref(rows)
+    assert pivots == [0, 1, 2] and sources == [2, 0, 3, 1]
+    assert red == [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)], [Q(0)] * 3]
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=2, max_size=4))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric.linalg import dot, is_zero_vec, smul, vadd
+from quasitoric.linalg import dot
 from quasitoric.polyhedron import (
     HalfPlane,
     InfeasibleRegionError,
@@ -21,6 +21,7 @@ from quasitoric.polyhedron import (
 from quasitoric.scalar import Q, sqrt
 
 from conftest import (
+    halfplane_systems,
     area,
     chamber_halfplanes,
     chambers,
@@ -298,48 +299,6 @@ def _restart_drop_redundant(hrep):
                 changed = True
                 break
     return kept
-
-
-@st.composite
-def halfplane_systems(draw):
-    """Small systems over Q or Q(sqrt(2)), with redundancy mixed in: strictly
-    loose copies, lines through a vertex of the region (some supporting it),
-    flipped copies that flatten the region to a segment, and, when ``upper``,
-    normals in the closed upper half-plane so the region is unbounded."""
-    irrational = draw(st.booleans())
-    upper = draw(st.booleans())
-
-    def scalar(bound):
-        r = draw(st.integers(-bound, bound))
-        s = draw(st.integers(-1, 1)) if irrational else 0
-        return Q(r) + s * sqrt(2) if s else Q(r)
-
-    def normal():
-        n = (scalar(3), scalar(3))
-        if upper:
-            n = (n[0], abs(n[1])) if n[1] else (abs(n[0]), n[1])
-        return n if not is_zero_vec(n) else (Q(0), Q(1))
-
-    hs = [HalfPlane(normal(), scalar(6)) for _ in range(draw(st.integers(2, 5)))]
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["loose", "through", "support", "flip"]))
-        g = hs[draw(st.integers(0, len(hs) - 1))]
-        verts = list(_candidate_vertices(hs))
-        v = verts[draw(st.integers(0, len(verts) - 1))] if verts else None
-        tight = [f.normal for f in hs if v is not None and f.tight(v)]
-        if kind == "loose":
-            k = draw(st.integers(1, 2))
-            new = HalfPlane(smul(k, g.normal), k * g.offset - draw(st.integers(1, 3)))
-        elif kind == "through" and v is not None:
-            n = normal()
-            new = HalfPlane(n, dot(v, n))
-        elif kind == "support" and len(tight) >= 2 and not is_zero_vec(vadd(*tight[:2])):
-            n = vadd(*tight[:2])
-            new = HalfPlane(n, dot(v, n))
-        else:
-            new = g.flipped()
-        hs.insert(draw(st.integers(0, len(hs))), new)
-    return hs
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,8 @@
 """Field axioms, exact ordering, parsing, and serialization of QuadScalar."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -125,6 +127,20 @@ def test_constructor_canonicalizes():
         QuadScalar(Fraction(1), Fraction(1), None)
     with pytest.raises(ScalarContextError):
         QuadScalar(Fraction(1), Fraction(1), 4)  # not squarefree
+
+
+@given(any_scalars())
+def test_scalars_are_immutable(x):
+    """A QuadScalar keeps its parts in slots, refuses assignment and
+    deletion, and survives copying and pickling with its value and hash."""
+    for name in ("r", "s", "d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.r
+    assert not hasattr(x, "__dict__")
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x) and (y.r, y.s, y.d) == (x.r, x.s, x.d)
 
 
 def test_context_mixing_rejected():
