@@ -103,7 +103,7 @@ def cmd_normal_fan(args) -> int:
 def cmd_gale_dual(args) -> int:
     if args.a is not None:
         a = _param(args.a)
-        g = gale_side(a, normal_fan(trapezoid(a)))
+        g = gale_side(normal_fan(trapezoid(a)))
         vc, rows, lam = g.vector_config, g.relation_matrix, g.gale_points
     else:
         vc = augment_ghosts(vector_config_from_json(_read_stdin()))

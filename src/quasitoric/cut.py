@@ -9,9 +9,10 @@ cut line, phi = -1 onto its reduced face, and phi < -1 onto its other piece
 minus the cut line.
 
 Neither a cut nor a blow-up enumerates vertices or scans for tight
-constraints: a cut is two labelled ``polyhedron.clip``s of P's boundary
-cycle (``split``, which reads the reduced face off both), and a checked
-corner chop is one (``cap``), each labelled off ``P.incidence``.
+constraints: a cut is two labelled ``polyhedron.clip``s of P's stored
+boundary cycle ``P.cycle`` (``split``, which reads the reduced face off
+both), and a checked corner chop is one (``cap``).  An empty cycle means P
+has no interior.
 
 A cut augments the quasilattice Q by its normal nu, and its gamma is the
 quotient (Q + Z nu) / Q from ``Quasilattice.quotient``, the one place that
@@ -28,7 +29,6 @@ from .polyhedron import (
     NoOpCutError,
     Polyhedron2,
     cap,
-    flat_direction,
     split,
 )
 from .quasilattice import GroupDesc, Quasilattice
@@ -74,9 +74,10 @@ def cut_polyhedron(
     reduced face is P on the cut line, all three from ``split``'s two clips
     of P's boundary without an enumeration; P must have an irredundant hrep,
     as every Polyhedron2 from ``vrep_from_hrep`` has.  NoOpCutError when P
-    has no interior (a point, segment or ray) or the line misses it."""
+    has no interior (a point, segment or ray: an empty ``p.cycle``) or the
+    line misses it."""
     keep = HalfPlane(_normal(nu), c)
-    if flat_direction(p.vertices, p.rays) is not None:
+    if not p.cycle:
         raise NoOpCutError("the polyhedron has no interior to cut")
     augmented = q.augment(keep.normal)
     return CutResult(*split(p, keep), augmented, augmented.quotient(q), keep)
@@ -87,9 +88,9 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
 
     The point must be a vertex of P (else AmountTooLargeError) and the
     amount nonnegative (else ValueError).  amount = 0 returns P unchanged.
-    Otherwise it must be a corner chop, one ``cap`` clip of P's boundary:
+    Otherwise it must be a corner chop, one ``cap`` clip of ``p.cycle``:
 
-    - P has an interior (else NoOpCutError);
+    - P has an interior, a nonempty cycle (else NoOpCutError);
     - every other vertex of P is strictly inside the half-plane;
     - no ray r of P has <r, nu> < 0, which would cut off an unbounded end;
     - neither edge at the vertex, whose constraints ``p.incidence`` gives,
@@ -108,7 +109,7 @@ def blowup_corner(p: Polyhedron2, vertex: Vec2, nu: Vec2, amount) -> Polyhedron2
         raise ValueError(f"blow-up amount {amount} must be nonnegative")
     if amount.is_zero():
         return p
-    if flat_direction(p.vertices, p.rays) is not None:
+    if not p.cycle:
         raise NoOpCutError("the polyhedron has no interior to chop")
     h = HalfPlane(nu, dot(vertex, nu) + amount)
     for w in p.vertices:

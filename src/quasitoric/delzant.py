@@ -2,7 +2,9 @@
 equations, cutting-group phase maps, and quasifold presentations.
 
 Presentations are data, not spaces: equations, weight rows, and group
-descriptions carry all of the checkable content.  The group Gamma = Q / Z^2
+descriptions carry all of the checkable content.  The normals' relation
+rows are an argument: a report reads P_a's off V_a's relation basis, below
+its all-ones row and without its ghost column.  The group Gamma = Q / Z^2
 of a parameter-tagged quasilattice Q is ``Q.quotient(z2())``, the same
 classification the cut uses; an untagged Q gets no Gamma."""
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gale import kernel_rows_for
 from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2
 from .quasilattice import GroupDesc, Quasilattice, z2
@@ -145,13 +146,13 @@ def moment_map_coeffs(
     return out
 
 
-def presentation(triple: PolytopeTriple) -> QuasifoldPresentation:
+def presentation(triple: PolytopeTriple, rows) -> QuasifoldPresentation:
     """Symplectic quasifold presentation: level-set equations of the moment
-    map plus the phase map of the cutting group.  For a tagged quasilattice
-    Q, gamma is Q / Z^2, which names the quasitorus and the orbifold
-    divisors; for an untagged one gamma is None."""
+    map plus the phase map of the cutting group exp(span rows), for relation
+    rows of the triple's normals, which ``moment_map_coeffs`` checks.  For a
+    tagged quasilattice Q, gamma is Q / Z^2, which names the quasitorus and
+    the orbifold divisors; for an untagged one gamma is None."""
     normals = triple.normals()
-    rows = kernel_rows_for(normals)
     components = moment_map_coeffs(triple, rows)
     q = triple.quasilattice
     gamma = None

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector
-from .polyhedron import Polyhedron2, flat_direction, sort_by_angle
+from .polyhedron import Polyhedron2, sort_by_angle
 from .quasilattice import Quasilattice
 from .scalar import Q
 
@@ -46,9 +46,9 @@ class Fan2:
 def normal_fan(p: Polyhedron2) -> Fan2:
     """Rays are the inward facet normals as stored in the hrep; maximal
     cones pair the two facets meeting at each vertex, read off
-    ``p.incidence``.  NonSimpleError when P is flat or a vertex lies on more
-    than two constraints."""
-    if flat_direction(p.vertices, p.rays) is not None:
+    ``p.incidence``.  NonSimpleError when P is flat, with an empty
+    ``p.cycle``, or a vertex lies on more than two constraints."""
+    if not p.cycle:
         raise NonSimpleError("the region is flat (it has no interior), so it has no normal fan")
     for v, tight in zip(p.vertices, p.incidence):
         if len(tight) != 2:

@@ -127,11 +127,12 @@ def relation_basis(v: VectorConfig) -> list[list[QuadScalar]]:
     The first row is all ones (this is where balance is used); the remaining
     rows come from the standard kernel basis of the configuration matrix,
     echelon-reduced so each has leading entry 1 in its own column, and kept
-    in their order (``_input_order``).
+    in their order (``_input_order``).  They leave out the kernel vector of
+    the last free column, which for V_a is its ghost, so they are 0 there.
     """
     if not is_balanced(v):
         raise NotBalancedError("configuration must sum to zero")
-    rows = _kernel_rows(v.vectors)
+    rows = kernel_basis([[x for x, _ in v.vectors], [y for _, y in v.vectors]])
     d = len(v)
     ones = [Q(1)] * d
     # the all-ones vector is the sum of all standard kernel vectors, so
@@ -139,24 +140,10 @@ def relation_basis(v: VectorConfig) -> list[list[QuadScalar]]:
     return [ones] + _input_order(rref(rows[:-1]))
 
 
-def kernel_rows_for(normals: list[Vec2]) -> list[list[QuadScalar]]:
-    """Relation rows for the normals: the balanced path goes through
-    relation_basis (all-ones first row); otherwise the echelonized kernel."""
-    config = VectorConfig(tuple(normals))
-    if is_balanced(config):
-        return relation_basis(config)
-    return _input_order(rref(_kernel_rows(normals)))
-
-
 def relations_odd(rows) -> bool:
     """Parity of a configuration read off a relation basis of it, which has
     card - dim(span) rows."""
     return len(rows) % 2 == 1
-
-
-def _kernel_rows(vectors) -> list[list[QuadScalar]]:
-    mat = [[v[0] for v in vectors], [v[1] for v in vectors]]
-    return kernel_basis(mat)
 
 
 def _input_order(reduced) -> list[list[QuadScalar]]:

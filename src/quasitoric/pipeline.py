@@ -86,19 +86,6 @@ def triangle(a: ParamSpec) -> Polyhedron2:
     )
 
 
-def hirzebruch_vector_config(a: ParamSpec) -> VectorConfig:
-    """V_a = ((1,0),(0,1),(0,-1),(-1,a),(0,-a)), fifth vector ghost."""
-    base = VectorConfig(
-        (
-            (Q(1), Q(0)),
-            (Q(0), Q(1)),
-            (Q(0), Q(-1)),
-            (Q(-1), a.value),
-        )
-    )
-    return augment_ghosts(base)
-
-
 def triangulation_from_fan(fan: Fan2) -> Triangulation:
     """Maximal pairs from the fan's cones (1-based), plus singletons and
     the empty face."""
@@ -133,9 +120,11 @@ class GaleSide:
     witness: Vec2 | None
 
 
-def gale_side(a: ParamSpec, fan: Fan2) -> GaleSide:
-    """The Gale-dual side of F_a, for the normal fan of P_a."""
-    vc = hirzebruch_vector_config(a)
+def gale_side(fan: Fan2) -> GaleSide:
+    """The Gale-dual side of F_a, for the normal fan of P_a: V_a is its rays,
+    the facet normals of P_a in hrep order, (1,0), (0,1), (0,-1), (-1,a),
+    and the ghost (0,-a) that balances them."""
+    vc = augment_ghosts(VectorConfig(fan.ray_generators))
     rows = tuple(tuple(r) for r in relation_basis(vc))
     lam = gale_points(rows)
     tri = triangulation_from_fan(fan)
@@ -221,8 +210,10 @@ def build_report(a: ParamSpec) -> ReportDocument:
     fan = normal_fan(p)
     qa = hirzebruch_quasilattice(a)
     lattice = z2()
-    gale = gale_side(a, fan)
-    pres = presentation(PolytopeTriple(p, qa))
+    gale = gale_side(fan)
+    # P_a's relations: V_a's below the all-ones row, without the ghost column
+    facet_relations = [r[: len(fan.ray_generators)] for r in gale.relation_matrix[1:]]
+    pres = presentation(PolytopeTriple(p, qa), facet_relations)
     components = moment_map_coeffs(five_constraint_triple(p, qa), gale.relation_matrix)
     cut_result = strip_cut(a, lattice)
     blowup = triangle_blowup(a)

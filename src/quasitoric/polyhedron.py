@@ -21,11 +21,12 @@ and the region (a half-plane, slab or line) is nonempty iff the largest
 lower bound is at most the smallest upper bound.
 
 A region with an interior is also a boundary cycle: its vertices ccw, then
-its rays as ``Ideal`` points.  A cut (``split``), a corner chop (``cap``)
-and the polytopality test each ``clip`` a cycle by a half-plane, and
-``clip``'s docstring proves the one invariant that they rely on.  For a
-cut or a chop, each edge carries the label of its constraint, so a piece
-reads its hrep, incidence and vertex order off one clip, with no scan.
+its rays as ``Ideal`` points, each labelled with its outgoing edge's
+constraint.  What builds a polyhedron stores its cycle: ``vrep_from_hrep``
+walks it off the sign table, and a cut (``split``) or a corner chop
+(``cap``) reads a piece's cycle, hrep, incidence and vertex order off one
+labelled ``clip`` of P's, with no scan.  The polytopality test clips too,
+and ``clip``'s docstring proves the one invariant that they rely on.
 """
 
 from __future__ import annotations
@@ -126,17 +127,6 @@ def sort_by_angle(vectors: list[Vec2]) -> list[Vec2]:
     return sorted(vectors, key=functools.cmp_to_key(_angle_cmp))
 
 
-def _order_ccw(points: list[Vec2]) -> list[Vec2]:
-    """Points in convex position, ccw by their angle about their centroid,
-    from the lexicographically least (a lex sort for at most two)."""
-    if len(points) > 2:
-        n = len(points)
-        centroid = (sum((p[0] for p in points), Q(0)) / n, sum((p[1] for p in points), Q(0)) / n)
-        points = sorted(points, key=functools.cmp_to_key(
-            lambda p, q: _angle_cmp(vsub(p, centroid), vsub(q, centroid))))
-    return _from_least(points)
-
-
 def _from_least(cycle: list) -> list:
     """The cycle rotated to start at its lexicographically least entry."""
     i = cycle.index(min(cycle))
@@ -152,14 +142,17 @@ def _canonical_ray(r: Vec2) -> Vec2:
 class Polyhedron2:
     """A pointed 2D convex polyhedron; vertices counterclockwise, plus
     recession-ray directions when unbounded.  ``incidence`` gives, per
-    vertex, the sorted indices of the constraints tight there, as its
-    construction found them: ``vrep_from_hrep`` off the signs that accept
-    each vertex, ``split`` and ``cap`` off the labels of their clip."""
+    vertex, the sorted indices of the constraints tight there, and
+    ``cycle`` the boundary cycle, empty for a flat region, each entry with
+    the label of its outgoing edge, as its construction found them:
+    ``vrep_from_hrep`` off the signs that accept each vertex and its walk,
+    ``split`` and ``cap`` off their labelled clip."""
 
     hrep: tuple[HalfPlane, ...] = field(compare=False)
     vertices: tuple[Vec2, ...]
     rays: tuple[Vec2, ...]
     incidence: tuple[tuple[int, ...], ...] = field(compare=False)
+    cycle: tuple[tuple[Vec2 | Ideal, int | None], ...] = field(compare=False)
 
     @property
     def bounded(self) -> bool:
@@ -270,8 +263,35 @@ def _vertexless_error(hrep: list[HalfPlane], signs) -> ValueError:
     return NotPointedError("region has no vertex")
 
 
+def _walk(hrep: list[HalfPlane], tight: dict, signs) -> list:
+    """The labelled boundary cycle of a region with an interior, whose
+    vertices, the keys of ``tight``, each lie on two constraints a, b.  Going
+    ccw, the edge of c runs along -rot90(n_c) and turns left at a vertex, so
+    the edge out of it is b's iff signs[a][b] = sign cross(n_a, n_b) > 0.
+    The walk starts where no edge leads in, on the incoming unbounded edge,
+    or else at the lex-least.  An unbounded end is the ray along its edge's
+    constraint: -rot90(n) out of the last vertex, then the arc at infinity
+    (label None) to rot90(n) into the first, one ideal point if they agree."""
+    ends, leave = {}, {}
+    for v, (a, b) in tight.items():
+        a, b = (a, b) if signs[a][b] > 0 else (b, a)
+        ends[a], leave[v] = v, b
+    a = next(iter(ends.keys() - set(leave.values())), None)
+    v = min(tight) if a is None else ends[a]
+    cycle = [(v, leave[v])]
+    while (v := ends.get(leave[v])) not in (None, cycle[0][0]):
+        cycle.append((v, leave[v]))
+    if a is not None:
+        out = Ideal(_canonical_ray(vneg(rot90(hrep[cycle[-1][1]].normal))))
+        back = Ideal(_canonical_ray(rot90(hrep[a].normal)))
+        cycle += [(out, None), (back, a)] if out != back else [(out, a)]
+    return cycle
+
+
 def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
-    """Enumerate vertices and recession rays of a half-plane intersection.
+    """Enumerate vertices and recession rays of a half-plane intersection,
+    and walk its cycle, empty if a vertex lies on other than two kept
+    constraints, which here means the region is flat.
 
     Raises InfeasibleRegionError for empty regions and NotPointedError for
     nonempty regions without a vertex.
@@ -284,19 +304,12 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     rays = _recession_rays(hrep, signs)
     kept = _drop_redundant(hrep, tight_at, signs)
     index = {k: i for i, k in enumerate(kept)}
-    verts = _order_ccw(list(tight_at))
-    incidence = tuple(tuple(index[k] for k in tight_at[v] if k in index) for v in verts)
-    return Polyhedron2(tuple(hrep[k] for k in kept), tuple(verts), tuple(rays), incidence)
-
-
-def flat_direction(vertices, rays) -> Vec2 | None:
-    """A direction e along which every vertex difference and ray lies, when
-    conv(vertices) + cone(rays) is flat ((1, 0) for a point); None when it
-    has an interior."""
-    dirs = [d for d in [vsub(v, vertices[0]) for v in vertices[1:]] + list(rays)
-            if not is_zero_vec(d)]
-    e = dirs[0] if dirs else (Q(1), Q(0))
-    return e if all(cross(e, d).is_zero() for d in dirs) else None
+    tight = {v: [k for k in ks if k in index] for v, ks in tight_at.items()}
+    walk = _walk(hrep, tight, signs) if all(len(t) == 2 for t in tight.values()) else []
+    cycle = tuple((e, None if k is None else index[k]) for e, k in walk)
+    verts = _from_least([e for e, _ in walk if not isinstance(e, Ideal)]) if walk else sorted(tight)
+    incidence = tuple(tuple(index[k] for k in tight[v]) for v in verts)
+    return Polyhedron2(tuple(hrep[k] for k in kept), tuple(verts), tuple(rays), incidence, cycle)
 
 
 def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlane]:
@@ -311,8 +324,9 @@ def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlan
         raise ValueError("need at least one vertex")
     vertices = list(vertices)
     rays = list(rays)
-    e = flat_direction(vertices, rays)
-    if e is not None:
+    dirs = [d for d in [vsub(v, vertices[0]) for v in vertices[1:]] + rays if not is_zero_vec(d)]
+    e = dirs[0] if dirs else (Q(1), Q(0))
+    if all(cross(e, d).is_zero() for d in dirs):
         out = []
         for sign in (1, -1):
             cap = smul(sign, e)
@@ -403,35 +417,11 @@ def _crossing(a, la: QuadScalar, b, lb: QuadScalar):
     return vadd(a, smul(la / (la - lb), vsub(b, a)))
 
 
-def _boundary(p: Polyhedron2) -> tuple[list, list]:
-    """The boundary cycle of P with an interior, its vertices ccw from the
-    one on the incoming unbounded edge, the furthest along rot90 of its
-    direction, then its rays ccw (that one last) as ideal points; and the
-    labels of their outgoing edges, each the index of its constraint, None
-    on the arc at infinity.  In an irredundant hrep a vertex is tight at its
-    two edges' constraints only (``p.incidence``): neighbours share exactly
-    one, and of an unbounded edge it is the one parallel to the ray."""
-    vs, inc, rays = p.vertices, p.incidence, p.rays
-    if rays:
-        rays = rays[::-1] if cross(rays[0], rays[-1]).sign() < 0 else rays
-        n = rot90(rays[-1])
-        i = max(range(len(vs)), key=lambda k: dot(vs[k], n))
-        vs, inc = vs[i:] + vs[:i], inc[i:] + inc[:i]
-    labels = [(set(a) & set(b)).pop() for a, b in zip(inc, inc[1:] + (() if rays else inc[:1]))]
-    if not rays:
-        return list(vs), labels
-
-    def along(tight, r):
-        return tight[0] if dot(r, p.hrep[tight[0]].normal).is_zero() else tight[1]
-    labels += [along(inc[-1], rays[0]), *[None] * (len(rays) - 1), along(inc[0], rays[-1])]
-    return [*vs, *map(Ideal, rays)], labels
-
-
 def cap(p: Polyhedron2, h: HalfPlane) -> Polyhedron2:
-    """P cap h with the hrep of P then h, from one labelled ``clip`` of P's
-    boundary cycle, for P with an interior and h violated on P; the caller
+    """P cap h with the hrep of P then h, from one labelled ``clip`` of
+    ``p.cycle``, for P with an interior and h violated on P; the caller
     checks that each constraint of P keeps an edge."""
-    cycle, labels = _boundary(p)
+    cycle, labels = zip(*p.cycle)
     levels = [h.level(e) for e in cycle]
     return _side(p, cycle, labels, levels, [x.sign() for x in levels], h)[0]
 
@@ -450,39 +440,44 @@ def _side(p: Polyhedron2, cycle, labels, levels, signs, line,
 
 def _piece(p: Polyhedron2, lines: tuple, cycle: list, tight: dict) -> Polyhedron2:
     """The region of the clipped cycle ``cycle``, with the labels of the
-    constraints ``tight`` at each vertex, ``len(p.hrep) + t`` for the t-th
+    constraints ``tight`` at each entry, incoming then outgoing for a piece
+    and three at a finite end of the face, ``len(p.hrep) + t`` for the t-th
     of ``lines`` (h, or its flip, or both for the face), and hrep P's among
     them, sorted, then ``lines``.  That is ``vrep_from_hrep(list(p.hrep) +
     list(lines))``: its dedupe keeps that list whole (``p.hrep`` has no
     repeats, h is none of them), and ``_drop_redundant`` keeps, in order,
     the constraints whose face has positive length.  The cycle's finite
-    entries are in convex position and ccw, the angular order about their
-    centroid of ``_order_ccw``, which also starts at the lex-least.  Each ray
-    that ``_recession_rays`` keeps, a +-rot90(n_i) whose row of the
-    enumeration's sign table has one sign, lies in the recession cone C and
-    on the line of a half-plane containing C, so is an extreme ray of the
-    pointed C; by ``clip``'s invariant the cycle's ideal points are those,
-    in O(n) and with no table.  Sort them as it does, by the first
-    constraint of ``p.hrep + lines`` parallel to each (never both by one: r
-    and -r are not both in C; a face has at most one ray)."""
+    entries are ccw, the order of its walk, from the lex-least; a piece
+    keeps the cycle, relabelled, with its ideal points canonical, and the
+    flat face none.  Each ray that ``_recession_rays`` keeps, a
+    +-rot90(n_i) whose row of the enumeration's sign table has one sign,
+    lies in the recession cone C and on the line of a half-plane containing
+    C, so is an extreme ray of the pointed C; by ``clip``'s invariant the
+    cycle's ideal points are those, in O(n) and with no table.  Sort them as
+    it does, by the first constraint of ``p.hrep + lines`` parallel to each
+    (never both by one: r and -r are not both in C; a face has at most one
+    ray)."""
     k = len(p.hrep)
     verts = _from_least([e for e in cycle if not isinstance(e, Ideal)])
     ids = sorted({i for v in verts for i in tight[v] if i < k})
     index = {i: t for t, i in enumerate([*ids, *range(k, k + len(lines))])}
-    rays = [_canonical_ray(e.r) for e in cycle if isinstance(e, Ideal)]
+    ideal = {e: Ideal(_canonical_ray(e.r)) for e in cycle if isinstance(e, Ideal)}
+    rays = [e.r for e in ideal.values()]
     if len(rays) == 2:
         rays.sort(key=lambda r: next(
             i for i, g in enumerate((*p.hrep, *lines)) if dot(r, g.normal).is_zero()))
+    labelled = () if len(lines) > 1 else tuple(
+        (ideal.get(e, e), None if tight[e][1] is None else index[tight[e][1]]) for e in cycle)
     return Polyhedron2((*(p.hrep[i] for i in ids), *lines), tuple(verts), tuple(rays),
-                       tuple(tuple(sorted(index[i] for i in tight[v])) for v in verts))
+                       tuple(tuple(sorted(index[i] for i in tight[v])) for v in verts), labelled)
 
 
 def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyhedron2]:
     """The pieces P cap h and P cap h.flipped() and the face of P on h's
     line, for P with an interior and an irredundant ``p.hrep``, from two
-    labelled clips of P's boundary cycle by its levels against h, taken
-    once; the flip's clip reuses the points where the first one's edges
-    cross h's line.  NoOpCutError unless some vertex or ray of P lies
+    labelled clips of ``p.cycle`` by its levels against h, taken once; the
+    flip's clip reuses the points where the first one's edges cross h's
+    line.  NoOpCutError unless some vertex or ray of P lies
     strictly on each side.  The results equal ``vrep_from_hrep(list(p.hrep)
     + k)`` for k = [h], [h.flipped()] and [h, h.flipped()] (``_piece``);
     the face is the ends of the kept clip's edge on the line.  Of the g
@@ -490,7 +485,7 @@ def split(p: Polyhedron2, h: HalfPlane) -> tuple[Polyhedron2, Polyhedron2, Polyh
     ``_drop_redundant`` keeps the last: the larger of the two pieces' labels
     there other than h's (g twice where g's edge crosses the line, one each
     at P's vertex)."""
-    cycle, labels = _boundary(p)
+    cycle, labels = zip(*p.cycle)
     levels = [h.level(e) for e in cycle]
     signs = [x.sign() for x in levels]
     if not {1, -1} <= set(signs):

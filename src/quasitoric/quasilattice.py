@@ -121,8 +121,7 @@ class Quasilattice:
     def member(self, v: Vec2) -> bool:
         """Is v an integer combination of the generators? The HNF rows are
         a Z-basis, so iff v's coefficients on them exist and are integers."""
-        coeffs = self.coordinates(v)
-        return coeffs is not None and all(k.denominator == 1 for k in coeffs)
+        return _integral(self.coordinates(v))
 
     def ray_meets(self, g: Vec2) -> bool:
         """Does the ray through g contain a nonzero quasilattice point?
@@ -155,14 +154,16 @@ class Quasilattice:
         the one generator of self outside sub (none: trivial; two or more:
         ValueError).  k*nu is in sub iff k times each coefficient of nu on
         sub's HNF rows is an integer, so the order is the lcm of their
-        denominators, and infinite when nu is off the rows' rational span."""
-        outside = [g for g in self.generators if not sub.member(g)]
+        denominators, and infinite when nu is off the rows' rational span.
+        Each generator is reduced on sub's rows once, and membership read off
+        its coordinates."""
+        coords = [sub.coordinates(g) for g in self.generators]
+        outside = [(g, c) for g, c in zip(self.generators, coords) if not _integral(c)]
         if not outside:
             return GroupDesc("trivial")
         if len(outside) > 1:
             raise ValueError("the quotient is only described for a cyclic extension sub + Z nu")
-        (nu,) = outside
-        coeffs = sub.coordinates(nu)
+        ((nu, coeffs),) = outside
         zero = Q(0)
         if sub.member((nu[0], zero)):
             rotation = nu[1]
@@ -174,6 +175,12 @@ class Quasilattice:
             return GroupDesc("dense_cyclic", rotation_coefficient=rotation)
         order = lcm(*(k.denominator for k in coeffs))
         return GroupDesc("finite_cyclic", order=order, rotation_coefficient=rotation)
+
+
+def _integral(coeffs) -> bool:
+    """Coordinates on the HNF rows (``Quasilattice.coordinates``) that exist
+    and are integers: those of a member."""
+    return coeffs is not None and all(k.denominator == 1 for k in coeffs)
 
 
 @cache

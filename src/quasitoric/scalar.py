@@ -9,7 +9,7 @@ Values are checked where they enter: the ``QuadScalar`` constructor, ``Q``,
 ``sqrt``, ``coerce``, ``parse_scalar`` and ``scalar_from_json`` coerce both
 parts to ``Fraction``, test d (squarefree, in 2..MAX_D) and reject an
 irrational part without d.  Arithmetic does not check again: its operands
-were checked when they were built, so ``+ - * / inv **`` build their
+were checked when they were built, so ``+ - * / inv`` build their
 results with the trusted ``QuadScalar._new``, which fills the three
 ``__slots__`` of a new instance, and only mixing two contexts raises
 (``_join_d``).
@@ -162,17 +162,6 @@ class QuadScalar:
     def __rtruediv__(self, other):
         return QuadScalar.coerce(other) * self.inv()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- order ----------------------------------------------------------------
 
@@ -251,9 +240,6 @@ class QuadScalar:
 # the slots' own setters, which ``__setattr__`` refuses to be
 _set_r, _set_s, _set_d = (QuadScalar.__dict__[k].__set__ for k in QuadScalar.__slots__)
 _new_object = object.__new__
-
-ZERO = QuadScalar(0)
-ONE = QuadScalar(1)
 
 
 def Q(value, den=None) -> QuadScalar:

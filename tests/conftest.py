@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,15 +6,20 @@ from hypothesis import strategies as st
 
 from quasitoric.gale import (
     PointConfig,
+    VectorConfig,
     VirtualChamber,
+    _input_order,
     _triangle_halfplanes,
+    augment_ghosts,
     gale_points,
+    is_balanced,
     relation_basis,
 )
 from quasitoric.linalg import (
     cross,
     dot,
     is_zero_vec,
+    kernel_basis,
     primitive_int_vector,
     rot90,
     rref,
@@ -21,10 +27,11 @@ from quasitoric.linalg import (
     solve2x2,
     vadd,
     vneg,
+    vsub,
 )
-from quasitoric.pipeline import hirzebruch_vector_config
 from quasitoric.polyhedron import (
     HalfPlane,
+    Ideal,
     Polyhedron2,
     _candidate_vertices,
     _dedup_halfplanes,
@@ -161,13 +168,74 @@ def scan_incidence(p):
                  for v in p.vertices)
 
 
+def boundary(p):
+    """The labelled boundary cycle of P with an interior, from its vertices,
+    rays and incidence: its vertices ccw from the one on the incoming
+    unbounded edge, the furthest along rot90 of its direction, then its rays
+    ccw (that one last) as ideal points, each with the label of its outgoing
+    edge, the index of its constraint, None on the arc at infinity.  In an
+    irredundant hrep a vertex is tight at its two edges' constraints only
+    (``p.incidence``): neighbours share exactly one, and of an unbounded
+    edge it is the one parallel to the ray.  The oracle for the cycle that
+    ``vrep_from_hrep`` walks off its sign table."""
+    vs, inc, rays = p.vertices, p.incidence, p.rays
+    if rays:
+        rays = rays[::-1] if cross(rays[0], rays[-1]).sign() < 0 else rays
+        n = rot90(rays[-1])
+        i = max(range(len(vs)), key=lambda k: dot(vs[k], n))
+        vs, inc = vs[i:] + vs[:i], inc[i:] + inc[:i]
+    labels = [(set(a) & set(b)).pop() for a, b in zip(inc, inc[1:] + (() if rays else inc[:1]))]
+    if rays:
+        def along(tight, r):
+            return tight[0] if dot(r, p.hrep[tight[0]].normal).is_zero() else tight[1]
+        labels += [along(inc[-1], rays[0]), *[None] * (len(rays) - 1), along(inc[0], rays[-1])]
+    return tuple(zip([*vs, *map(Ideal, rays)], labels))
+
+
+def same_cycle(c, d) -> bool:
+    """c and d list the same entries with the same labels in the same
+    cyclic order."""
+    return len(c) == len(d) and (not c or any(c[i:] + c[:i] == d for i in range(len(c))))
+
+
+def is_flat(p) -> bool:
+    """Every vertex difference and ray of P lies on one line."""
+    dirs = [vsub(u, p.vertices[0]) for u in p.vertices[1:]] + list(p.rays)
+    return all(cross(d, e).is_zero() for d in dirs for e in dirs)
+
+
 def hand_built(hrep, vertices, rays=()):
-    """The Polyhedron2 with the given hrep, vertices and rays, as given, and
-    the incidence of ``scan_incidence``: a polyhedron built without an
-    enumeration, as a test needs one that ``vrep_from_hrep`` would not make
-    or would make too slowly."""
-    p = Polyhedron2(tuple(hrep), tuple(vertices), tuple(rays), ())
-    return Polyhedron2(p.hrep, p.vertices, p.rays, scan_incidence(p))
+    """The Polyhedron2 with the given hrep, vertices and rays, as given, the
+    incidence of ``scan_incidence`` and the cycle of ``boundary``: a
+    polyhedron built without an enumeration, as a test needs one that
+    ``vrep_from_hrep`` would not make or would make too slowly."""
+    p = Polyhedron2(tuple(hrep), tuple(vertices), tuple(rays), (), ())
+    p = replace(p, incidence=scan_incidence(p))
+    return replace(p, cycle=boundary(p))
+
+
+def hirzebruch_vector_config(a):
+    """V_a = ((1,0),(0,1),(0,-1),(-1,a),(0,-a)), fifth vector ghost, typed
+    out: the oracle for ``gale_side``'s V_a, read off the normal fan."""
+    base = VectorConfig(((Q(1), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1)), (Q(-1), a.value)))
+    return augment_ghosts(base)
+
+
+def kernel_rows(vectors):
+    """The standard kernel basis of the configuration matrix, whose columns
+    are the vectors."""
+    return kernel_basis([[v[0] for v in vectors], [v[1] for v in vectors]])
+
+
+def kernel_rows_for(normals):
+    """Relation rows for the normals, reduced from their own kernel: the
+    balanced path goes through ``relation_basis`` (all-ones first row);
+    otherwise the echelonized kernel.  The oracle for the presentation's
+    rows, which a report reads off V_a's relation basis."""
+    config = VectorConfig(tuple(normals))
+    if is_balanced(config):
+        return relation_basis(config)
+    return _input_order(rref(kernel_rows(normals)))
 
 
 def fractions(max_num=30, max_den=12):

@@ -19,7 +19,6 @@ from quasitoric.gale import (
     gale_points,
     is_balanced,
     is_polytopal,
-    kernel_rows_for,
     relation_basis,
 )
 from quasitoric.linalg import smul, vadd
@@ -27,14 +26,13 @@ from quasitoric.pipeline import (
     MOMENT_CONSTANT_NOTE,
     build_report,
     five_constraint_triple,
-    hirzebruch_vector_config,
     trapezoid,
 )
 from quasitoric.polyhedron import hrep_from_vrep
 from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
-from conftest import contains, is_integer, polygon
+from conftest import contains, hirzebruch_vector_config, is_integer, kernel_rows_for, polygon
 from test_foliation import projects_into_class_group
 
 FAMILY = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")

@@ -16,7 +16,7 @@ from quasitoric.cut import (
     cut_polyhedron,
 )
 from quasitoric.jsonio import polyhedron_to_json
-from quasitoric.linalg import cross, dot, is_zero_vec, rot90, smul, vadd, vsub
+from quasitoric.linalg import dot, is_zero_vec, rot90, smul, vadd, vsub
 from quasitoric.pipeline import (
     build_report,
     strip_cut,
@@ -34,7 +34,17 @@ from quasitoric.polyhedron import (
 from quasitoric.quasilattice import z2
 from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
-from conftest import area, contains, hand_built, is_integer, polygon, scan_incidence
+from conftest import (
+    area,
+    boundary,
+    contains,
+    hand_built,
+    is_flat,
+    is_integer,
+    polygon,
+    same_cycle,
+    scan_incidence,
+)
 
 PARAM_TEXTS = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
 
@@ -52,12 +62,6 @@ def phi(u_sq, z, av):
 def strip_point(u_sq, z):
     """The toric moment image (|u|^2, (z+1)/2) in the strip."""
     return (u_sq, (z + 1) / 2)
-
-
-def is_flat(p) -> bool:
-    """Every vertex difference and ray of P lies on one line."""
-    dirs = [vsub(u, p.vertices[0]) for u in p.vertices[1:]] + list(p.rays)
-    return all(cross(d, e).is_zero() for d in dirs for e in dirs)
 
 
 def unit_square():
@@ -418,7 +422,9 @@ def test_chop_matches_enumeration(case):
 @example((_STRIP, (Q(0), Q(1)), Q(1, 2), False))  # a ray face from a crossing, tight to x >= 0
 def test_cut_incidence_matches_scan(case):
     """The incidence that both pieces and the face of a cut derive from the
-    clip, on their first read, is the scan's."""
+    clip is the scan's, and the cycle that each piece keeps from it, in
+    the piece's labels, is the ``boundary`` oracle's; the flat face keeps
+    none."""
     p, nu, c, _ = case
     try:
         result = cut_polyhedron(p, z2(), nu, c)
@@ -426,6 +432,9 @@ def test_cut_incidence_matches_scan(case):
         return
     for piece in (result.kept_piece, result.other_piece, result.reduced_face):
         assert piece.incidence == scan_incidence(piece)
+    for piece in (result.kept_piece, result.other_piece):
+        assert same_cycle(piece.cycle, boundary(piece))
+    assert result.reduced_face.cycle == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -433,13 +442,15 @@ def test_cut_incidence_matches_scan(case):
 @example((_WEDGE, (Q(1), Q(0)), (Q(1), Q(2)), Q(1, 2), False))  # a crossing on an unbounded edge
 @example((_SQRT2_WEDGE, _ORIGIN, (Q(0), Q(1)), Q(1), False))
 def test_chop_incidence_matches_scan(case):
-    """The incidence that a corner chop derives from its clip is the scan's."""
+    """The incidence that a corner chop derives from its clip is the scan's,
+    and the cycle it keeps from it the ``boundary`` oracle's."""
     p, v, nu, amount, _ = case
     try:
         chopped = blowup_corner(p, v, nu, amount)
     except (AmountTooLargeError, NoOpCutError):
         return
     assert chopped.incidence == scan_incidence(chopped)
+    assert same_cycle(chopped.cycle, boundary(chopped))
 
 
 def _parabola_gon(n):
@@ -461,17 +472,19 @@ def _chain_region(n):
 
 
 def test_cut_and_chop_work_is_bounded(monkeypatch):
-    """QuadScalar multiplications, not wall time, with P's incidence built
-    before counting: per doubling of n from 8 to 32, a cut of the n-gon (two
-    O(n) labelled clips) and a corner chop (one), of the n-gon or of the
-    unbounded region above its chain, whose rays are read off the clipped
-    cycle, each grow at most 2.5x.  An O(n^3) enumeration grows about 10x,
-    and O(n^2) recession rays or slack scans about 4x.  The cut of the
-    8-gon reads P's levels once, each crossing once for both pieces, and
-    its pieces' incidence off the clip's labels: at most 32 multiplications
-    (28; 34 while each piece's clip computed its own crossings, 186 for the
-    edge walk that ``split`` replaced, 56 while the pieces sorted their
-    vertices by angle)."""
+    """QuadScalar multiplications, not wall time, with P's incidence and
+    cycle built before counting: per doubling of n from 8 to 32, a cut of
+    the n-gon (two O(n) labelled clips) and a corner chop (one), of the
+    n-gon or of the unbounded region above its chain, whose rays are read
+    off the clipped cycle, each grow at most 2.5x.  An O(n^3) enumeration
+    grows about 10x, and O(n^2) recession rays or slack scans about 4x.
+    The cut of the 8-gon reads P's levels once, each crossing once for both
+    pieces, and its pieces' incidence off the clip's labels: at most 26
+    multiplications (24; 28 while a flatness test took cross products, 34
+    while each piece's clip computed its own crossings, 186 for the edge
+    walk that ``split`` replaced, 56 while the pieces sorted their vertices
+    by angle).  The chop of the unbounded 8-chain reads P's stored cycle:
+    at most 48 (74 while each chop rebuilt it with dot products)."""
     chain = _chain_region(8)
     enumerated = vrep_from_hrep(list(chain.hrep))
     assert (chain.hrep, chain.vertices, chain.rays) == (
@@ -497,6 +510,7 @@ def test_cut_and_chop_work_is_bounded(monkeypatch):
         unbounded_muls.append(len(calls))
         assert len(result.reduced_face.vertices) == 2 and len(chopped.vertices) == n + 1
         assert len(unbounded.vertices) == n + 1 and unbounded.rays == chain.rays
-    assert cut_muls[0] <= 32, cut_muls
+    assert cut_muls[0] <= 26, cut_muls
+    assert unbounded_muls[0] <= 48, unbounded_muls
     for muls in (cut_muls, chop_muls, unbounded_muls):
         assert all(b <= 2.5 * a for a, b in zip(muls, muls[1:])), muls

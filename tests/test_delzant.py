@@ -10,10 +10,17 @@ from quasitoric.delzant import (
     presentation,
     render_phase_map,
 )
-from quasitoric.gale import kernel_rows_for
 from quasitoric.pipeline import five_constraint_triple, trapezoid
 from quasitoric.quasilattice import Quasilattice, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
+
+from conftest import kernel_rows_for
+
+
+def reduced_presentation(triple):
+    """The presentation with relation rows reduced from the triple's own
+    normals (``kernel_rows_for``)."""
+    return presentation(triple, kernel_rows_for(triple.normals()))
 
 
 def test_triple_validation():
@@ -73,7 +80,7 @@ def test_moment_coeffs_reject_bad_rows():
 
 def test_presentation_four_facets():
     a = ParamSpec(parse_scalar("sqrt(2)"))
-    pres = presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
+    pres = reduced_presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
     assert pres.facet_count == 4
     assert pres.quasitorus == "S^1 x (S^1/Gamma_a)"
     assert pres.gamma.kind == "dense_cyclic"
@@ -87,13 +94,13 @@ def test_presentation_four_facets():
 
 def test_presentation_rational_cases():
     a = ParamSpec(Q(3))
-    pres = presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
+    pres = reduced_presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
     assert pres.quasitorus == "S^1 x S^1"
     assert pres.gamma.kind == "trivial"
     assert pres.divisor_orders == ()
 
     a = ParamSpec(parse_scalar("5/3"))
-    pres = presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
+    pres = reduced_presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
     assert pres.quasitorus == "S^1 x (S^1/Z_3)"
     assert pres.gamma.order == 3
     # the two horizontal facets carry order-3 orbifold divisors
@@ -112,7 +119,7 @@ def test_presentation_of_an_untagged_quasilattice():
     even when the generators are those of Q_a."""
     a = ParamSpec(parse_scalar("3/2"))
     untagged = Quasilattice(hirzebruch_quasilattice(a).generators)
-    pres = presentation(PolytopeTriple(trapezoid(a), untagged))
+    pres = reduced_presentation(PolytopeTriple(trapezoid(a), untagged))
     assert pres.gamma is None
     assert pres.quasitorus == "R^2/Q (untagged quasilattice)"
     assert pres.divisor_orders == ()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric import gale, linalg, polyhedron
+from quasitoric import gale, linalg, pipeline, polyhedron
 from quasitoric.gale import (
     NotBalancedError,
     PointConfig,
@@ -26,7 +26,6 @@ from quasitoric.fan import normal_fan
 from quasitoric.pipeline import (
     build_report,
     gale_side,
-    hirzebruch_vector_config,
     trapezoid,
     triangulation_from_fan,
 )
@@ -37,11 +36,16 @@ from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
 from conftest import (
     HIRZEBRUCH_CHAMBER,
+    SQUAREFREE_DS,
     chamber_halfplanes,
     chambers,
     echelonize,
     fractions,
+    hirzebruch_vector_config,
+    kernel_rows,
+    kernel_rows_for,
     matrix_rank,
+    params,
     quad_scalars,
     rational_scalars,
 )
@@ -97,7 +101,7 @@ def test_relation_basis_needs_balance():
 def test_gale_dual_regression():
     """Lambda_a = (i, 1, 1 + i a, i, 0)."""
     a = ParamSpec(parse_scalar("sqrt(2)"))
-    lam = gale_side(a, normal_fan(trapezoid(a))).gale_points
+    lam = gale_side(normal_fan(trapezoid(a))).gale_points
     assert lam.points == (
         (Q(0), Q(1)),
         (Q(1), Q(0)),
@@ -105,6 +109,23 @@ def test_gale_dual_regression():
         (Q(0), Q(1)),
         (Q(0), Q(0)),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    params(),
+    rational_scalars().filter(lambda x: x.sign() > 0).map(ParamSpec),
+    st.sampled_from(SQUAREFREE_DS).flatmap(quad_scalars)
+    .filter(lambda x: x.sign() > 0).map(ParamSpec),
+))
+def test_report_side_facts_match_their_oracles(a):
+    """V_a read off the normal fan of P_a is the typed-out V_a, and the
+    presentation's rows, V_a's relation rows below the all-ones row and
+    without the ghost column, are those reduced from P_a's four normals."""
+    doc = build_report(a)
+    assert doc.gale.vector_config == hirzebruch_vector_config(a)
+    rows = kernel_rows_for([h.normal for h in doc.polytope.hrep])
+    assert doc.presentation.relation_rows == tuple(map(tuple, rows))
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,7 +187,7 @@ def test_relation_rows_keep_input_order(raw):
     """``_input_order`` of ``rref`` gives the kernel rows, and the rows a
     relation basis is built from, as the reduction one row at a time in
     input order (``conftest.echelonize``) did."""
-    rows = gale._kernel_rows([(Q(x), Q(y)) for x, y in raw])
+    rows = kernel_rows([(Q(x), Q(y)) for x, y in raw])
     for sub in (rows, rows[:-1]):
         if sub:
             assert gale._input_order(rref(sub)) == echelonize(sub)
@@ -177,7 +198,7 @@ def test_input_order_undoes_rref_swap():
     the first pivot column, so ``rref`` swaps them; ``_input_order`` puts
     them back, which gives Lambda_a = (i, 1, 1+ia, i, 0)."""
     a = ParamSpec(parse_scalar("1+sqrt(2)"))
-    rows = gale._kernel_rows(hirzebruch_vector_config(a).vectors)[:-1]
+    rows = kernel_rows(hirzebruch_vector_config(a).vectors)[:-1]
     reduced = rref(rows)
     assert reduced[2] == [1, 0]
     assert gale._input_order(reduced) == reduced[0][::-1] == echelonize(rows)
@@ -418,11 +439,12 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     polyhedron's incidence from its construction, and the blow-up's
     parallel-edge check reads the vertex's constraints off it, so it makes
     no tight test (65 when serialisation rescanned, 3 while the check
-    tested every constraint), and at most 700 QuadScalar products (680;
+    tested every constraint), and at most 640 QuadScalar products (628;
     1120 then, 998 while ``_drop_redundant`` took its others' rays by dot
     products, 794 while the pieces sorted their vertices by angle, 748
     before the Gale, fan and lattice stages below stopped re-deriving
-    facts)."""
+    facts, 680 while each polyhedron sorted its vertices by angle and the
+    presentation reduced P_a's normals again)."""
     tight, products = [], []
 
     def logged(log, fn):
@@ -438,18 +460,23 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     products.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
     assert len(tight) == 0
-    assert len(products) <= 700
+    assert len(products) <= 640
 
 
 def test_report_side_stages_compute_each_fact_once(monkeypatch):
-    """After a warm-up, a serialised report for 1+sqrt(2) makes at most 74
-    QuadScalar inversions (70; 82 when ``is_smooth`` solved each ray over
+    """After a warm-up, a serialised report for 1+sqrt(2) makes at most 64
+    QuadScalar inversions (62; 82 when ``is_smooth`` solved each ray over
     the field, V_a's rank took an ``rref`` and each piece of the strip cut
-    computed its own crossings) and 4 ``rref`` calls, 2 per relation basis:
-    the kernel, then its rows in input order.  V_a's rank is read off cross
-    products: ``matrix_rank`` and ``Quasilattice.lattice_basis`` are gone
-    from the package (their oracles are in conftest).  Z^2 is one instance
-    per process, so its HNF is computed once."""
+    computed its own crossings, 70 while each polyhedron sorted its
+    vertices about their centroid and the presentation reduced P_a's
+    normals again) and 2 ``rref`` calls for the one relation basis, of
+    V_a, whose rows the presentation reuses: the kernel, then its rows in
+    input order (4 while the presentation reduced its own).  V_a's rank is
+    read off cross products.  These are gone from the package, their
+    oracles in conftest: ``matrix_rank``, ``Quasilattice.lattice_basis``,
+    ``hirzebruch_vector_config`` (V_a comes from the fan), ``kernel_rows_for``,
+    and ``_boundary`` and ``_order_ccw`` (a polyhedron stores its cycle).
+    Z^2 is one instance per process, so its HNF is computed once."""
     inversions, reductions = [], []
 
     def logged(log):
@@ -466,7 +493,9 @@ def test_report_side_stages_compute_each_fact_once(monkeypatch):
     inversions.clear()
     reductions.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
-    assert len(inversions) <= 74
-    assert len(reductions) == 4
+    assert len(inversions) <= 64
+    assert len(reductions) == 2
     assert z2() is z2()
     assert not hasattr(linalg, "matrix_rank") and not hasattr(Quasilattice, "lattice_basis")
+    assert not hasattr(pipeline, "hirzebruch_vector_config") and not hasattr(gale, "kernel_rows_for")
+    assert not hasattr(polyhedron, "_boundary") and not hasattr(polyhedron, "_order_ccw")

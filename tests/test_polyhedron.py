@@ -23,13 +23,16 @@ from quasitoric.scalar import Q, sqrt
 from conftest import (
     halfplane_systems,
     area,
+    boundary,
     chamber_halfplanes,
     chambers,
     contains,
     fractions,
+    is_flat,
     polygon,
     recession_rays,
     region_vertices,
+    same_cycle,
     scan_incidence,
 )
 
@@ -367,3 +370,27 @@ def test_enumerated_incidence_matches_scan(hs):
     except (InfeasibleRegionError, NotPointedError):
         return
     assert p.incidence == scan_incidence(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfplane_systems())
+@example([HalfPlane((Q(1), Q(1)), Q(0)), *unit_square().hrep])  # bounded, a dropped constraint
+@example([_hp(0, -1, -1), _hp(1, 0, 0), _hp(0, 1, 0)])  # the strip: one ray
+@example([_hp(0, 1, 0), _hp(1, 0, 0)])  # the quadrant: two rays
+# two rays, the chain out along x >= 0 and back in along y >= sqrt(2) x
+@example([HalfPlane((-sqrt(2), Q(1)), Q(0)), _hp(1, 1, 1), _hp(1, 0, 0)])
+def test_walked_cycle_matches_boundary_oracle(hs):
+    """The cycle that ``vrep_from_hrep`` walks off its sign table is, as a
+    cyclic sequence of entries and labels, the ``boundary`` oracle's, for
+    bounded regions and those with one or two rays; a flat region has none,
+    and every vertex of one with an interior lies on exactly two kept
+    constraints."""
+    try:
+        p = vrep_from_hrep(hs)
+    except (InfeasibleRegionError, NotPointedError):
+        return
+    if is_flat(p):
+        assert p.cycle == () and not p.simple
+        return
+    assert p.simple
+    assert same_cycle(p.cycle, boundary(p))

@@ -62,15 +62,14 @@ def assert_canonical(x):
     assert x == y and hash(x) == hash(y)
 
 
-@given(st.one_of(same_field_pairs(), st.tuples(any_scalars(), any_scalars())),
-       st.integers(-3, 3))
-def test_arithmetic_results_are_canonical(pair, n):
+@given(st.one_of(same_field_pairs(), st.tuples(any_scalars(), any_scalars())))
+def test_arithmetic_results_are_canonical(pair):
     a, b = pair
     results = [-a, conjugate(a), a + 1, 1 + a, a - 1, 1 - a, 2 * a, a * 2, a + (-a)]
     try:
         results += [a + b, a - b, a * b, a * conjugate(a)]
         if not b.is_zero():
-            results += [a / b, b.inv(), 1 / b, b**n, b ** -abs(n)]
+            results += [a / b, b.inv(), 1 / b]
     except ScalarContextError:
         assert a.d is not None and b.d is not None and a.d != b.d
     for x in results:
@@ -87,7 +86,7 @@ def test_checks_stay_at_the_boundary():
     ):
         with pytest.raises(ScalarContextError):
             op()
-    for op in (lambda: Q(0).inv(), lambda: Q(0) ** -1, lambda: 1 / Q(0), lambda: sqrt(2) / Q(0)):
+    for op in (lambda: Q(0).inv(), lambda: 1 / Q(0), lambda: sqrt(2) / Q(0)):
         with pytest.raises(ScalarDomainError):
             op()
     for bad in ((1, 1, 4), (1, 1), (1, 1, 1), (1, 1, 0), (1, 1, 10**12 + 1)):
@@ -196,10 +195,6 @@ def test_order_matches_float(a, b):
 @given(any_scalars())
 def test_abs_and_pow(a):
     assert abs(a).sign() >= 0
-    assert a**2 == a * a
-    if not a.is_zero():
-        assert a**-1 == a.inv()
-        assert a**3 * a**-3 == Q(1)
 
 
 @given(any_scalars())
