@@ -16,8 +16,9 @@ has no interior.
 
 A cut augments the quasilattice Q by its normal nu, and its gamma is the
 quotient (Q + Z nu) / Q from ``Quasilattice.quotient``, the one place that
-tells trivial, finite cyclic and dense apart; the strip cut of a report
-therefore has the same gamma as its presentation."""
+tells trivial, finite cyclic and dense apart.  The strip cut of a report
+augments Z^2 by (-1, a) to Q_a's generators in their order, so its gamma is
+Gamma_a = Q_a / Z^2, which the report's presentation reuses."""
 
 from __future__ import annotations
 

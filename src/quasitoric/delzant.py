@@ -4,9 +4,10 @@ equations, cutting-group phase maps, and quasifold presentations.
 Presentations are data, not spaces: equations, weight rows, and group
 descriptions carry all of the checkable content.  The normals' relation
 rows are an argument: a report reads P_a's off V_a's relation basis, below
-its all-ones row and without its ghost column.  The group Gamma = Q / Z^2
-of a parameter-tagged quasilattice Q is ``Q.quotient(z2())``, the same
-classification the cut uses; an untagged Q gets no Gamma."""
+its all-ones row and without its ghost column.  So is the group Gamma =
+Q / Z^2 of a parameter-tagged quasilattice Q, None for an untagged one: a
+report passes its strip cut's, which ``Quasilattice.quotient`` classifies
+from the same three generators in the same order."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2
-from .quasilattice import GroupDesc, Quasilattice, z2
+from .quasilattice import GroupDesc, Quasilattice
 from .scalar import Q, QuadScalar, format_scalar
 
 
@@ -146,20 +147,18 @@ def moment_map_coeffs(
     return out
 
 
-def presentation(triple: PolytopeTriple, rows) -> QuasifoldPresentation:
+def presentation(triple: PolytopeTriple, rows, gamma: GroupDesc | None) -> QuasifoldPresentation:
     """Symplectic quasifold presentation: level-set equations of the moment
     map plus the phase map of the cutting group exp(span rows), for relation
     rows of the triple's normals, which ``moment_map_coeffs`` checks.  For a
-    tagged quasilattice Q, gamma is Q / Z^2, which names the quasitorus and
-    the orbifold divisors; for an untagged one gamma is None."""
+    tagged quasilattice Q, ``gamma`` is Q / Z^2 (``Q.quotient(z2())``, or
+    the strip cut's), which names the quasitorus and the orbifold divisors;
+    for an untagged one it is None."""
     normals = triple.normals()
     components = moment_map_coeffs(triple, rows)
-    q = triple.quasilattice
-    gamma = None
     quasitorus = "R^2/Q (untagged quasilattice)"
     divisors: list[tuple[int, int]] = []
-    if q.param is not None:
-        gamma = q.quotient(z2())
+    if gamma is not None:
         if gamma.kind == "trivial":
             quasitorus = "S^1 x S^1"
         elif gamma.kind == "finite_cyclic":

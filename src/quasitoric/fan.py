@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Vec2, cross, dot, is_zero_vec, primitive_int_vector
-from .polyhedron import Polyhedron2, sort_by_angle
+from .polyhedron import Polyhedron2
 from .quasilattice import Quasilattice
 from .scalar import Q
 
@@ -57,22 +57,20 @@ def normal_fan(p: Polyhedron2) -> Fan2:
 
 
 def is_complete(fan: Fan2) -> bool:
-    """Do the maximal cones tile the plane?  True iff the rays, in angular
-    order, are consecutively paired by the cones, each pair salient."""
+    """Do the maximal cones tile the plane?  Each cone, oriented ccw by one
+    cross sign, is a step of less than a half turn.  If their starts and
+    their ends each list every ray once, the steps form cycles, and those
+    that pass ray 0's direction, from side > 0 to side <= 0 (side[r] the
+    sign of cross(g_r, g_0)), count their turns: complete iff k >= 3 and
+    one passes, for one cycle once around, in angular order."""
     gens = fan.ray_generators
     k = len(gens)
-    if k < 3 or len(fan.maximal_cones) != k:
+    every = list(range(k))
+    steps = [(i, j) if cross(gens[i], gens[j]).sign() > 0 else (j, i) for i, j in fan.maximal_cones]
+    if k < 3 or sorted(i for i, _ in steps) != every or sorted(j for _, j in steps) != every:
         return False
-    order = sort_by_angle(list(gens))
-    index_of = {g: i for i, g in enumerate(gens)}
-    ring = [index_of[g] for g in order]
-    expected = set()
-    for t in range(k):
-        i, j = ring[t], ring[(t + 1) % k]
-        if cross(gens[i], gens[j]).sign() <= 0:
-            return False  # gap or reflex step in the angular sweep
-        expected.add(frozenset((i, j)))
-    return expected == {frozenset(c) for c in fan.maximal_cones}
+    side = [cross(g, gens[0]).sign() for g in gens]
+    return sum(side[i] > 0 >= side[j] for i, j in steps) == 1
 
 
 def is_rational(fan: Fan2, q: Quasilattice) -> bool:

@@ -211,11 +211,12 @@ def build_report(a: ParamSpec) -> ReportDocument:
     qa = hirzebruch_quasilattice(a)
     lattice = z2()
     gale = gale_side(fan)
-    # P_a's relations: V_a's below the all-ones row, without the ghost column
-    facet_relations = [r[: len(fan.ray_generators)] for r in gale.relation_matrix[1:]]
-    pres = presentation(PolytopeTriple(p, qa), facet_relations)
-    components = moment_map_coeffs(five_constraint_triple(p, qa), gale.relation_matrix)
     cut_result = strip_cut(a, lattice)
+    # P_a's relations: V_a's below the all-ones row, without the ghost column;
+    # Gamma_a: the strip cut's (Z^2 + Z (-1, a)) / Z^2, which is Q_a / Z^2
+    facet_relations = [r[: len(fan.ray_generators)] for r in gale.relation_matrix[1:]]
+    pres = presentation(PolytopeTriple(p, qa), facet_relations, cut_result.gamma)
+    components = moment_map_coeffs(five_constraint_triple(p, qa), gale.relation_matrix)
     blowup = triangle_blowup(a)
 
     same_cut = cut_result.kept_piece.same_region(p)

@@ -11,7 +11,8 @@ irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
 One table of the signs of cross(n_i, n_j), n(n-1)/2 products per
 enumeration, decides without another product which +-rot90(n_i) are
 recession rays, of the region or of the others in a redundancy test, and
-which normals are parallel.
+which normals are parallel; the region's rays, keyed by constraint and
+side, also give the walk of its cycle its unbounded ends.
 
 A region without a vertex is either empty or unpointed.  A nonempty region
 whose normals span the plane is pointed, so the enumeration would have found
@@ -31,7 +32,6 @@ and ``clip``'s docstring proves the one invariant that they rely on.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .linalg import Vec2, cross, dot, is_zero_vec, rot90, smul, solve2x2, vadd, vneg, vsub
@@ -106,27 +106,6 @@ def _dedup_halfplanes(hrep):
     return out
 
 
-def _angle_class(v: Vec2) -> int:
-    """0 for the upper half turn (includes +x axis), 1 for the lower."""
-    s1 = v[1].sign()
-    if s1 > 0 or (s1 == 0 and v[0].sign() > 0):
-        return 0
-    return 1
-
-
-def _angle_cmp(u: Vec2, v: Vec2) -> int:
-    cu, cv = _angle_class(u), _angle_class(v)
-    if cu != cv:
-        return -1 if cu < cv else 1
-    c = cross(u, v).sign()
-    return -c
-
-
-def sort_by_angle(vectors: list[Vec2]) -> list[Vec2]:
-    """Counterclockwise angular order starting from the +x axis."""
-    return sorted(vectors, key=functools.cmp_to_key(_angle_cmp))
-
-
 def _from_least(cycle: list) -> list:
     """The cycle rotated to start at its lexicographically least entry."""
     i = cycle.index(min(cycle))
@@ -181,18 +160,14 @@ def _normal_signs(hrep: list[HalfPlane]) -> list[list[int]]:
     return signs
 
 
-def _recession_rays(hrep: list[HalfPlane], signs) -> list[Vec2]:
+def _recession_rays(hrep: list[HalfPlane], signs) -> dict:
     """The extreme rays of the recession cone: each s*rot90(n_i), s = +-1,
     with <s*rot90(n_i), n_j> = s*signs[i][j] >= 0 for every j (``signs`` of
-    ``_normal_signs``), canonical, each once, in constraint order."""
-    out = []
-    for h, row in zip(hrep, signs):
-        for s in (1, -1):
-            if all(s * c >= 0 for c in row):
-                r = _canonical_ray(rot90(h.normal) if s > 0 else vneg(rot90(h.normal)))
-                if r not in out:
-                    out.append(r)
-    return out
+    ``_normal_signs``), canonical, keyed by (i, s) in constraint order; a
+    ray along two parallel constraints appears under both keys."""
+    return {(i, s): _canonical_ray(rot90(h.normal) if s > 0 else vneg(rot90(h.normal)))
+            for i, (h, row) in enumerate(zip(hrep, signs)) for s in (1, -1)
+            if all(s * c >= 0 for c in row)}
 
 
 def _drop_redundant(hrep: list[HalfPlane], tight_at: dict, signs) -> list[int]:
@@ -263,15 +238,16 @@ def _vertexless_error(hrep: list[HalfPlane], signs) -> ValueError:
     return NotPointedError("region has no vertex")
 
 
-def _walk(hrep: list[HalfPlane], tight: dict, signs) -> list:
+def _walk(tight: dict, signs, rays: dict) -> list:
     """The labelled boundary cycle of a region with an interior, whose
     vertices, the keys of ``tight``, each lie on two constraints a, b.  Going
     ccw, the edge of c runs along -rot90(n_c) and turns left at a vertex, so
     the edge out of it is b's iff signs[a][b] = sign cross(n_a, n_b) > 0.
     The walk starts where no edge leads in, on the incoming unbounded edge,
-    or else at the lex-least.  An unbounded end is the ray along its edge's
-    constraint: -rot90(n) out of the last vertex, then the arc at infinity
-    (label None) to rot90(n) into the first, one ideal point if they agree."""
+    or else at the lex-least.  An unbounded end is the recession ray along
+    its edge's constraint, read off ``rays`` (``_recession_rays``): key
+    (c, -1) out of the last vertex, then the arc at infinity (label None) to
+    key (a, +1) into the first, one ideal point if they agree."""
     ends, leave = {}, {}
     for v, (a, b) in tight.items():
         a, b = (a, b) if signs[a][b] > 0 else (b, a)
@@ -282,8 +258,7 @@ def _walk(hrep: list[HalfPlane], tight: dict, signs) -> list:
     while (v := ends.get(leave[v])) not in (None, cycle[0][0]):
         cycle.append((v, leave[v]))
     if a is not None:
-        out = Ideal(_canonical_ray(vneg(rot90(hrep[cycle[-1][1]].normal))))
-        back = Ideal(_canonical_ray(rot90(hrep[a].normal)))
+        out, back = Ideal(rays[cycle[-1][1], -1]), Ideal(rays[a, 1])
         cycle += [(out, None), (back, a)] if out != back else [(out, a)]
     return cycle
 
@@ -301,11 +276,12 @@ def vrep_from_hrep(hrep: list[HalfPlane]) -> Polyhedron2:
     tight_at = _candidate_vertices(hrep)
     if not tight_at:
         raise _vertexless_error(hrep, signs)
-    rays = _recession_rays(hrep, signs)
+    keyed = _recession_rays(hrep, signs)
+    rays = dict.fromkeys(keyed.values())
     kept = _drop_redundant(hrep, tight_at, signs)
     index = {k: i for i, k in enumerate(kept)}
     tight = {v: [k for k in ks if k in index] for v, ks in tight_at.items()}
-    walk = _walk(hrep, tight, signs) if all(len(t) == 2 for t in tight.values()) else []
+    walk = _walk(tight, signs, keyed) if all(len(t) == 2 for t in tight.values()) else []
     cycle = tuple((e, None if k is None else index[k]) for e, k in walk)
     verts = _from_least([e for e, _ in walk if not isinstance(e, Ideal)]) if walk else sorted(tight)
     incidence = tuple(tuple(index[k] for k in tight[v]) for v in verts)
@@ -319,7 +295,9 @@ def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlan
     direction e, gets an end cap <mu, e> >= min or <mu, -e> >= -max on each
     side that no ray leaves, then its line in both directions: a point (e =
     (1, 0)) gets four constraints, a segment four and a ray three, so it
-    reads as the H-form of that set."""
+    reads as the H-form of that set.  Otherwise a side of the line through
+    a vertex and a distinct later one, or along a ray from it, that holds
+    everywhere supports the set along that segment or half-line: a facet."""
     if not vertices:
         raise ValueError("need at least one vertex")
     vertices = list(vertices)
@@ -351,15 +329,7 @@ def hrep_from_vrep(vertices: list[Vec2], rays: list[Vec2] = ()) -> list[HalfPlan
         if all(h.holds(v) for v in vertices)
         and all(dot(r, h.normal).sign() >= 0 for r in rays)
     ]
-    valid = _dedup_halfplanes(valid)
-    # keep only facets: tight at two vertices, or a vertex plus a parallel ray
-    out = []
-    for h in valid:
-        tight_v = sum(1 for v in vertices if h.tight(v))
-        tight_r = sum(1 for r in rays if dot(r, h.normal).is_zero())
-        if tight_v >= 2 or (tight_v >= 1 and tight_r >= 1):
-            out.append(h)
-    return out
+    return _dedup_halfplanes(valid)
 
 
 def clip(cycle: list, h: HalfPlane) -> list:

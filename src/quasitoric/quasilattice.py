@@ -5,9 +5,9 @@ quasilattice onto a Z-module in Q^4. Each instance reduces its generators
 once, to the Hermite normal form of that module scaled into Z^4, and answers
 membership, coordinates on that basis, discreteness, ray rationality and the
 quotient by a sublattice exactly from that one form.  This module alone
-decides whether a quotient Gamma is trivial, finite cyclic or dense: the
-quasilattice Q_a over Z^2 (``delzant``) and the cut's augmented group over
-the one it augments (``cut``) both ask ``quotient``.
+decides whether a quotient Gamma is trivial, finite cyclic or dense, in
+``quotient``; a report asks it once, for its strip cut (``cut``), whose
+Gamma_a = Q_a / Z^2 its presentation (``delzant``) reuses.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -32,10 +33,9 @@ from quasitoric.linalg import (
 from quasitoric.polyhedron import (
     HalfPlane,
     Ideal,
+    InfeasibleRegionError,
+    NotPointedError,
     Polyhedron2,
-    _candidate_vertices,
-    _dedup_halfplanes,
-    _vertexless_error,
     hrep_from_vrep,
     vrep_from_hrep,
 )
@@ -139,16 +139,65 @@ def smooth_by_solving(fan, lattice):
         for i, j in fan.maximal_cones)
 
 
+def pairwise_vertices(hrep):
+    """The points where two boundary lines meet and every constraint holds,
+    each once, in the order of the first pair that meets there: the
+    vertices of the region, by brute force."""
+    pts = []
+    for g, h in combinations(hrep, 2):
+        p = solve2x2(g.normal, h.normal, (g.offset, h.offset))
+        if p is not None and p not in pts and all(f.holds(p) for f in hrep):
+            pts.append(p)
+    return pts
+
+
+def fm_feasible(hrep):
+    """Exact Fourier-Motzkin feasibility of the constraints <mu, n_i> >= c_i."""
+    # constraints as a*x + b*y >= c
+    cons = [(h.normal[0], h.normal[1], h.offset) for h in hrep]
+    lower, upper, rest = [], [], []  # bounds on x given y
+    for a, b, c in cons:
+        sa = a.sign()
+        if sa > 0:
+            lower.append((b, c, a))  # x >= (c - b*y)/a
+        elif sa < 0:
+            upper.append((b, c, a))  # x <= (c - b*y)/a
+        else:
+            rest.append((b, c))  # b*y >= c
+    # eliminate x: for each (lower, upper) pair require compatibility
+    for bl, cl, al in lower:
+        for bu, cu, au in upper:
+            # (cl - bl*y)/al <= (cu - bu*y)/au with al>0, au<0
+            # multiply out: au*(cl - bl*y) >= al*(cu - bu*y)   (au<0 flips)
+            b = al * bu - au * bl
+            c = al * cu - au * cl
+            rest.append((b, c))
+    lo, hi = None, None
+    for b, c in rest:
+        sb = b.sign()
+        if sb > 0:
+            v = c / b
+            if lo is None or v > lo:
+                lo = v
+        elif sb < 0:
+            v = c / b
+            if hi is None or v < hi:
+                hi = v
+        elif c.sign() > 0:
+            return False
+    return lo is None or hi is None or lo <= hi
+
+
 def region_vertices(hrep):
     """The vertices of a half-plane intersection, in no particular order,
-    from the O(n^3) enumeration of ``vrep_from_hrep`` with no facet pruning,
-    as ``is_polytopal`` found them before it clipped.  Raises
-    InfeasibleRegionError or NotPointedError as ``vrep_from_hrep`` does."""
-    hrep = _dedup_halfplanes(hrep)
-    verts = list(_candidate_vertices(hrep))
+    by ``pairwise_vertices``, as ``is_polytopal`` found them before it
+    clipped.  Without one, InfeasibleRegionError or NotPointedError as
+    ``fm_feasible`` tells, where ``vrep_from_hrep`` reads its sign table."""
+    verts = pairwise_vertices(hrep)
     if not verts:
-        raise _vertexless_error(hrep, [[cross(g.normal, h.normal).sign() for h in hrep]
-                                       for g in hrep])
+        if fm_feasible(hrep):
+            raise NotPointedError("region has no vertex")
+        raise InfeasibleRegionError("constraints have empty intersection")
     return verts
 
 
@@ -196,6 +245,40 @@ def same_cycle(c, d) -> bool:
     """c and d list the same entries with the same labels in the same
     cyclic order."""
     return len(c) == len(d) and (not c or any(c[i:] + c[:i] == d for i in range(len(c))))
+
+
+def _angle_class(v):
+    """0 for the upper half turn (includes +x axis), 1 for the lower."""
+    s1 = v[1].sign()
+    if s1 > 0 or (s1 == 0 and v[0].sign() > 0):
+        return 0
+    return 1
+
+
+def _angle_cmp(u, v) -> int:
+    cu, cv = _angle_class(u), _angle_class(v)
+    if cu != cv:
+        return -1 if cu < cv else 1
+    return -cross(u, v).sign()
+
+
+def sort_by_angle(vectors):
+    """Counterclockwise angular order starting from the +x axis."""
+    return sorted(vectors, key=functools.cmp_to_key(_angle_cmp))
+
+
+def complete_by_sorting(fan) -> bool:
+    """The rays, sorted by angle, are consecutively paired by the maximal
+    cones, each pair salient: the oracle for ``is_complete``, which walks
+    the cones instead."""
+    gens = fan.ray_generators
+    k = len(gens)
+    if k < 3 or len(fan.maximal_cones) != k:
+        return False
+    ring = [gens.index(g) for g in sort_by_angle(list(gens))]
+    pairs = [(ring[t], ring[(t + 1) % k]) for t in range(k)]
+    return all(cross(gens[i], gens[j]).sign() > 0 for i, j in pairs) and (
+        {frozenset(c) for c in pairs} == {frozenset(c) for c in fan.maximal_cones})
 
 
 def is_flat(p) -> bool:
@@ -339,7 +422,7 @@ def halfplane_systems(draw):
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["loose", "through", "support", "flip"]))
         g = hs[draw(st.integers(0, len(hs) - 1))]
-        verts = list(_candidate_vertices(hs))
+        verts = pairwise_vertices(hs)
         v = verts[draw(st.integers(0, len(verts) - 1))] if verts else None
         tight = [f.normal for f in hs if v is not None and f.tight(v)]
         if kind == "loose":

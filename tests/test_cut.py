@@ -133,10 +133,10 @@ parameters = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(parameters)
 def test_report_has_one_gamma(av):
-    """The presentation's Gamma_a = Q_a / Z^2 and the strip cut's
-    (Z^2 + Z (-1, a)) / Z^2 are one group, rotation included."""
+    """The strip cut's (Z^2 + Z (-1, a)) / Z^2, which the presentation
+    reuses, is Gamma_a = Q_a / Z^2, rotation included."""
     doc = build_report(ParamSpec(av))
-    assert doc.presentation.gamma == doc.cut.gamma
+    assert doc.presentation.gamma == doc.cut.gamma == doc.quasilattice.quotient(z2())
     assert doc.presentation.gamma.rotation_coefficient == (None if is_integer(av) else av)
 
 

@@ -19,8 +19,10 @@ from conftest import kernel_rows_for
 
 def reduced_presentation(triple):
     """The presentation with relation rows reduced from the triple's own
-    normals (``kernel_rows_for``)."""
-    return presentation(triple, kernel_rows_for(triple.normals()))
+    normals (``kernel_rows_for``), and Gamma = Q / Z^2 for a tagged Q."""
+    q = triple.quasilattice
+    gamma = q.quotient(z2()) if q.param is not None else None
+    return presentation(triple, kernel_rows_for(triple.normals()), gamma)
 
 
 def test_triple_validation():

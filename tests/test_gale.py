@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric import gale, linalg, pipeline, polyhedron
+from quasitoric import fan, gale, linalg, pipeline, polyhedron
 from quasitoric.gale import (
     NotBalancedError,
     PointConfig,
@@ -439,12 +439,13 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     polyhedron's incidence from its construction, and the blow-up's
     parallel-edge check reads the vertex's constraints off it, so it makes
     no tight test (65 when serialisation rescanned, 3 while the check
-    tested every constraint), and at most 640 QuadScalar products (628;
+    tested every constraint), and at most 640 QuadScalar products (632;
     1120 then, 998 while ``_drop_redundant`` took its others' rays by dot
     products, 794 while the pieces sorted their vertices by angle, 748
     before the Gale, fan and lattice stages below stopped re-deriving
     facts, 680 while each polyhedron sorted its vertices by angle and the
-    presentation reduced P_a's normals again)."""
+    presentation reduced P_a's normals again, 628 while ``is_complete``
+    sorted the fan's rays by angle, in 12 where its cone walk takes 16)."""
     tight, products = [], []
 
     def logged(log, fn):
@@ -471,13 +472,17 @@ def test_report_side_stages_compute_each_fact_once(monkeypatch):
     vertices about their centroid and the presentation reduced P_a's
     normals again) and 2 ``rref`` calls for the one relation basis, of
     V_a, whose rows the presentation reuses: the kernel, then its rows in
-    input order (4 while the presentation reduced its own).  V_a's rank is
+    input order (4 while the presentation reduced its own).  It takes one
+    ``Quasilattice.quotient``, the strip cut's Gamma_a, which the
+    presentation reuses (2 while it took Q_a / Z^2 itself).  V_a's rank is
     read off cross products.  These are gone from the package, their
     oracles in conftest: ``matrix_rank``, ``Quasilattice.lattice_basis``,
     ``hirzebruch_vector_config`` (V_a comes from the fan), ``kernel_rows_for``,
-    and ``_boundary`` and ``_order_ccw`` (a polyhedron stores its cycle).
-    Z^2 is one instance per process, so its HNF is computed once."""
-    inversions, reductions = [], []
+    ``_boundary`` and ``_order_ccw`` (a polyhedron stores its cycle), and
+    ``sort_by_angle`` with its ``_angle_cmp`` and ``_angle_class``
+    (``is_complete`` walks the cones).  Z^2 is one instance per process, so
+    its HNF is computed once."""
+    inversions, reductions, quotients = [], [], []
 
     def logged(log):
         def wrap(fn):
@@ -489,13 +494,17 @@ def test_report_side_stages_compute_each_fact_once(monkeypatch):
 
     _wrap_in_package(monkeypatch, {linalg.rref: logged(reductions)})
     monkeypatch.setattr(QuadScalar, "inv", logged(inversions)(QuadScalar.inv))
+    monkeypatch.setattr(Quasilattice, "quotient", logged(quotients)(Quasilattice.quotient))
     build_report(ParamSpec(parse_scalar("3/2"))).to_json()
-    inversions.clear()
-    reductions.clear()
+    for log in (inversions, reductions, quotients):
+        log.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
     assert len(inversions) <= 64
     assert len(reductions) == 2
+    assert len(quotients) == 1
     assert z2() is z2()
     assert not hasattr(linalg, "matrix_rank") and not hasattr(Quasilattice, "lattice_basis")
     assert not hasattr(pipeline, "hirzebruch_vector_config") and not hasattr(gale, "kernel_rows_for")
     assert not hasattr(polyhedron, "_boundary") and not hasattr(polyhedron, "_order_ccw")
+    assert not [name for name in ("sort_by_angle", "_angle_cmp", "_angle_class")
+                if hasattr(polyhedron, name) or hasattr(fan, name)]

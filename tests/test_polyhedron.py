@@ -4,17 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric.linalg import dot
+from quasitoric import polyhedron
+from quasitoric.linalg import cross, dot, vsub
 from quasitoric.polyhedron import (
     HalfPlane,
+    Ideal,
     InfeasibleRegionError,
     NoOpCutError,
     NotPointedError,
-    _candidate_vertices,
     _canonical_ray,
     _dedup_halfplanes,
     hrep_from_vrep,
-    sort_by_angle,
     split,
     vrep_from_hrep,
 )
@@ -27,13 +27,16 @@ from conftest import (
     chamber_halfplanes,
     chambers,
     contains,
+    fm_feasible,
     fractions,
     is_flat,
+    pairwise_vertices,
     polygon,
     recession_rays,
     region_vertices,
     same_cycle,
     scan_incidence,
+    sort_by_angle,
 )
 
 
@@ -140,6 +143,7 @@ def test_split():
 
 
 def test_sort_by_angle():
+    """The angle sort of ``conftest``, the oracle for ``is_complete``."""
     vs = [(Q(0), Q(-1)), (Q(1), Q(0)), (Q(-1), Q(0)), (Q(0), Q(1)), (Q(1), Q(1))]
     ordered = sort_by_angle(vs)
     assert ordered[0] == (Q(1), Q(0))
@@ -185,43 +189,6 @@ def test_random_polytope_containment_oracle(corner_pts, probes):
         assert inside_by_hrep == inside_by_hull
 
 
-def _fm_feasible(hrep):
-    """Oracle: exact Fourier-Motzkin feasibility for <mu, n_i> >= c_i."""
-    # constraints as a*x + b*y >= c
-    cons = [(h.normal[0], h.normal[1], h.offset) for h in hrep]
-    lower, upper, rest = [], [], []  # bounds on x given y
-    for a, b, c in cons:
-        sa = a.sign()
-        if sa > 0:
-            lower.append((b, c, a))  # x >= (c - b*y)/a
-        elif sa < 0:
-            upper.append((b, c, a))  # x <= (c - b*y)/a
-        else:
-            rest.append((b, c))  # b*y >= c
-    # eliminate x: for each (lower, upper) pair require compatibility
-    for bl, cl, al in lower:
-        for bu, cu, au in upper:
-            # (cl - bl*y)/al <= (cu - bu*y)/au with al>0, au<0
-            # multiply out: au*(cl - bl*y) >= al*(cu - bu*y)   (au<0 flips)
-            b = al * bu - au * bl
-            c = al * cu - au * cl
-            rest.append((b, c))
-    lo, hi = None, None
-    for b, c in rest:
-        sb = b.sign()
-        if sb > 0:
-            v = c / b
-            if lo is None or v > lo:
-                lo = v
-        elif sb < 0:
-            v = c / b
-            if hi is None or v < hi:
-                hi = v
-        elif c.sign() > 0:
-            return False
-    return lo is None or hi is None or lo <= hi
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -240,15 +207,15 @@ def test_feasibility_matches_vertex_enumeration(triples):
         return
     try:
         p = vrep_from_hrep(hrep)
-        assert _fm_feasible(hrep)
+        assert fm_feasible(hrep)
         for v in p.vertices:
             assert contains(p, v)
         if p.bounded:
             assert area(p).sign() >= 0
     except NotPointedError:
-        assert _fm_feasible(hrep)
+        assert fm_feasible(hrep)
     except InfeasibleRegionError:
-        assert not _fm_feasible(hrep)
+        assert not fm_feasible(hrep)
 
 
 def _hp(nx, ny, c):
@@ -277,7 +244,7 @@ def test_vertexless_classification(hrep, error):
     parallel normals are empty iff their interval along n0 is."""
     with pytest.raises(error):
         vrep_from_hrep(hrep)
-    assert _fm_feasible(hrep) == (error is NotPointedError)
+    assert fm_feasible(hrep) == (error is NotPointedError)
 
 
 def _restart_drop_redundant(hrep):
@@ -292,7 +259,7 @@ def _restart_drop_redundant(hrep):
             if not others:
                 continue
             h = kept[idx]
-            verts = _candidate_vertices(others)
+            verts = pairwise_vertices(others)
             if not verts:
                 continue
             if all(h.holds(v) for v in verts) and all(
@@ -394,3 +361,55 @@ def test_walked_cycle_matches_boundary_oracle(hs):
         return
     assert p.simple
     assert same_cycle(p.cycle, boundary(p))
+
+
+def _pt(x, y):
+    return (Q(x), Q(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(fractions(6, 3), fractions(6, 3)), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=2),
+    st.booleans(),
+)
+@example([(0, 0), (1, 0), (0, 0), (0, 1)], [], False)  # a repeated point
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)], [], False)  # collinear on an edge
+@example([(0, 0), (4, 0), (0, 4), (1, 1)], [], False)  # a point inside the hull
+@example([(0, 0), (1, 0), (2, 0)], [(0, 1)], False)  # collinear, with a ray
+@example([(0, 0), (1, 1)], [(1, 0), (2, 0)], True)  # parallel rays
+def test_hrep_from_vrep_returns_facets(raw_points, raw_rays, irrational):
+    """Of a set that is not flat, every constraint ``hrep_from_vrep``
+    returns holds at every input point and ray, and is tight at two distinct
+    input points or at one and parallel to an input ray: a facet, so no
+    filter after the dedupe is needed."""
+    shift = sqrt(2) if irrational else Q(0)
+    pts = [(Q(x) + shift * Q(y), Q(y)) for x, y in raw_points]
+    rays = [(Q(x), Q(y)) for x, y in raw_rays if (x, y) != (0, 0)]
+    dirs = [vsub(v, pts[0]) for v in pts[1:]] + rays
+    if all(cross(d, e).is_zero() for d in dirs for e in dirs):
+        return
+    hs = hrep_from_vrep(pts, rays)
+    assert len(hs) == len(_dedup_halfplanes(hs))
+    for h in hs:
+        assert all(h.holds(v) for v in pts) and all(dot(r, h.normal).sign() >= 0 for r in rays)
+        on = set(v for v in pts if h.tight(v))
+        assert len(on) >= 2 or (on and any(dot(r, h.normal).is_zero() for r in rays))
+
+
+def test_strip_canonicalises_each_ray_once(monkeypatch):
+    """Enumerating the strip [0, inf) x [0, 1] makes its ray (1, 0)
+    canonical once under each of the two constraints it runs along, and the
+    walk reads its unbounded ends off those: 2 ``_canonical_ray`` calls (4
+    while the walk made its ends canonical again)."""
+    calls, canonical = [], polyhedron._canonical_ray
+
+    def counted(r):
+        calls.append(r)
+        return canonical(r)
+
+    monkeypatch.setattr(polyhedron, "_canonical_ray", counted)
+    p = vrep_from_hrep([_hp(1, 0, 0), _hp(0, 1, 0), _hp(0, -1, -1)])
+    assert len(calls) == 2
+    assert p.rays == ((Q(1), Q(0)),)
+    assert [e for e, _ in p.cycle] == [_pt(0, 1), _pt(0, 0), Ideal((Q(1), Q(0)))]
