@@ -149,7 +149,7 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_classify_leaves(args) -> int:
-    report = classify_leaves(_param(args.a))
+    report = classify_leaves(hirzebruch_quasilattice(_param(args.a)).quotient(z2()))
     sys.stdout.write(_dump(leaf_report_to_json(report)))
     return 0
 

@@ -2,18 +2,17 @@
 equations, cutting-group phase maps, and quasifold presentations.
 
 Presentations are data, not spaces: equations, weight rows, and group
-descriptions carry all of the checkable content.  The normals' relation
-rows are an argument: a report reads P_a's off V_a's relation basis, below
-its all-ones row and without its ghost column.  So is the group Gamma =
-Q / Z^2 of a parameter-tagged quasilattice Q, None for an untagged one: a
-report passes its strip cut's, which ``Quasilattice.quotient`` classifies
-from the same three generators in the same order."""
+descriptions carry all of the checkable content.  A report builds one
+triple, P_a plus the extra half-plane, so each normal is checked in Q_a
+once; the presentation reads P_a's facets off its polytope.  The relation
+rows, also the weight rows of the cutting group N, are an argument: a
+report reads P_a's off V_a's relation basis, below its all-ones row and
+without its ghost column.  So is Gamma = Q / Z^2: the strip cut's."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2
 from .quasilattice import GroupDesc, Quasilattice
 from .scalar import Q, QuadScalar, format_scalar
@@ -45,12 +44,6 @@ class PolytopeTriple:
     def halfplanes(self) -> tuple[HalfPlane, ...]:
         return tuple(self.polytope.hrep) + tuple(self.extra_halfplanes)
 
-    def normals(self) -> list[Vec2]:
-        return [h.normal for h in self.halfplanes()]
-
-    def offsets(self) -> list[QuadScalar]:
-        return [h.offset for h in self.halfplanes()]
-
 
 @dataclass(frozen=True)
 class MomentComponent:
@@ -80,15 +73,15 @@ def _render_modulus_form(coeffs) -> str:
 @dataclass(frozen=True)
 class QuasifoldPresentation:
     facet_count: int
-    relation_rows: tuple[tuple[QuadScalar, ...], ...]
+    relation_rows: tuple[tuple[QuadScalar, ...], ...]  # also the weight rows of N
     level_components: tuple[MomentComponent, ...]
-    group_weight_rows: tuple[tuple[QuadScalar, ...], ...]  # phase map of the cutting group N
     quasitorus: str
-    gamma: GroupDesc | None
+    gamma: GroupDesc
     divisor_orders: tuple[tuple[int, int], ...]  # (facet index 1-based, order)
 
     def group_phases(self) -> str:
-        return render_phase_map(self.group_weight_rows)
+        """The phase map of the cutting group N = exp(span relation_rows)."""
+        return render_phase_map(self.relation_rows)
 
 
 _PARAM_NAMES = "rstuv"
@@ -123,59 +116,54 @@ def _leading(row) -> int:
 
 
 def moment_map_coeffs(
-    triple: PolytopeTriple, rows: list[list[QuadScalar]]
+    halfplanes, rows: list[list[QuadScalar]]
 ) -> list[MomentComponent]:
     """Components sum_i b_i (|z_i|^2 + lambda_i) of the moment map for the
-    subgroup exp(span rows) acting on C^d."""
-    normals = triple.normals()
-    offsets = triple.offsets()
-    d = len(normals)
+    subgroup exp(span rows) acting on C^d, d the number of half-planes
+    <mu, X_i> >= lambda_i."""
+    d = len(halfplanes)
     out = []
     for row in rows:
         if len(row) != d:
             raise ValueError(f"row length {len(row)} != facet count {d}")
         for k in range(2):
             acc = Q(0)
-            for b, n in zip(row, normals):
-                acc = acc + b * n[k]
+            for b, h in zip(row, halfplanes):
+                acc = acc + b * h.normal[k]
             if not acc.is_zero():
                 raise ValueError("relation row does not annihilate the normals")
         c = Q(0)
-        for b, lam in zip(row, offsets):
-            c = c - b * lam
+        for b, h in zip(row, halfplanes):
+            c = c - b * h.offset
         out.append(MomentComponent(tuple(row), c))
     return out
 
 
-def presentation(triple: PolytopeTriple, rows, gamma: GroupDesc | None) -> QuasifoldPresentation:
-    """Symplectic quasifold presentation: level-set equations of the moment
-    map plus the phase map of the cutting group exp(span rows), for relation
-    rows of the triple's normals, which ``moment_map_coeffs`` checks.  For a
-    tagged quasilattice Q, ``gamma`` is Q / Z^2 (``Q.quotient(z2())``, or
-    the strip cut's), which names the quasitorus and the orbifold divisors;
-    for an untagged one it is None."""
-    normals = triple.normals()
-    components = moment_map_coeffs(triple, rows)
-    quasitorus = "R^2/Q (untagged quasilattice)"
+def presentation(triple: PolytopeTriple, rows, gamma: GroupDesc) -> QuasifoldPresentation:
+    """Symplectic quasifold presentation of the triple's polytope P: level-set
+    equations of the moment map plus the phase map of the cutting group
+    exp(span rows), for relation rows of P's facet normals, which
+    ``moment_map_coeffs`` checks.  ``gamma`` is Q / Z^2 (``Q.quotient(z2())``,
+    or the strip cut's), which names the quasitorus and the orbifold
+    divisors."""
+    facets = triple.polytope.hrep
+    components = moment_map_coeffs(facets, rows)
     divisors: list[tuple[int, int]] = []
-    if gamma is not None:
-        if gamma.kind == "trivial":
-            quasitorus = "S^1 x S^1"
-        elif gamma.kind == "finite_cyclic":
-            quasitorus = f"S^1 x (S^1/Z_{gamma.order})"
-        else:
-            quasitorus = "S^1 x (S^1/Gamma_a)"
-        if gamma.kind == "finite_cyclic":
-            # the two horizontal facets (bases of the trapezoid) pick up
-            # orbifold divisors of order q
-            for idx, n in enumerate(normals, start=1):
-                if n[0].is_zero():
-                    divisors.append((idx, gamma.order))
+    if gamma.kind == "trivial":
+        quasitorus = "S^1 x S^1"
+    elif gamma.kind == "finite_cyclic":
+        quasitorus = f"S^1 x (S^1/Z_{gamma.order})"
+        # the two horizontal facets (bases of the trapezoid) pick up
+        # orbifold divisors of order q
+        for idx, h in enumerate(facets, start=1):
+            if h.normal[0].is_zero():
+                divisors.append((idx, gamma.order))
+    else:
+        quasitorus = "S^1 x (S^1/Gamma_a)"
     return QuasifoldPresentation(
-        facet_count=len(normals),
+        facet_count=len(facets),
         relation_rows=tuple(tuple(r) for r in rows),
         level_components=tuple(components),
-        group_weight_rows=tuple(tuple(r) for r in rows),
         quasitorus=quasitorus,
         gamma=gamma,
         divisor_orders=tuple(divisors),

@@ -1,15 +1,17 @@
 """Leaf tables of the holomorphic foliation whose leaf space is F_a.
 
 The leaf topology and the complex structures of the special leaves depend
-on the rationality of a only.  The projection of both actions into the leaf
-space class group, and the return-time dichotomy, are identities of the
-exact Gale points Lambda and of a; the tests check them on the report."""
+on Gamma_a = Q_a / Z^2 only (a report passes its strip cut's): its order is
+the covering degree q for a = p/q, and it is dense for an irrational a.  The
+projection of both actions into the leaf space class group, and the
+return-time dichotomy, are identities of the exact Gale points Lambda and
+of a; the tests check them on the report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalar import ParamSpec
+from .quasilattice import GroupDesc
 
 
 @dataclass(frozen=True)
@@ -22,11 +24,11 @@ class LeafReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def classify_leaves(a: ParamSpec) -> LeafReport:
-    """Leaf topology and special-leaf complex structures, as a function of
-    the rationality of a only."""
-    if a.rational:
-        q = a.q
+def classify_leaves(gamma: GroupDesc) -> LeafReport:
+    """Leaf topology and special-leaf complex structures from Gamma_a: q is
+    its order (1 when trivial); a dense Gamma_a gives the irrational tables."""
+    if gamma.kind != "dense_cyclic":
+        q = gamma.order or 1
         return LeafReport(
             generic_leaf="torus_T2",
             generic_closure="torus_T2",

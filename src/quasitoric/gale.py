@@ -2,7 +2,8 @@
 virtual chambers, and the exact polytopality test.
 
 Index sets in triangulations and chambers are 1-based, matching the usual
-convention for configuration combinatorics.
+convention for configuration combinatorics.  A flat chamber triangle takes
+its H-form from ``polyhedron.hrep_from_vrep``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Vec2, cross, dot, is_zero_vec, kernel_basis, rot90, rref, vneg, vsub
-from .polyhedron import HalfPlane, clip
+from .polyhedron import HalfPlane, clip, hrep_from_vrep
 from .scalar import Q, QuadScalar
 
 
@@ -177,40 +178,22 @@ def chamber_from_triangulation(t: Triangulation, d: int) -> VirtualChamber:
 
 def _triangle_halfplanes(pts: list[Vec2]) -> list[tuple[HalfPlane, bool]]:
     """Constraints cutting out the relative interior of the convex hull of
-    three points, as (half-plane, strict) pairs; degenerate cases (segment,
-    single point) turn facet constraints into weak equalities.  A proper
-    triangle's three inward normals come from its one orientation sign:
-    for each edge u -> v with third vertex w, dot(w - u, rot90(v - u)) is
-    the same cross product, so rot90(v - u) points inward iff the triangle
-    is ccw."""
+    three points, as (half-plane, strict) pairs.  A proper triangle's three
+    inward normals come from its one orientation sign: for each edge u -> v
+    with third vertex w, dot(w - u, rot90(v - u)) is the same cross product,
+    so rot90(v - u) points inward iff the triangle is ccw.  Collinear or
+    coincident points take the H-form of their hull from ``hrep_from_vrep``
+    (end caps, then the line both ways; a point's four), and a constraint is
+    strict iff it is loose at one of the points: the caps of a segment."""
     p1, p2, p3 = pts
     orient = cross(vsub(p2, p1), vsub(p3, p1)).sign()
-    if orient:
-        out = []
-        for u, v in ((p1, p2), (p2, p3), (p3, p1)):
-            n = rot90(vsub(v, u)) if orient > 0 else rot90(vsub(u, v))
-            out.append((HalfPlane(n, dot(u, n)), True))
-        return out
-    # collinear: the relative interior of the extreme segment
-    direction = next(
-        (vsub(b, a) for a, b in ((p1, p2), (p1, p3), (p2, p3)) if not is_zero_vec(vsub(b, a))),
-        None,
-    )
-    if direction is None:  # all three coincide: a single point
-        return [
-            (HalfPlane((Q(1), Q(0)), p1[0]), False),
-            (HalfPlane((Q(-1), Q(0)), -p1[0]), False),
-            (HalfPlane((Q(0), Q(1)), p1[1]), False),
-            (HalfPlane((Q(0), Q(-1)), -p1[1]), False),
-        ]
-    params = [dot(p, direction) for p in pts]
-    n = rot90(direction)
-    return [
-        (HalfPlane(n, dot(p1, n)), False),
-        (HalfPlane(vneg(n), -dot(p1, n)), False),
-        (HalfPlane(direction, min(params)), True),
-        (HalfPlane(vneg(direction), -max(params)), True),
-    ]
+    if not orient:
+        return [(h, any(h.slack(p).sign() > 0 for p in pts)) for h in hrep_from_vrep(pts)]
+    out = []
+    for u, v in ((p1, p2), (p2, p3), (p3, p1)):
+        n = rot90(vsub(v, u)) if orient > 0 else rot90(vsub(u, v))
+        out.append((HalfPlane(n, dot(u, n)), True))
+    return out
 
 
 def _closed_hull(pts: list[Vec2]) -> list[Vec2]:

@@ -101,10 +101,11 @@ def vector_config_to_json(v: VectorConfig):
 
 def vector_config_from_json(obj) -> VectorConfig:
     obj = _object(obj, "a vector configuration")
+    vectors = tuple(vec_from_json(x) for x in _list(obj, "vectors"))
     ghosts = _list(obj, "ghost_indices")
-    if not all(isinstance(i, int) for i in ghosts):
-        raise ValueError("'ghost_indices' must be a JSON list of integers")
-    return VectorConfig(tuple(vec_from_json(x) for x in _list(obj, "vectors")), frozenset(ghosts))
+    if not all(type(i) is int and 1 <= i <= len(vectors) for i in ghosts):
+        raise ValueError(f"'ghost_indices' must be a JSON list of integers in 1..{len(vectors)}")
+    return VectorConfig(vectors, frozenset(ghosts))
 
 
 def point_config_to_json(p: PointConfig):
@@ -140,10 +141,10 @@ def presentation_to_json(p: QuasifoldPresentation):
         "facet_count": p.facet_count,
         "relation_rows": matrix_to_json(p.relation_rows),
         "level_components": [component_to_json(c) for c in p.level_components],
-        "group_weight_rows": matrix_to_json(p.group_weight_rows),
+        "group_weight_rows": matrix_to_json(p.relation_rows),
         "group_phase_map": p.group_phases(),
         "quasitorus": p.quasitorus,
-        "gamma": group_to_json(p.gamma) if p.gamma else None,
+        "gamma": group_to_json(p.gamma),
         "divisor_orders": [list(x) for x in p.divisor_orders],
     }
 

@@ -4,6 +4,9 @@ Builds the trapezoid, its normal fan and quasilattice, the balanced vector
 configuration and its dual point configuration, the quasifold presentation,
 the strip cut, the triangle blow-up, and the leaf classification, and checks
 that the three polytope constructions agree.
+Each fact has one owner: the strip and the cut half-plane, written once
+for P_a, T_a and the strip cut; one triple, whose normals are checked in
+Q_a once; and Gamma_a, from the strip cut, for the presentation and leaves.
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ class PipelineInconsistency(RuntimeError):
     """The three polytope constructions disagree."""
 
 
+# the moment image of C x S^2: x >= 0, y >= 0, y <= 1
+_STRIP = (HalfPlane((Q(1), Q(0)), Q(0)), HalfPlane((Q(0), Q(1)), Q(0)), HalfPlane((Q(0), Q(-1)), Q(-1)))
+
+
+def cut_halfplane(a: ParamSpec) -> HalfPlane:
+    """<mu, (-1, a)> >= -1, i.e. x <= a*y + 1: the cut that gives F_a."""
+    return HalfPlane((Q(-1), a.value), Q(-1))
+
+
 def trapezoid_halfplanes(a: ParamSpec) -> list[HalfPlane]:
-    av = a.value
-    return [
-        HalfPlane((Q(1), Q(0)), Q(0)),
-        HalfPlane((Q(0), Q(1)), Q(0)),
-        HalfPlane((Q(0), Q(-1)), Q(-1)),
-        HalfPlane((Q(-1), av), Q(-1)),
-    ]
+    """P_a's: the strip's half-planes, then the cut."""
+    return [*_STRIP, cut_halfplane(a)]
 
 
 def trapezoid(a: ParamSpec) -> Polyhedron2:
@@ -64,26 +71,14 @@ def trapezoid(a: ParamSpec) -> Polyhedron2:
 def strip() -> Polyhedron2:
     """[0, inf) x [0, 1], the same for every a: enumerated once per process
     and shared, which is safe because ``Polyhedron2`` is frozen."""
-    return vrep_from_hrep(
-        [
-            HalfPlane((Q(1), Q(0)), Q(0)),
-            HalfPlane((Q(0), Q(1)), Q(0)),
-            HalfPlane((Q(0), Q(-1)), Q(-1)),
-        ]
-    )
+    return vrep_from_hrep(list(_STRIP))
 
 
 def triangle(a: ParamSpec) -> Polyhedron2:
     """T_a: vertices (0,-1/a), (0,1), (a+1,1); the weighted projective
-    polytope whose corner chop gives P_a."""
-    av = a.value
-    return vrep_from_hrep(
-        [
-            HalfPlane((Q(1), Q(0)), Q(0)),
-            HalfPlane((Q(0), Q(-1)), Q(-1)),
-            HalfPlane((Q(-1), av), Q(-1)),
-        ]
-    )
+    polytope whose corner chop gives P_a: P_a's half-planes without y >= 0."""
+    x_min, _, y_max, cut = trapezoid_halfplanes(a)
+    return vrep_from_hrep([x_min, y_max, cut])
 
 
 def triangulation_from_fan(fan: Fan2) -> Triangulation:
@@ -195,8 +190,9 @@ class ReportDocument:
 
 
 def strip_cut(a: ParamSpec, lattice: Quasilattice) -> CutResult:
-    """Cut the strip along x = a*y + 1 over the lattice (Z^2 for F_a)."""
-    return cut_polyhedron(strip(), lattice, (Q(-1), a.value), Q(-1))
+    """Cut the strip by ``cut_halfplane(a)`` over the lattice (Z^2 for F_a)."""
+    h = cut_halfplane(a)
+    return cut_polyhedron(strip(), lattice, h.normal, h.offset)
 
 
 def triangle_blowup(a: ParamSpec) -> Polyhedron2:
@@ -215,8 +211,9 @@ def build_report(a: ParamSpec) -> ReportDocument:
     # P_a's relations: V_a's below the all-ones row, without the ghost column;
     # Gamma_a: the strip cut's (Z^2 + Z (-1, a)) / Z^2, which is Q_a / Z^2
     facet_relations = [r[: len(fan.ray_generators)] for r in gale.relation_matrix[1:]]
-    pres = presentation(PolytopeTriple(p, qa), facet_relations, cut_result.gamma)
-    components = moment_map_coeffs(five_constraint_triple(p, qa), gale.relation_matrix)
+    triple = five_constraint_triple(p, qa)
+    pres = presentation(triple, facet_relations, cut_result.gamma)
+    components = moment_map_coeffs(triple.halfplanes(), gale.relation_matrix)
     blowup = triangle_blowup(a)
 
     same_cut = cut_result.kept_piece.same_region(p)
@@ -241,6 +238,6 @@ def build_report(a: ParamSpec) -> ReportDocument:
         moment_components=tuple(components),
         cut=cut_result,
         blowup_polytope=blowup,
-        leaf_report=classify_leaves(a),
+        leaf_report=classify_leaves(cut_result.gamma),
         warnings=(MOMENT_CONSTANT_NOTE,),
     )

@@ -219,9 +219,6 @@ class QuadScalar:
 
     # -- queries and conversions ----------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.s == 0
-
     def to_float(self) -> float:
         x = self.r.numerator / self.r.denominator
         if self.s:
@@ -338,7 +335,7 @@ def scalar_to_json(x: QuadScalar) -> dict:
 def scalar_from_json(obj) -> QuadScalar:
     if isinstance(obj, str):
         return parse_scalar(obj)
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return QuadScalar(Fraction(obj))
     if isinstance(obj, dict):
         return QuadScalar(_rational(str(obj["r"])), _rational(str(obj.get("s", "0"))), obj.get("d"))
@@ -347,10 +344,9 @@ def scalar_from_json(obj) -> QuadScalar:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """A positive family parameter with its rationality data.
-
-    For rational values, p/q is the reduced fraction with gcd(p, q) = 1.
-    """
+    """A positive family parameter a.  Whether a is rational, and its
+    denominator q for a = p/q, are read off Gamma_a = Q_a / Z^2 (trivial,
+    Z/qZ or dense), which ``Quasilattice.quotient`` computes, not off a."""
 
     value: QuadScalar
 
@@ -358,22 +354,6 @@ class ParamSpec:
         object.__setattr__(self, "value", QuadScalar.coerce(self.value))
         if self.value.sign() <= 0:
             raise ValueError(f"parameter must be positive, got {self.value}")
-
-    @property
-    def rational(self) -> bool:
-        return self.value.is_rational()
-
-    @property
-    def p(self) -> int:
-        if not self.rational:
-            raise ValueError("irrational parameter has no numerator")
-        return self.value.r.numerator
-
-    @property
-    def q(self) -> int:
-        if not self.rational:
-            raise ValueError("irrational parameter has no denominator")
-        return self.value.r.denominator
 
     def __str__(self):
         return format_scalar(self.value)

@@ -12,7 +12,7 @@ import math
 from .fan import Fan2
 from .gale import PointConfig, VirtualChamber
 from .linalg import Vec2
-from .polyhedron import Polyhedron2
+from .polyhedron import Ideal, Polyhedron2
 
 SCALE = 100.0
 MARGIN = 12.0
@@ -97,20 +97,28 @@ class Figure:
         )
 
 
+def _pushed(v, r: Vec2) -> tuple[float, float]:
+    return (float(v[0]) + UNBOUNDED_EXTENT * float(r[0]), float(v[1]) + UNBOUNDED_EXTENT * float(r[1]))
+
+
 def _poly_outline(p: Polyhedron2) -> list[tuple[float, float]]:
-    pts = [(float(v[0]), float(v[1])) for v in p.vertices]
-    if p.rays:
-        # extend along the recession rays for drawing purposes only
-        extended = list(pts)
-        for r in p.rays:
-            rx, ry = float(r[0]), float(r[1])
-            for v in pts:
-                extended.append((v[0] + UNBOUNDED_EXTENT * rx, v[1] + UNBOUNDED_EXTENT * ry))
-        cx = sum(x for x, _ in extended) / len(extended)
-        cy = sum(y for _, y in extended) / len(extended)
-        extended.sort(key=lambda q: math.atan2(q[1] - cy, q[0] - cx))
-        return extended
-    return pts
+    """P's vertices, each then pushed out along each ray for drawing only
+    when P is flat (a ray); for an unbounded P with an interior, its
+    boundary cycle with each ideal point replaced by its finite neighbours
+    pushed out along its ray."""
+    if p.bounded or not p.cycle:
+        return [(float(v[0]), float(v[1])) for v in p.vertices] + [
+            _pushed(v, r) for r in p.rays for v in p.vertices]
+    cycle = [e for e, _ in p.cycle]
+    out = []
+    for i, e in enumerate(cycle):
+        if not isinstance(e, Ideal):
+            out.append((float(e[0]), float(e[1])))
+            continue
+        for v in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
+            if not isinstance(v, Ideal):
+                out.append(_pushed(v, e.r))
+    return out
 
 
 def polytope_figure(
@@ -119,9 +127,8 @@ def polytope_figure(
     cut_line: Polyhedron2 | None = None,
 ) -> str:
     """P with its normal fan, if given, drawn from the origin, and a cut's
-    reduced face ``cut_line`` as a dashed line: a segment end to end, or a
-    ray drawn from its vertex for UNBOUNDED_EXTENT, as _poly_outline extends
-    rays."""
+    reduced face ``cut_line`` as a dashed line between the ends of its
+    outline: a segment end to end, or a ray from its vertex pushed out."""
     fig = Figure()
     fig.polygon(_poly_outline(p))
     if fan is not None:
@@ -132,14 +139,8 @@ def polytope_figure(
             fig.line((0.0, 0.0), tip, RAY_STYLE)
             fig.circle(tip, 3.0, WITNESS_STYLE)
     if cut_line is not None:
-        (x0, y0), (x1, y1) = cut_line.vertices[0], cut_line.vertices[-1]
-        p0 = (float(x0), float(y0))
-        if cut_line.rays:
-            (r,) = cut_line.rays
-            p1 = (p0[0] + UNBOUNDED_EXTENT * float(r[0]), p0[1] + UNBOUNDED_EXTENT * float(r[1]))
-        else:
-            p1 = (float(x1), float(y1))
-        fig.line(p0, p1, CUT_STYLE)
+        ends = _poly_outline(cut_line)
+        fig.line(ends[0], ends[-1], CUT_STYLE)
     return fig.render()
 
 

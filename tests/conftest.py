@@ -10,7 +10,6 @@ from quasitoric.gale import (
     VectorConfig,
     VirtualChamber,
     _input_order,
-    _triangle_halfplanes,
     augment_ghosts,
     gale_points,
     is_balanced,
@@ -68,9 +67,20 @@ def conjugate(x):
     return QuadScalar(x.r, -x.s, x.d)
 
 
+def in_q(x) -> bool:
+    """x = r + s*sqrt(d) lies in Q: s = 0."""
+    return x.s == 0
+
+
 def is_integer(x) -> bool:
     """x is a rational integer."""
-    return x.is_rational() and x.r.denominator == 1
+    return in_q(x) and x.r.denominator == 1
+
+
+def denominator(a):
+    """q for a = p/q in lowest terms, None for an irrational a; read off
+    a's parts, never off Gamma_a."""
+    return a.value.r.denominator if in_q(a.value) else None
 
 
 def solve_linear(rows, rhs):
@@ -123,7 +133,7 @@ def primitive_in_lattice(g, basis):
     for g's coordinates over the field with ``solve2x2``; None if they are
     irrational, i.e. the ray misses the lattice."""
     c = solve2x2((basis[0][0], basis[1][0]), (basis[0][1], basis[1][1]), g)
-    if c is None or not (c[0].is_rational() and c[1].is_rational()):
+    if c is None or not (in_q(c[0]) and in_q(c[1])):
         return None
     return primitive_int_vector([c[0].r, c[1].r])
 
@@ -392,10 +402,52 @@ def chambers(draw):
     return PointConfig(tuple(pts)), VirtualChamber(frozenset(frozenset(s) for s in subsets))
 
 
+def triangle_constraints(pts):
+    """The (half-plane, strict) constraints of the relative interior of the
+    hull of three points, case by case: a proper triangle's three edges,
+    strict, each normal pointing at the third point; a segment's line both
+    ways, weak, and its two end caps, strict; a point's four axis
+    constraints, weak."""
+    p1, p2, p3 = pts
+    if not cross(vsub(p2, p1), vsub(p3, p1)).is_zero():
+        out = []
+        for u, v, w in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2)):
+            n = rot90(vsub(v, u))
+            n = n if dot(vsub(w, u), n).sign() > 0 else vneg(n)
+            out.append((HalfPlane(n, dot(u, n)), True))
+        return out
+    direction = next(
+        (vsub(b, a) for a, b in ((p1, p2), (p1, p3), (p2, p3)) if not is_zero_vec(vsub(b, a))),
+        None,
+    )
+    if direction is None:
+        return [
+            (HalfPlane((Q(1), Q(0)), p1[0]), False),
+            (HalfPlane((Q(-1), Q(0)), -p1[0]), False),
+            (HalfPlane((Q(0), Q(1)), p1[1]), False),
+            (HalfPlane((Q(0), Q(-1)), -p1[1]), False),
+        ]
+    params = [dot(p, direction) for p in pts]
+    n = rot90(direction)
+    return [
+        (HalfPlane(n, dot(p1, n)), False),
+        (HalfPlane(vneg(n), -dot(p1, n)), False),
+        (HalfPlane(direction, min(params)), True),
+        (HalfPlane(vneg(direction), -max(params)), True),
+    ]
+
+
+def line_key(h, strict):
+    """A constraint up to positive scaling, with its strictness: the normal
+    and offset divided by the normal's largest absolute coordinate."""
+    scale = max(abs(h.normal[0]), abs(h.normal[1])).inv()
+    return (h.normal[0] * scale, h.normal[1] * scale, h.offset * scale, strict)
+
+
 def chamber_halfplanes(lam, chamber):
     """The (half-plane, strict) constraints of the chamber's open triangles."""
     return [c for sigma in chamber.subsets
-            for c in _triangle_halfplanes([lam.points[i - 1] for i in sorted(sigma)])]
+            for c in triangle_constraints([lam.points[i - 1] for i in sorted(sigma)])]
 
 
 @st.composite

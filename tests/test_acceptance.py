@@ -33,7 +33,7 @@ from quasitoric.quasilattice import hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
 from conftest import contains, hirzebruch_vector_config, is_integer, kernel_rows_for, polygon
-from test_foliation import projects_into_class_group
+from test_foliation import leaf_gamma, projects_into_class_group
 
 FAMILY = ("1", "2", "3", "3/2", "5/3", "sqrt(2)", "1+sqrt(2)")
 
@@ -123,7 +123,8 @@ def test_06_moment_map_regression_and_warning():
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
         triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
-        comps = moment_map_coeffs(triple, kernel_rows_for(triple.normals()))
+        halfplanes = triple.halfplanes()
+        comps = moment_map_coeffs(halfplanes, kernel_rows_for([h.normal for h in halfplanes]))
         av = a.value
         ok = ok and [c.constant for c in comps] == [2 * (av + 1), Q(1), av + 1]
         ok = ok and comps[2].coefficients == (Q(1), Q(0), av, Q(1), Q(0))
@@ -160,13 +161,13 @@ def test_08_gamma_classification():
 
 def test_09_leaf_tables():
     ok = True
-    r = classify_leaves(ParamSpec(Q(4)))
+    r = classify_leaves(leaf_gamma(ParamSpec(Q(4))))
     ok = ok and (r.generic_leaf, r.generic_closure, r.covering_degree) == (
         "torus_T2", "torus_T2", 1
     )
-    r = classify_leaves(ParamSpec(parse_scalar("3/2")))
+    r = classify_leaves(leaf_gamma(ParamSpec(parse_scalar("3/2"))))
     ok = ok and r.covering_degree == 2 and r.special_leaf_generic_stratum == "C/(Z + 2iZ)"
-    r = classify_leaves(ParamSpec(parse_scalar("sqrt(2)")))
+    r = classify_leaves(leaf_gamma(ParamSpec(parse_scalar("sqrt(2)"))))
     ok = ok and (r.generic_leaf, r.generic_closure) == ("cylinder_S1xR", "torus_T3")
     ok = ok and r.special_leaf_generic_stratum == "C*"
     ok = ok and r.special_leaf_degenerate_stratum == "compact complex torus"

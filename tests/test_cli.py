@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from quasitoric.cli import main
 from quasitoric.jsonio import polyhedron_from_json
 
+from conftest import same_cycle
+
 
 def run_cli(argv, stdin_text=""):
     old_in, old_out, old_err = sys.stdin, sys.stdout, sys.stderr
@@ -216,6 +218,28 @@ def test_bad_stdin_schema():
         2, "", "error: cut: stdin JSON: Expecting value: line 1 column 1 (char 0)\n")
 
 
+def test_stdin_bool_is_not_a_number():
+    """JSON true is not the offset 1: exit 2, not a region without vertex."""
+    payload = json.dumps({"hrep": [{"normal": [1, 0], "offset": True}]})
+    code, out, err = run_cli(["normal-fan"], stdin_text=payload)
+    assert_input_error(code, err)
+    assert out == "" and err.startswith("error: normal-fan: ")
+
+
+def test_ghost_index_must_name_a_vector():
+    """Ghost indices are ints in 1..len(vectors): 9 of 4 vectors, 0 and true
+    are refused with exit 2 and one line."""
+    for ghosts in ([9], [0], [True], [5]):
+        payload = json.dumps({"vectors": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                              "ghost_indices": ghosts})
+        code, out, err = run_cli(["gale-dual"], stdin_text=payload)
+        assert_input_error(code, err)
+        assert out == "" and err.startswith("error: gale-dual: ")
+    payload = json.dumps({"vectors": [[1, 0], [0, 1], [-1, 0], [0, -1]], "ghost_indices": [4]})
+    code, out, _ = run_cli(["gale-dual"], stdin_text=payload)
+    assert code == 0 and json.loads(out)["vector_config"]["ghost_indices"] == [4, 5]
+
+
 def test_gale_dual_command():
     code, out, _ = run_cli(["gale-dual", "--a", "sqrt(2)"])
     assert code == 0
@@ -387,6 +411,37 @@ def test_svg_cut_line_of_a_ray_face(tmp_path):
     (line,) = [s for s in svg.splitlines() if "stroke-dasharray" in s]
     x1, y1, x2, y2 = (float(line.split(f'{k}="')[1].split('"')[0]) for k in ("x1", "y1", "x2", "y2"))
     assert y1 == y2 and x2 - x1 > 0
+
+
+def _outline(svg: str) -> list[tuple[float, float]]:
+    """The drawn polygon's points in math coordinates relative to the
+    figure's least x and greatest y: the figure's scale, margin and y flip
+    undone."""
+    (poly,) = [s for s in svg.splitlines() if s.lstrip().startswith("<polygon")]
+    pts = [tuple(map(float, xy.split(","))) for xy in poly.split('points="')[1].split('"')[0].split()]
+    return [((x - 12.0) / 100.0, -(y - 12.0) / 100.0) for x, y in pts]
+
+
+def test_svg_outline_of_an_unbounded_region(tmp_path):
+    """The outline of an unbounded region is its boundary cycle with each
+    ideal point replaced by its finite neighbours pushed out along its ray:
+    for a V with the ray (0, 1) the convex 5-gon (-1, 1), (0, 0), (1, 1),
+    (1, 4), (-1, 4), not a notched outline through the inner point (0, 3)."""
+    v = json.dumps({"vertices": [[-1, 1], [0, 0], [1, 1]], "rays": [[0, 1]]})
+    code, _, _ = run_cli(["normal-fan", "--svg-dir", str(tmp_path)], v)
+    assert code == 0
+    got = [(x - 1.0, y + 4.0) for x, y in _outline((tmp_path / "fan.svg").read_text())]
+    assert same_cycle(got, [(-1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (1.0, 4.0), (-1.0, 4.0)])
+
+
+def test_svg_outline_with_two_rays(tmp_path):
+    """A quadrant-like region with the rays (1, 0) and (0, 1) from the edge
+    (0, 1)-(1, 0): both ends are pushed out along their own ray."""
+    v = json.dumps({"vertices": [[0, 1], [1, 0]], "rays": [[1, 0], [0, 1]]})
+    code, _, _ = run_cli(["normal-fan", "--svg-dir", str(tmp_path)], v)
+    assert code == 0
+    got = [(x, y + 4.0) for x, y in _outline((tmp_path / "fan.svg").read_text())]
+    assert same_cycle(got, [(0.0, 1.0), (1.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
 
 
 _GOOD = ["0", "1", "-1", "2", "3/2", "-2/3", "sqrt(2)", "1+sqrt(2)", "-sqrt(3)", "1/2+1/2*sqrt(5)"]

@@ -38,6 +38,7 @@ from conftest import (
     area,
     boundary,
     contains,
+    denominator,
     hand_built,
     is_flat,
     is_integer,
@@ -112,8 +113,8 @@ def test_strip_cut_matches_trapezoid():
         # gamma mirrors the classification of a
         if is_integer(a.value):
             assert result.gamma.kind == "trivial"
-        elif a.rational:
-            assert result.gamma.kind == "finite_cyclic" and result.gamma.order == a.q
+        elif denominator(a):
+            assert result.gamma.kind == "finite_cyclic" and result.gamma.order == denominator(a)
         else:
             assert result.gamma.kind == "dense_cyclic"
 

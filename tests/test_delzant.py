@@ -10,19 +10,22 @@ from quasitoric.delzant import (
     presentation,
     render_phase_map,
 )
-from quasitoric.pipeline import five_constraint_triple, trapezoid
+from quasitoric.pipeline import build_report, five_constraint_triple, trapezoid
 from quasitoric.quasilattice import Quasilattice, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
 from conftest import kernel_rows_for
 
 
+def normals(halfplanes):
+    return [h.normal for h in halfplanes]
+
+
 def reduced_presentation(triple):
-    """The presentation with relation rows reduced from the triple's own
-    normals (``kernel_rows_for``), and Gamma = Q / Z^2 for a tagged Q."""
-    q = triple.quasilattice
-    gamma = q.quotient(z2()) if q.param is not None else None
-    return presentation(triple, kernel_rows_for(triple.normals()), gamma)
+    """The presentation with relation rows reduced from the normals of the
+    triple's polytope (``kernel_rows_for``), and Gamma = Q / Z^2."""
+    rows = kernel_rows_for(normals(triple.polytope.hrep))
+    return presentation(triple, rows, triple.quasilattice.quotient(z2()))
 
 
 def test_triple_validation():
@@ -38,8 +41,8 @@ def test_moment_components_regression():
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
         triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
-        rows = kernel_rows_for(triple.normals())
-        comps = moment_map_coeffs(triple, rows)
+        rows = kernel_rows_for(normals(triple.halfplanes()))
+        comps = moment_map_coeffs(triple.halfplanes(), rows)
         av = a.value
         assert [c.constant for c in comps] == [2 * (av + 1), Q(1), Q(1) + av]
         assert comps[0].coefficients == (Q(1),) * 5
@@ -55,14 +58,13 @@ def test_level_set_vertex_patterns():
         a = ParamSpec(parse_scalar(text))
         av = a.value
         triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
-        comps = moment_map_coeffs(triple, kernel_rows_for(triple.normals()))
+        halfplanes = triple.halfplanes()
+        comps = moment_map_coeffs(halfplanes, kernel_rows_for(normals(halfplanes)))
         # |z_i|^2 = <mu, X_i> - lambda_i at the moment-image point mu
-        normals = triple.normals()
-        offsets = triple.offsets()
         for v in trapezoid(a).vertices:
             moduli = [
-                n[0] * v[0] + n[1] * v[1] - lam
-                for n, lam in zip(normals, offsets)
+                h.normal[0] * v[0] + h.normal[1] * v[1] - h.offset
+                for h in halfplanes
             ]
             assert all(m.sign() >= 0 for m in moduli)
             assert sum(1 for m in moduli[:4] if m.is_zero()) == 2
@@ -75,9 +77,9 @@ def test_moment_coeffs_reject_bad_rows():
     a = ParamSpec(Q(2))
     triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
     with pytest.raises(ValueError):
-        moment_map_coeffs(triple, [[Q(1), Q(0), Q(0), Q(0), Q(0)]])
+        moment_map_coeffs(triple.halfplanes(), [[Q(1), Q(0), Q(0), Q(0), Q(0)]])
     with pytest.raises(ValueError):
-        moment_map_coeffs(triple, [[Q(1), Q(1)]])
+        moment_map_coeffs(triple.halfplanes(), [[Q(1), Q(1)]])
 
 
 def test_presentation_four_facets():
@@ -116,12 +118,28 @@ def test_render_phase_map_constant_coordinate():
     assert out == "(e^(2*pi*i*(r)), 1)"
 
 
-def test_presentation_of_an_untagged_quasilattice():
-    """Without a parameter tag there is no Gamma and no orbifold divisor,
-    even when the generators are those of Q_a."""
-    a = ParamSpec(parse_scalar("3/2"))
-    untagged = Quasilattice(hirzebruch_quasilattice(a).generators)
-    pres = reduced_presentation(PolytopeTriple(trapezoid(a), untagged))
-    assert pres.gamma is None
-    assert pres.quasitorus == "R^2/Q (untagged quasilattice)"
-    assert pres.divisor_orders == ()
+
+def test_report_checks_each_normal_in_qa_once(monkeypatch):
+    """After a warm-up, a serialised report for 1+sqrt(2) builds one triple,
+    P_a's four facets and the extra half-plane, whose normals are tested in
+    Q_a once each; the sixth membership test is the quotient's rotation
+    check.  So it makes 6 ``Quasilattice.member`` calls and 13 coordinate
+    reductions (10 and 17 while the presentation built its own triple)."""
+    members, reductions = [], []
+
+    def logged(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Quasilattice, "member", logged(members, Quasilattice.member))
+    monkeypatch.setattr(Quasilattice, "coordinates", logged(reductions, Quasilattice.coordinates))
+    build_report(ParamSpec(parse_scalar("3/2"))).to_json()
+    members.clear()
+    reductions.clear()
+    doc = build_report(ParamSpec(parse_scalar("1+sqrt(2)")))
+    doc.to_json()
+    assert len(members) == 6
+    assert len(reductions) == 13
+    assert doc.presentation.facet_count == 4

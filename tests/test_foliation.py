@@ -6,11 +6,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from hypothesis import given, settings
+
 from quasitoric.foliation import classify_leaves
 from quasitoric.pipeline import build_report
+from quasitoric.quasilattice import GroupDesc, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
-from conftest import is_integer
+from conftest import denominator, is_integer, params
 
 FAMILY = ("2", "3/2", "sqrt(2)", "1+sqrt(2)")
 IRRATIONAL = ("sqrt(2)", "1+sqrt(2)", "1/2+1/2*sqrt(5)")
@@ -18,6 +21,11 @@ IRRATIONAL = ("sqrt(2)", "1+sqrt(2)", "1/2+1/2*sqrt(5)")
 
 def report(text: str):
     return build_report(ParamSpec(parse_scalar(text)))
+
+
+def leaf_gamma(a):
+    """Gamma_a = Q_a / Z^2, as ``classify-leaves`` takes it."""
+    return hirzebruch_quasilattice(a).quotient(z2())
 
 
 def projects_into_class_group(points, av) -> bool:
@@ -79,24 +87,28 @@ def test_equivalence_by_group_element():
         lam = doc.gale.gale_points.points
         re = tuple(x - lam[4][0] for x, _ in lam[:4])
         im = tuple(y - lam[4][1] for _, y in lam[:4])
-        assert {re, im} == set(doc.presentation.group_weight_rows), text
+        assert {re, im} == set(doc.presentation.relation_rows), text
 
 
 def test_classify_leaves_rational():
-    r = classify_leaves(ParamSpec(Q(2)))
+    """A finite Gamma_a gives the torus tables with covering degree its
+    order, 1 for the trivial group."""
+    r = classify_leaves(GroupDesc("trivial"))
     assert r.generic_leaf == "torus_T2"
     assert r.generic_closure == "torus_T2"
     assert r.covering_degree == 1
     assert r.special_leaf_generic_stratum == "C/(Z + iZ)"
 
-    r = classify_leaves(ParamSpec(parse_scalar("5/3")))
+    r = classify_leaves(GroupDesc("finite_cyclic", order=3, rotation_coefficient=Q(5, 3)))
     assert r.covering_degree == 3
     assert r.special_leaf_generic_stratum == "C/(Z + 3iZ)"
     assert r.special_leaf_degenerate_stratum == "C/(Z + iZ)"
+    assert classify_leaves(leaf_gamma(ParamSpec(parse_scalar("5/3")))) == r
 
 
 def test_classify_leaves_irrational():
-    r = classify_leaves(ParamSpec(parse_scalar("sqrt(2)")))
+    """A dense Gamma_a gives the cylinder tables and no covering degree."""
+    r = classify_leaves(leaf_gamma(ParamSpec(parse_scalar("sqrt(2)"))))
     assert r.generic_leaf == "cylinder_S1xR"
     assert r.generic_closure == "torus_T3"
     assert r.special_leaf_generic_stratum == "C*"
@@ -113,10 +125,22 @@ def test_return_time_dichotomy():
             if gcd(p, q) != 1:
                 continue
             a = ParamSpec(Q(Fraction(p, q)))
-            assert classify_leaves(a).covering_degree == q
+            assert classify_leaves(leaf_gamma(a)).covering_degree == q
             for t in range(1, 3 * q + 1):
                 assert is_integer(t * a.value) == (t % q == 0), (p, q, t)
     for text in IRRATIONAL:
         a = ParamSpec(parse_scalar(text))
-        assert classify_leaves(a).covering_degree is None
+        assert classify_leaves(leaf_gamma(a)).covering_degree is None
         assert not any(is_integer(t * a.value) for t in range(1, 201)), text
+
+
+@settings(max_examples=30, deadline=None)
+@given(params())
+def test_report_leaf_side_agrees_with_gamma(a):
+    """The report's leaf tables read its Gamma_a: the covering degree is a's
+    denominator, read off a's parts, and None for an irrational a, exactly
+    when the generic leaf closes up to T^3."""
+    leaves = build_report(a).leaf_report
+    q = denominator(a)
+    assert leaves.covering_degree == q
+    assert (leaves.generic_closure == "torus_T3") == (q is None)

@@ -44,10 +44,12 @@ from conftest import (
     hirzebruch_vector_config,
     kernel_rows,
     kernel_rows_for,
+    line_key,
     matrix_rank,
     params,
     quad_scalars,
     rational_scalars,
+    triangle_constraints,
 )
 
 
@@ -217,11 +219,9 @@ def test_polytopal_family():
         ok, witness = is_polytopal(lam, hirzebruch_chamber())
         assert ok and witness is not None
         # the witness is interior to every chamber triangle
-        from quasitoric.gale import _triangle_halfplanes
-
         for sigma in hirzebruch_chamber().subsets:
             pts = [lam.points[i - 1] for i in sorted(sigma)]
-            for h, strict in _triangle_halfplanes(pts):
+            for h, strict in triangle_constraints(pts):
                 assert h.slack(witness).sign() > 0 if strict else h.tight(witness)
 
 
@@ -328,6 +328,33 @@ def test_polytopal_matches_vrep_oracle(case):
     chambers."""
     lam, chamber = case
     assert is_polytopal(lam, chamber) == _polytopal_from_vrep(lam, chamber)
+
+
+@st.composite
+def flat_triples(draw):
+    """Three points on one line p + t*e, over Q or Q(sqrt(2)), some of them
+    or all three coinciding (e = 0 makes a single point)."""
+    scalars = draw(st.sampled_from([rational_scalars(6, 4), quad_scalars(2, 6, 4)]))
+    p = (draw(scalars), draw(scalars))
+    e = draw(st.sampled_from([(Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(-1)), (Q(2), Q(3)),
+                              (draw(scalars), draw(scalars))]))
+    ts = draw(st.lists(st.sampled_from([Q(0), Q(1), Q(-2), Q(1, 3)]) | scalars,
+                       min_size=3, max_size=3))
+    return [(p[0] + t * e[0], p[1] + t * e[1]) for t in ts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_triples())
+@example([(Q(1), Q(1))] * 3)
+@example([(Q(0), Q(0)), (Q(4), Q(0)), (Q(2), Q(0))])
+@example([(Q(0), Q(0)), (Q(0), Q(0)), (Q(1), sqrt(2))])
+def test_flat_triangle_matches_case_oracle(pts):
+    """A collinear or coincident triple's constraints, from
+    ``hrep_from_vrep``, are the case oracle's, as sets of lines up to
+    positive scale with their strictness: a segment's line both ways, weak,
+    and its end caps, strict; a point's four weak constraints."""
+    got = {line_key(h, strict) for h, strict in gale._triangle_halfplanes(pts)}
+    assert got == {line_key(h, strict) for h, strict in triangle_constraints(pts)}
 
 
 def test_triangulation_validation():

@@ -18,7 +18,7 @@ from quasitoric.quasilattice import (
 )
 from quasitoric.scalar import ParamSpec, Q, parse_scalar, sqrt
 
-from conftest import lattice_basis
+from conftest import denominator, in_q, is_integer, lattice_basis
 
 
 def same_group(q1, q2):
@@ -72,14 +72,11 @@ def test_membership_closed_form_oracle():
             y = Q(m) + Q(n) * a.value
             if rng.random() < 0.3:
                 y = y + Q(Fraction(1, rng.randint(2, 7)))  # spoil it
-            in_z = x.is_rational() and x.r.denominator == 1
+            in_z = is_integer(x)
             # y in Z + aZ?
-            if a.rational:
-                ya = y * a.q
-                in_y = ya.is_rational() and ya.r.denominator == 1 and (
-                    True
-                )
+            if denominator(a):
                 # Z + (p/q)Z = (g/q)Z with g = gcd(p, q) = 1 here
+                in_y = is_integer(y * denominator(a))
             else:
                 # rational part and sqrt coefficient both integral, with the
                 # sqrt coefficient a multiple of a's
@@ -268,7 +265,7 @@ def test_ray_meets():
         for g in itertools.product(entries, repeat=2):
             if g[0].is_zero() and g[1].is_zero():
                 continue
-            rational_slope = g[0].is_zero() or (g[1] / g[0]).is_rational()
+            rational_slope = g[0].is_zero() or in_q(g[1] / g[0])
             assert z.ray_meets(g) == rational_slope, tuple(map(str, g))
 
 

@@ -209,6 +209,14 @@ def test_json_roundtrip(a):
     assert math.isclose(obj["float"], a.to_float())
 
 
+def test_json_bool_is_not_a_scalar():
+    """JSON true and false are not the numbers 1 and 0."""
+    for obj in (True, False):
+        with pytest.raises(ValueError):
+            scalar_from_json(obj)
+    assert scalar_from_json(1) == Q(1)
+
+
 def test_parse_examples():
     assert parse_scalar("3/2") == QuadScalar(Fraction(3, 2))
     assert parse_scalar("sqrt(2)") == sqrt(2)
@@ -227,13 +235,14 @@ def test_conjugate():
 
 
 def test_param_spec():
+    """A parameter is its exact positive value, coerced and printed as
+    parsed; whether it is rational is Gamma_a's to say, not its own."""
     a = ParamSpec(parse_scalar("3/2"))
-    assert a.rational and a.p == 3 and a.q == 2 and not is_integer(a.value)
-    assert is_integer(ParamSpec(Q(2)).value)
-    irr = ParamSpec(parse_scalar("sqrt(2)"))
-    assert not irr.rational
-    with pytest.raises(ValueError):
-        irr.q
+    assert a.value == Q(3, 2) and str(a) == "3/2" and not is_integer(a.value)
+    assert ParamSpec(2).value == Q(2) and is_integer(ParamSpec(Q(2)).value)
+    irr = ParamSpec(parse_scalar("1+sqrt(2)"))
+    assert irr.value == Q(1) + sqrt(2) and str(irr) == "1+sqrt(2)"
+    assert not any(hasattr(irr, name) for name in ("rational", "p", "q"))
     with pytest.raises(ValueError):
         ParamSpec(Q(0))
     with pytest.raises(ValueError):
