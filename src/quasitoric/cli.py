@@ -7,7 +7,8 @@ cuts off an unbounded end, or a polyhedron without interior to cut, chop or
 take the normal fan of), or a failed report check.  Every error is one
 stderr line, ``error: <command>: <message>``, usage errors included; a usage
 error before the command reads ``error: quasitoric: <message>``, and an
-empty or unpointed stdin region ``error: <command>: stdin polyhedron:
+empty or unpointed stdin region, or one of more than 32 half-planes or
+vertices plus rays (exit 2), ``error: <command>: stdin polyhedron:
 <message>``, and stdin that is not JSON ``error: <command>: stdin JSON:
 <message>``.  A ``--`` before the command ends the options, as usual.  All
 output is deterministic: JSON uses sorted keys and fixed separators.
@@ -33,6 +34,7 @@ from .jsonio import (
     polyhedron_from_json,
     polyhedron_to_json,
     cut_result_to_json,
+    TooLargeError,
     vec_to_json,
     vector_config_from_json,
     vector_config_to_json,
@@ -42,7 +44,6 @@ from .fan import NonSimpleError, normal_fan
 from .polyhedron import InfeasibleRegionError, NotPointedError
 from .quasilattice import hirzebruch_quasilattice, z2
 from .scalar import ParamSpec, parse_scalar
-from .svg import chamber_figure, polytope_figure
 
 
 def _dump(obj) -> str:
@@ -59,10 +60,10 @@ def _read_stdin():
 
 
 def _stdin_polyhedron():
-    """The polyhedron on stdin; an empty or unpointed one names this stage."""
+    """The polyhedron on stdin; an empty, unpointed or too large one names this stage."""
     try:
         return polyhedron_from_json(_read_stdin())
-    except (InfeasibleRegionError, NotPointedError) as e:
+    except (InfeasibleRegionError, NotPointedError, TooLargeError) as e:
         raise type(e)(f"stdin polyhedron: {e}") from None
 
 
@@ -70,11 +71,12 @@ def _param(text: str) -> ParamSpec:
     return ParamSpec(parse_scalar(text))
 
 
-def _write_svg(directory: str, name: str, content: str):
+def _write_svg(directory: str, name: str, figure):
+    """Write ``figure(svg)``: only drawing imports the ``svg`` module."""
+    from . import svg
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
-    with open(path, "w") as f:
-        f.write(content)
+    with open(os.path.join(directory, name), "w") as f:
+        f.write(figure(svg))
 
 
 def cmd_report(args) -> int:
@@ -82,9 +84,10 @@ def cmd_report(args) -> int:
     doc = build_report(a)
     sys.stdout.write(_dump(doc.to_json()))
     if args.svg_dir:
-        _write_svg(args.svg_dir, "polytope.svg", polytope_figure(doc.polytope, doc.fan))
+        _write_svg(args.svg_dir, "polytope.svg", lambda svg: svg.polytope_figure(doc.polytope, doc.fan))
         g = doc.gale
-        _write_svg(args.svg_dir, "chamber.svg", chamber_figure(g.gale_points, g.chamber, g.witness))
+        _write_svg(args.svg_dir, "chamber.svg",
+                   lambda svg: svg.chamber_figure(g.gale_points, g.chamber, g.witness))
     return 0
 
 
@@ -96,7 +99,7 @@ def cmd_normal_fan(args) -> int:
     fan = normal_fan(p)
     sys.stdout.write(_dump(fan_to_json(fan)))
     if args.svg_dir:
-        _write_svg(args.svg_dir, "fan.svg", polytope_figure(p, fan))
+        _write_svg(args.svg_dir, "fan.svg", lambda svg: svg.polytope_figure(p, fan))
     return 0
 
 
@@ -120,7 +123,7 @@ def cmd_gale_dual(args) -> int:
         out["polytopal"] = g.polytopal
         out["witness"] = vec_to_json(g.witness) if g.witness else None
         if args.svg_dir:
-            _write_svg(args.svg_dir, "chamber.svg", chamber_figure(lam, g.chamber, g.witness))
+            _write_svg(args.svg_dir, "chamber.svg", lambda svg: svg.chamber_figure(lam, g.chamber, g.witness))
     sys.stdout.write(_dump(out))
     return 0
 
@@ -133,7 +136,7 @@ def cmd_cut(args) -> int:
     result = cut_polyhedron(p, q, nu, c)
     sys.stdout.write(_dump(cut_result_to_json(result)))
     if args.svg_dir:
-        _write_svg(args.svg_dir, "cut.svg", polytope_figure(p, cut_line=result.reduced_face))
+        _write_svg(args.svg_dir, "cut.svg", lambda svg: svg.polytope_figure(p, cut_line=result.reduced_face))
     return 0
 
 
@@ -144,7 +147,7 @@ def cmd_blowup(args) -> int:
     out = blowup_corner(p, vertex, nu, parse_scalar(args.amount))
     sys.stdout.write(_dump(polyhedron_to_json(out)))
     if args.svg_dir:
-        _write_svg(args.svg_dir, "blowup.svg", polytope_figure(out))
+        _write_svg(args.svg_dir, "blowup.svg", lambda svg: svg.polytope_figure(out))
     return 0
 
 

@@ -4,10 +4,11 @@ equations, cutting-group phase maps, and quasifold presentations.
 Presentations are data, not spaces: equations, weight rows, and group
 descriptions carry all of the checkable content.  A report builds one
 triple, P_a plus the extra half-plane, so each normal is checked in Q_a
-once; the presentation reads P_a's facets off its polytope.  The relation
-rows, also the weight rows of the cutting group N, are an argument: a
-report reads P_a's off V_a's relation basis, below its all-ones row and
-without its ghost column.  So is Gamma = Q / Z^2: the strip cut's."""
+once; the presentation reads P_a's facets off its polytope.  Its level
+components, whose coefficients are the relation rows (the weight rows of
+N), are an argument: a report takes the moment map of the triple's five
+half-planes once and hands on its components below the all-ones one,
+without the ghost column.  So is Gamma = Q / Z^2: the strip cut's."""
 
 from __future__ import annotations
 
@@ -139,15 +140,13 @@ def moment_map_coeffs(
     return out
 
 
-def presentation(triple: PolytopeTriple, rows, gamma: GroupDesc) -> QuasifoldPresentation:
-    """Symplectic quasifold presentation of the triple's polytope P: level-set
-    equations of the moment map plus the phase map of the cutting group
-    exp(span rows), for relation rows of P's facet normals, which
-    ``moment_map_coeffs`` checks.  ``gamma`` is Q / Z^2 (``Q.quotient(z2())``,
-    or the strip cut's), which names the quasitorus and the orbifold
-    divisors."""
+def presentation(triple: PolytopeTriple, components, gamma: GroupDesc) -> QuasifoldPresentation:
+    """Symplectic quasifold presentation of the triple's polytope P: the given
+    level components of the moment map of P's facets (``moment_map_coeffs``)
+    and the phase map of the cutting group exp(span rows), the relation rows
+    read off their coefficients.  ``gamma`` is Q / Z^2 (``Q.quotient(z2())``,
+    or the strip cut's), which names the quasitorus and orbifold divisors."""
     facets = triple.polytope.hrep
-    components = moment_map_coeffs(facets, rows)
     divisors: list[tuple[int, int]] = []
     if gamma.kind == "trivial":
         quasitorus = "S^1 x S^1"
@@ -162,7 +161,7 @@ def presentation(triple: PolytopeTriple, rows, gamma: GroupDesc) -> QuasifoldPre
         quasitorus = "S^1 x (S^1/Gamma_a)"
     return QuasifoldPresentation(
         facet_count=len(facets),
-        relation_rows=tuple(tuple(r) for r in rows),
+        relation_rows=tuple(c.coefficients for c in components),
         level_components=tuple(components),
         quasitorus=quasitorus,
         gamma=gamma,

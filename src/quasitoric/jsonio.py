@@ -58,14 +58,22 @@ def polyhedron_to_json(p: Polyhedron2):
     }
 
 
+MAX_ENTRIES = 32  # the enumeration's work grows fast in them
+
+
+class TooLargeError(ValueError):
+    """More than ``MAX_ENTRIES`` half-planes, or vertices plus rays, as given."""
+
+
 def polyhedron_from_json(obj) -> Polyhedron2:
     obj = _object(obj, "a polyhedron")
     hrep = _list(obj, "hrep")
+    verts, rays = ([], []) if hrep else (_list(obj, "vertices"), _list(obj, "rays"))
+    if len(hrep) + len(verts) + len(rays) > MAX_ENTRIES:
+        raise TooLargeError(f"more than {MAX_ENTRIES} {'half-planes' if hrep else 'vertices and rays'}")
     if hrep:
         return vrep_from_hrep([halfplane_from_json(h) for h in hrep])
-    verts = [vec_from_json(v) for v in _list(obj, "vertices")]
-    rays = [vec_from_json(r) for r in _list(obj, "rays")]
-    return vrep_from_hrep(hrep_from_vrep(verts, rays))
+    return vrep_from_hrep(hrep_from_vrep([vec_from_json(v) for v in verts], [vec_from_json(r) for r in rays]))
 
 
 def fan_to_json(f: Fan2):
@@ -116,16 +124,8 @@ def matrix_to_json(rows):
     return [[scalar_to_json(x) for x in row] for row in rows]
 
 
-def subsets_to_json(subsets):
-    return sorted(sorted(s) for s in subsets)
-
-
-def triangulation_to_json(t: Triangulation):
-    return {"subsets": subsets_to_json(t.subsets)}
-
-
-def chamber_to_json(c: VirtualChamber):
-    return {"subsets": subsets_to_json(c.subsets)}
+def subsets_to_json(c: Triangulation | VirtualChamber):
+    return {"subsets": sorted(sorted(s) for s in c.subsets)}
 
 
 def component_to_json(c: MomentComponent):

@@ -172,10 +172,10 @@ class ReportDocument:
             "vector_config": jsonio.vector_config_to_json(g.vector_config),
             "vector_config_balanced": g.balanced,
             "vector_config_odd": g.odd,
-            "triangulation": jsonio.triangulation_to_json(g.triangulation),
+            "triangulation": jsonio.subsets_to_json(g.triangulation),
             "relation_matrix": jsonio.matrix_to_json(g.relation_matrix),
             "gale_points": jsonio.point_config_to_json(g.gale_points),
-            "chamber": jsonio.chamber_to_json(g.chamber),
+            "chamber": jsonio.subsets_to_json(g.chamber),
             "polytopal": g.polytopal,
             "polytopal_witness": jsonio.vec_to_json(g.witness) if g.witness else None,
             "presentation": jsonio.presentation_to_json(self.presentation),
@@ -208,12 +208,15 @@ def build_report(a: ParamSpec) -> ReportDocument:
     lattice = z2()
     gale = gale_side(fan)
     cut_result = strip_cut(a, lattice)
-    # P_a's relations: V_a's below the all-ones row, without the ghost column;
-    # Gamma_a: the strip cut's (Z^2 + Z (-1, a)) / Z^2, which is Q_a / Z^2
-    facet_relations = [r[: len(fan.ray_generators)] for r in gale.relation_matrix[1:]]
     triple = five_constraint_triple(p, qa)
-    pres = presentation(triple, facet_relations, cut_result.gamma)
     components = moment_map_coeffs(triple.halfplanes(), gale.relation_matrix)
+    # P_a's: those below the all-ones one without the ghost column, 0 there, so the
+    # check covers P_a's facets; Gamma_a: the strip cut's (Z^2 + Z (-1, a)) / Z^2
+    d = len(fan.ray_generators)
+    if any(not b.is_zero() for c in components[1:] for b in c.coefficients[d:]):
+        raise PipelineInconsistency(f"a relation of V_a is nonzero at its ghost for a = {a}")
+    facet_components = [MomentComponent(c.coefficients[:d], c.constant) for c in components[1:]]
+    pres = presentation(triple, facet_components, cut_result.gamma)
     blowup = triangle_blowup(a)
 
     same_cut = cut_result.kept_piece.same_region(p)

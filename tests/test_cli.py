@@ -2,8 +2,12 @@
 
 import io
 import json
+import math
+import os
+import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -224,6 +228,51 @@ def test_stdin_bool_is_not_a_number():
     code, out, err = run_cli(["normal-fan"], stdin_text=payload)
     assert_input_error(code, err)
     assert out == "" and err.startswith("error: normal-fan: ")
+
+
+def _regular_gon(n):
+    """The vertices of a regular n-gon on the unit circle, rounded to 3
+    decimals, as JSON number strings."""
+    return [[str(Fraction(round(1000 * f(2 * math.pi * k / n)), 1000)) for f in (math.cos, math.sin)]
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("payload, what", [
+    ({"hrep": [{"normal": v, "offset": "-1"} for v in _regular_gon(33)]}, "half-planes"),
+    ({"vertices": _regular_gon(30), "rays": [["0", "1"], ["1", "1"], ["1", "0"]]},
+     "vertices and rays"),
+], ids=["hrep", "vertices-and-rays"])
+def test_stdin_polyhedron_is_capped(payload, what):
+    """33 half-planes, or vertices plus rays, are refused with exit 2 and
+    one line before any enumeration: a regular 32-gon, the largest input
+    taken, enumerates in seconds, but the refusal takes well under one."""
+    for argv in STDIN_COMMANDS:
+        start = time.perf_counter()
+        result = run_cli(argv, json.dumps(payload))
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", f"error: {argv[0]}: stdin polyhedron: more than 32 {what}\n")
+
+
+def test_stdin_cap_counts_entries_as_given():
+    """32 entries are taken, repeats included: the square's four half-planes,
+    or its four vertices, eight times each give the square's fan."""
+    square = json.loads(SQUARE)
+    hrep = polyhedron_from_json(square).hrep
+    halfplanes = [{"normal": [str(x) for x in h.normal], "offset": str(h.offset)} for h in hrep]
+    expected = run_cli(["normal-fan"], SQUARE)
+    assert expected[0] == 0
+    assert run_cli(["normal-fan"], json.dumps({"hrep": halfplanes * 8})) == expected
+    assert run_cli(["normal-fan"], json.dumps({"vertices": square["vertices"] * 8})) == expected
+
+
+def test_cli_import_leaves_svg_unloaded():
+    """``quasitoric.svg`` is imported only to draw a figure, under
+    ``--svg-dir``, so a process that only imports the CLI does not load it."""
+    code = "import sys, quasitoric.cli; print('quasitoric.svg' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_ghost_index_must_name_a_vector():

@@ -2,7 +2,10 @@
 vertex-pattern level-set checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasitoric import pipeline
 from quasitoric.delzant import (
     PolytopeTriple,
     TripleError,
@@ -10,11 +13,12 @@ from quasitoric.delzant import (
     presentation,
     render_phase_map,
 )
-from quasitoric.pipeline import build_report, five_constraint_triple, trapezoid
+from quasitoric.gale import relation_basis
+from quasitoric.pipeline import PipelineInconsistency, build_report, five_constraint_triple, trapezoid
 from quasitoric.quasilattice import Quasilattice, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
-from conftest import kernel_rows_for
+from conftest import SQUAREFREE_DS, kernel_rows_for, params, quad_scalars, rational_scalars
 
 
 def normals(halfplanes):
@@ -22,10 +26,12 @@ def normals(halfplanes):
 
 
 def reduced_presentation(triple):
-    """The presentation with relation rows reduced from the normals of the
-    triple's polytope (``kernel_rows_for``), and Gamma = Q / Z^2."""
-    rows = kernel_rows_for(normals(triple.polytope.hrep))
-    return presentation(triple, rows, triple.quasilattice.quotient(z2()))
+    """The presentation with the moment map of the triple's polytope for
+    relation rows reduced from its facet normals (``kernel_rows_for``), and
+    Gamma = Q / Z^2."""
+    facets = triple.polytope.hrep
+    components = moment_map_coeffs(facets, kernel_rows_for(normals(facets)))
+    return presentation(triple, components, triple.quasilattice.quotient(z2()))
 
 
 def test_triple_validation():
@@ -143,3 +149,38 @@ def test_report_checks_each_normal_in_qa_once(monkeypatch):
     assert len(members) == 6
     assert len(reductions) == 13
     assert doc.presentation.facet_count == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    params(),
+    rational_scalars().filter(lambda x: x.sign() > 0).map(ParamSpec),
+    st.sampled_from(SQUAREFREE_DS).flatmap(quad_scalars)
+    .filter(lambda x: x.sign() > 0).map(ParamSpec),
+))
+def test_report_level_components_are_the_facets_moment_map(a):
+    """The presentation's level components, which a report takes from its
+    one moment map of the five-constraint triple, are the moment map of
+    P_a's four facets for V_a's relation rows below the all-ones row,
+    without the ghost column; its relation rows are their coefficients."""
+    doc = build_report(a)
+    ghosts = doc.gale.vector_config.ghost_indices
+    rows = [[b for j, b in enumerate(r, start=1) if j not in ghosts]
+            for r in doc.gale.relation_matrix[1:]]
+    components = tuple(moment_map_coeffs(doc.polytope.hrep, rows))
+    assert doc.presentation.level_components == components
+    assert doc.presentation.relation_rows == tuple(c.coefficients for c in components)
+
+
+def test_report_refuses_a_relation_nonzero_at_the_ghost(monkeypatch):
+    """V_a's second relation row plus its all-ones row is still a relation
+    of V_a, so the five-constraint moment map accepts it, but its ghost
+    entry is 1: without the ghost column it is no relation of P_a's facets,
+    and the report raises rather than hand it to the presentation."""
+    def shifted(vc):
+        ones, row, *rest = relation_basis(vc)
+        return [ones, [b + 1 for b in row], *rest]
+
+    monkeypatch.setattr(pipeline, "relation_basis", shifted)
+    with pytest.raises(PipelineInconsistency, match="ghost"):
+        build_report(ParamSpec(Q(2)))

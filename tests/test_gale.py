@@ -1,13 +1,14 @@
 """Gale duality: relation bases, ghost augmentation, chambers and
 polytopality."""
 
+import itertools
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasitoric import fan, gale, linalg, pipeline, polyhedron
+from quasitoric import delzant, fan, gale, linalg, pipeline, polyhedron
 from quasitoric.gale import (
     NotBalancedError,
     PointConfig,
@@ -330,6 +331,35 @@ def test_polytopal_matches_vrep_oracle(case):
     assert is_polytopal(lam, chamber) == _polytopal_from_vrep(lam, chamber)
 
 
+# {1, 2, 5} repeats {1, 2, 3}, and {1, 2, 4} shares its first two points
+# but lies on the other side of their line: no common interior point
+_SHARED_EDGE = (_lam((0, 0), (1, 0), (0, 1), (0, -1), (0, 1)),
+                _chamber({1, 2, 3}, {1, 2, 4}, {1, 2, 5}))
+
+
+@st.composite
+def repeated_point_chambers(draw):
+    """Five Gale points taking at most four distinct values, so that chamber
+    triples name the same triangle, as {3,4,5} and {1,3,5} do for Lambda_a,
+    or share some of its points, with two to six triples."""
+    pool = draw(st.lists(st.tuples(fractions(4, 2), fractions(4, 2)), min_size=2, max_size=4))
+    pts = [draw(st.sampled_from(pool)) for _ in range(5)]
+    triples = [set(c) for c in itertools.combinations(range(1, 6), 3)]
+    subsets = draw(st.lists(st.sampled_from(triples), min_size=2, max_size=6))
+    return _lam(*pts), _chamber(*subsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_point_chambers())
+@example(_SHARED_EDGE)
+@example(_hirzebruch_case("1+sqrt(2)"))
+def test_polytopal_with_repeated_points_matches_vrep_oracle(case):
+    """Clipping by each distinct triangle once gives the verdict and witness
+    of the full V-rep of all the chamber's triangles, repeats included."""
+    lam, chamber = case
+    assert is_polytopal(lam, chamber) == _polytopal_from_vrep(lam, chamber)
+
+
 @st.composite
 def flat_triples(draw):
     """Three points on one line p + t*e, over Q or Q(sqrt(2)), some of them
@@ -416,13 +446,14 @@ def test_report_facts_are_computed_once(monkeypatch):
     """After a warm-up, one serialised report takes recession rays once in
     each of its two enumerations and never in ``_drop_redundant``, which
     reads its ray test off the enumeration's table of cross signs (6 more
-    calls before), builds constraints only for the chamber triangles that
-    clip the first one's hull, and runs one tight test per vertex and
-    constraint of each polyhedron it prints, plus three of the blow-up's
-    checks: 65 in all.  Rescanning for ``simple``, ``normal_fan`` and
-    ``split`` made 115, taking the strip cut's pieces' rays from
-    ``_recession_rays`` 2 more calls, and building the first triangle's
-    constraints too 4 in all."""
+    calls before), builds constraints only for the distinct chamber
+    triangles that clip the first one's hull, one of P_a's two (3 while
+    each of the four chamber triples had its own), and runs one tight test
+    per vertex and constraint of each polyhedron it prints, plus three of
+    the blow-up's checks: 65 in all.  Rescanning for ``simple``,
+    ``normal_fan`` and ``split`` made 115, taking the strip cut's pieces'
+    rays from ``_recession_rays`` 2 more calls, and building the first
+    triangle's constraints too 4 in all."""
     stack, rays, triangles, tight = [], [], [], []
 
     def within(name):
@@ -457,7 +488,8 @@ def test_report_facts_are_computed_once(monkeypatch):
     doc = build_report(ParamSpec(parse_scalar("1+sqrt(2)")))
     doc.to_json()
     assert rays == [("vrep_from_hrep",)] * 2
-    assert len(triangles) == len(doc.gale.chamber.subsets) - 1 == 3
+    assert len(doc.gale.chamber.subsets) == 4
+    assert len(triangles) == 1
     assert len(tight) <= 65
 
 
@@ -466,13 +498,16 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     polyhedron's incidence from its construction, and the blow-up's
     parallel-edge check reads the vertex's constraints off it, so it makes
     no tight test (65 when serialisation rescanned, 3 while the check
-    tested every constraint), and at most 640 QuadScalar products (632;
+    tested every constraint), and at most 560 QuadScalar products (556;
     1120 then, 998 while ``_drop_redundant`` took its others' rays by dot
     products, 794 while the pieces sorted their vertices by angle, 748
     before the Gale, fan and lattice stages below stopped re-deriving
     facts, 680 while each polyhedron sorted its vertices by angle and the
     presentation reduced P_a's normals again, 628 while ``is_complete``
-    sorted the fan's rays by angle, in 12 where its cone walk takes 16)."""
+    sorted the fan's rays by angle, in 12 where its cone walk takes 16,
+    632 while the presentation took its own moment map of P_a's four
+    facets and ``is_polytopal`` clipped by each chamber triangle's
+    repeat)."""
     tight, products = [], []
 
     def logged(log, fn):
@@ -488,7 +523,47 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     products.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
     assert len(tight) == 0
-    assert len(products) <= 640
+    assert len(products) <= 560
+
+
+def test_report_takes_one_moment_map_and_three_clips(monkeypatch):
+    """After a warm-up, a serialised report for 1+sqrt(2) takes the moment
+    map once, of the five-constraint triple, and the presentation reuses
+    its components below the all-ones one (2 while the presentation took
+    its own of P_a's four facets).  ``is_polytopal`` clips the hull of the
+    first of P_a's two distinct chamber triangles by the other's 3
+    constraints (9 while it clipped by each of the other three chamber
+    triples, two of them repeats)."""
+    stack, moments, clips = [], [], []
+
+    def logged(log):
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                log.append(tuple(stack))
+                return fn(*args, **kwargs)
+            return wrapper
+        return wrap
+
+    def within(fn):
+        def wrapper(*args, **kwargs):
+            stack.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    _wrap_in_package(monkeypatch, {
+        delzant.moment_map_coeffs: logged(moments),
+        polyhedron.clip: logged(clips),
+        gale.is_polytopal: within,
+    })
+    build_report(ParamSpec(parse_scalar("3/2"))).to_json()
+    for log in (moments, clips):
+        log.clear()
+    build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
+    assert len(moments) == 1
+    assert clips.count(("is_polytopal",)) == 3
 
 
 def test_report_side_stages_compute_each_fact_once(monkeypatch):
