@@ -5,10 +5,9 @@ Presentations are data, not spaces: equations, weight rows, and group
 descriptions carry all of the checkable content.  A report builds one
 triple, P_a plus the extra half-plane, so each normal is checked in Q_a
 once; the presentation reads P_a's facets off its polytope.  Its level
-components, whose coefficients are the relation rows (the weight rows of
-N), are an argument: a report takes the moment map of the triple's five
-half-planes once and hands on its components below the all-ones one,
-without the ghost column.  So is Gamma = Q / Z^2: the strip cut's."""
+components, whose coefficients are the relation rows (N's weight rows), are
+an argument: a report's one moment map of the triple, below the all-ones
+row and without the ghost column.  So is Gamma = Q / Z^2: the strip cut's."""
 
 from __future__ import annotations
 
@@ -133,9 +132,7 @@ def moment_map_coeffs(
                 acc = acc + b * h.normal[k]
             if not acc.is_zero():
                 raise ValueError("relation row does not annihilate the normals")
-        c = Q(0)
-        for b, h in zip(row, halfplanes):
-            c = c - b * h.offset
+        c = -sum((b * h.offset for b, h in zip(row, halfplanes)), Q(0))
         out.append(MomentComponent(tuple(row), c))
     return out
 

@@ -221,18 +221,13 @@ def is_polytopal(
     it is loose at some vertex, and then the vertex centroid satisfies all
     of them (slacks are affine).  As three vertices of a convex region are
     never collinear, that can fail only on at most 2 vertices, so the first
-    triangle's constraints are built only then; the others' once each,
-    keyed by point set at first occurrence: a repeat's clips change nothing.
-    Lambda_a = (i, 1, 1 + ia, i, 0) repeats i, as (1, 0) and (-1, a) are
-    V_a's only vectors off the y-axis, so P_a's four triangles are two.
+    triangle's constraints are built only then; the others' once each.
     """
-    distinct = {}
+    triangles = []
     for sigma in chamber.subsets:
         if len(sigma) != 3:
             raise ValueError("only triangle chambers (m = 1) are supported")
-        pts = [lam.points[i - 1] for i in sorted(sigma)]
-        distinct.setdefault(frozenset(pts), pts)
-    triangles = list(distinct.values())
+        triangles.append([lam.points[i - 1] for i in sorted(sigma)])
     if not triangles:
         raise ValueError("the chamber has no triangle")
     constraints = [c for pts in triangles[1:] for c in _triangle_halfplanes(pts)]

@@ -124,8 +124,16 @@ def matrix_to_json(rows):
     return [[scalar_to_json(x) for x in row] for row in rows]
 
 
-def subsets_to_json(c: Triangulation | VirtualChamber):
-    return {"subsets": sorted(sorted(s) for s in c.subsets)}
+def subsets_to_json(subsets):
+    return sorted(sorted(s) for s in subsets)
+
+
+def triangulation_to_json(t: Triangulation):
+    return {"subsets": subsets_to_json(t.subsets)}
+
+
+def chamber_to_json(c: VirtualChamber):
+    return {"subsets": subsets_to_json(c.subsets)}
 
 
 def component_to_json(c: MomentComponent):

@@ -172,10 +172,10 @@ class ReportDocument:
             "vector_config": jsonio.vector_config_to_json(g.vector_config),
             "vector_config_balanced": g.balanced,
             "vector_config_odd": g.odd,
-            "triangulation": jsonio.subsets_to_json(g.triangulation),
+            "triangulation": jsonio.triangulation_to_json(g.triangulation),
             "relation_matrix": jsonio.matrix_to_json(g.relation_matrix),
             "gale_points": jsonio.point_config_to_json(g.gale_points),
-            "chamber": jsonio.subsets_to_json(g.chamber),
+            "chamber": jsonio.chamber_to_json(g.chamber),
             "polytopal": g.polytopal,
             "polytopal_witness": jsonio.vec_to_json(g.witness) if g.witness else None,
             "presentation": jsonio.presentation_to_json(self.presentation),
@@ -210,8 +210,7 @@ def build_report(a: ParamSpec) -> ReportDocument:
     cut_result = strip_cut(a, lattice)
     triple = five_constraint_triple(p, qa)
     components = moment_map_coeffs(triple.halfplanes(), gale.relation_matrix)
-    # P_a's: those below the all-ones one without the ghost column, 0 there, so the
-    # check covers P_a's facets; Gamma_a: the strip cut's (Z^2 + Z (-1, a)) / Z^2
+    # P_a's: those below the all-ones one, without the ghost column (0 there)
     d = len(fan.ray_generators)
     if any(not b.is_zero() for c in components[1:] for b in c.coefficients[d:]):
         raise PipelineInconsistency(f"a relation of V_a is nonzero at its ghost for a = {a}")
