@@ -18,21 +18,31 @@ parent's quartile distance; ``WORSE`` when the working tree's median is
 worse than the parent's by more than the metric's bound in BENCHMARK.json.
 ``--out FILE`` also writes the result as JSON: the parent revision, seed, run
 length and pair count, and for each workload and end-to-end metric both
-sides' median, q1 and q3, the pairs won and the verdict, plus the op counts.
+sides' median, q1 and q3, the pairs won and the verdict, plus the op counts
+and the killed runs.
+
+A run that has not ended after KILL_FACTOR (2) times the run length plus
+SETUP_ALLOWANCE_S (60) seconds is killed, with every process it started: a
+run that hangs is a failure, not a pair to drop.  The killed runs are
+counted per side, printed and written as ``killed``.  The metrics compare
+the pairs in which both runs ended.  A killed change run voids the
+workload's ``gain`` verdicts: they read ``void``, so a change that hangs
+never reads as a gain.
 
 For each workload it also prints, and writes as ``rss_kib_per_extra_op``,
-the least-squares slope of ``peak_rss_mb`` against ops per run over all 2N
-runs of both sides, in KiB per op.  The benchmark keeps every op's output,
-so a faster change raises RSS by that much per op (about 11-13 KiB on
-``report-sweep``); a value far above it points to a leak rather than to the
-kept outputs.  A fit over every run does not swing, as a ratio of the two
-medians' differences does, when those medians are close.  From that rate
+the least-squares slope of ``peak_rss_mb`` against ops per run over the
+runs of both sides that ended, in KiB per op.  The benchmark keeps every
+op's output, so a faster change raises RSS by that much per op (about 11-13
+KiB on ``report-sweep``); a value far above it points to a leak rather than
+to the kept outputs.  A fit over every run does not swing, as a ratio of
+the two medians' differences does, when those medians are close.  From that rate
 and the parent's medians it prints the RSS headroom, written as
 ``rss_headroom``: the ops per run, and their ratio to the parent's, at which
 ``peak_rss_mb`` would reach its bound in BENCHMARK.json.  It prints nothing
 for it when every run made the same number of ops, or when RSS did not grow
 with them.
-Standard library only; not part of the tests.
+Standard library only.  ``tests/test_ab_bench.py`` runs it on a stub
+checkout whose change side hangs.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -58,14 +70,29 @@ def unpack(root: Path, rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+KILL_FACTOR = 2  # a run is killed after this many run lengths
+SETUP_ALLOWANCE_S = 60  # plus this long for set-up and the checks after the loop
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             timeout: float) -> dict | None:
+    """The run's end-to-end result, or None when it had not ended after
+    ``timeout`` seconds and was killed, in its own process group so that
+    the processes it started go with it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    p = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    p = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, start_new_session=True)
+    try:
+        out, err = p.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        return None
     if p.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {p.returncode}:\n"
-                         f"{p.stderr.strip()}")
-    return json.loads(p.stdout.strip().splitlines()[-1])
+                         f"{err.strip()}")
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -149,8 +176,9 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     rev = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
 
+    timeout = KILL_FACTOR * seconds + SETUP_ALLOWANCE_S
     result = {"parent": rev, "seed": args.seed, "run_seconds": seconds,
-              "pairs": args.pairs, "workloads": {}}
+              "pairs": args.pairs, "kill_after_s": timeout, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         parent_dir = Path(tmp)
         unpack(root, rev, parent_dir)
@@ -160,30 +188,42 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
-                    print(f"{workload} pair {i + 1}/{args.pairs} {side} done",
+                    run = run_once(sides[side], workload, args.seed, seconds, timeout)
+                    runs[side].append(run)
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side} "
+                          + ("done" if run else f"KILLED after {timeout:g} s"),
                           file=sys.stderr, flush=True)
             print(f"workload {workload}  seed {args.seed}  {seconds:g} s runs  "
                   f"{args.pairs} pairs  parent {rev[:12]} vs working tree")
+            killed = {side: sum(r is None for r in runs[side]) for side in runs}
+            ended = {side: [r for r in runs[side] if r] for side in runs}
+            both = [i for i in range(args.pairs) if runs["parent"][i] and runs["change"][i]]
+            print(f"  killed runs (not ended after {timeout:g} s): parent {killed['parent']}, "
+                  f"change {killed['change']} of {args.pairs} each; metrics over the "
+                  f"{len(both)} pairs in which both ended"
+                  + ("; gain verdicts void" if killed["change"] else ""))
             print(f"  {'metric':18s} {'parent median [q1, q3]':>30s}  "
                   f"{'change median [q1, q3]':>30s}  {'delta':>7s}  won  verdict")
-            entry = result["workloads"][workload] = {"metrics": {}, "ops": {}}
-            for metric in bench["end_to_end"]:
+            entry = result["workloads"][workload] = {"metrics": {}, "ops": {}, "killed": killed}
+            for metric in bench["end_to_end"] if both else ():
                 name = metric["name"]
-                values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
+                values = {s: [runs[s][i]["metrics"][name]["value"] for i in both] for s in runs}
                 row = entry["metrics"][name] = compare(metric, values["parent"], values["change"])
+                if killed["change"] and row["verdict"] == "gain":
+                    row["verdict"] = "void"
                 print(format_row(name, row))
             for side in ("parent", "change"):
-                ops = entry["ops"][side] = op_counts(runs[side])
-                print(f"  {side} ops per run: median {ops['median']:g} "
-                      f"(min {ops['min']}, max {ops['max']}), "
-                      f"failed {ops['failed']} of {ops['total']}")
-            per_op = rss_per_extra_op(runs["parent"] + runs["change"])
+                ops = entry["ops"][side] = op_counts(ended[side]) if ended[side] else None
+                if ops is not None:
+                    print(f"  {side} ops per run: median {ops['median']:g} "
+                          f"(min {ops['min']}, max {ops['max']}), "
+                          f"failed {ops['failed']} of {ops['total']}")
+            per_op = rss_per_extra_op(ended["parent"] + ended["change"])
             entry["rss_kib_per_extra_op"] = per_op
             print("  peak_rss_mb slope per extra op per run: "
                   + ("n/a (same op count in every run)" if per_op is None else f"{per_op:.1f} KiB"))
             rss_bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
-            room = entry["rss_headroom"] = rss_headroom(entry, rss_bound)
+            room = entry["rss_headroom"] = rss_headroom(entry, rss_bound) if both else None
             if room is not None:
                 print(f"  peak_rss_mb reaches its {rss_bound:.0%} bound at {room['ops_per_run']:.0f} "
                       f"ops per run, {room['ratio']:.2f}x the parent's median")

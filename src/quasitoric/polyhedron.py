@@ -4,10 +4,13 @@ Polyhedra may be unbounded but must be pointed (have at least one vertex).
 Vertex enumeration intersects every pair of the n boundary lines and keeps
 the points that satisfy all n constraints, O(n^3) exact steps; the slack
 signs that accept a vertex also give the constraints tight there.  Redundant
-constraints go in one pass.  One tight at no vertex goes at once: the least
-slack over the region is reached at a vertex, so its line misses the region.
-Only one that touches the region pays another enumeration.  So an
-irredundant n-gon still costs about n^3.4 (measured from n = 4 to n = 24).
+constraints go in one pass over those that touch the region.  One tight at
+no vertex goes at once: the least slack over the region is reached at a
+vertex, so its line misses the region.  Each that touches it pays another
+enumeration, of the other touching ones only, as a line that misses the
+region changes no verdict.  So an irredundant n-gon still costs about
+n^3.4 (measured from n = 4 to n = 24), and each missing line saves a
+constraint from every enumeration.
 One table of the signs of cross(n_i, n_j), n(n-1)/2 products per
 enumeration, decides without another product which +-rot90(n_i) are
 recession rays, of the region or of the others in a redundancy test, and
@@ -176,19 +179,28 @@ def _drop_redundant(hrep: list[HalfPlane], tight_at: dict, signs) -> list[int]:
     the keys of ``tight_at``, each mapped to the constraints tight there.
 
     A constraint tight at no vertex goes without an enumeration: the least
-    slack over P is reached at a vertex, so its line misses P.  Any other
-    constraint is redundant iff the region of the others (which must have a
-    vertex) is inside it: its vertices hold it, and so do its rays.  Those
-    are the s*rot90(n_g), s = +-1, whose row of ``signs`` (``_normal_signs``)
-    restricted to the others has s*signs >= 0, as in ``_recession_rays``,
-    and <s*rot90(n_g), n_k> is s*signs[g][k]: no product.  A drop leaves the
-    region equal to P, so a kept constraint stays needed: no restart.
+    slack over P is reached at a vertex, so its line misses P.  So the pass
+    runs over the touching constraints only, and "the others" of each are
+    the other touching ones that are still kept.  That changes no verdict,
+    as the lines that miss P can be left out one at a time: let g's miss P.
+    If k is redundant, the region R of the constraints but k and g is
+    convex and R cap g = P.  A point of R off g would join P by a segment in
+    R that crosses g's line, at a point of R cap g = P, which the line
+    misses; so R = P, and k stays redundant without g.  If k is needed,
+    dropping g only enlarges the others' region, so k stays needed.
+
+    A touching constraint is redundant iff the region of the others (which
+    then equals P, so has a vertex) is inside it: its vertices hold it, and
+    so do its rays.  Those are the s*rot90(n_g), s = +-1, whose row of
+    ``signs`` (``_normal_signs``) restricted to the others has s*signs >= 0,
+    as in ``_recession_rays``, and <s*rot90(n_g), n_k> is s*signs[g][k]: no
+    product.  A drop leaves the region equal to P, so a kept constraint
+    stays needed: no restart.
     """
-    touching = set().union(*tight_at.values())
-    kept, idx = list(range(len(hrep))), 0
+    kept, idx = sorted(set().union(*tight_at.values())), 0
     while idx < len(kept):
         k, ids = kept[idx], kept[:idx] + kept[idx + 1 :]
-        if k not in touching or (
+        if (
             (cands := _candidate_vertices([hrep[g] for g in ids]))
             and all(hrep[k].holds(v) for v in cands)
             and all(s * signs[g][k] >= 0 for g in ids for s in (1, -1)

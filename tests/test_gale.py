@@ -2,7 +2,6 @@
 polytopality."""
 
 import itertools
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +50,7 @@ from conftest import (
     quad_scalars,
     rational_scalars,
     triangle_constraints,
+    wrap_in_package,
 )
 
 
@@ -401,14 +401,20 @@ def test_triangulation_validation():
 def test_report_enumeration_counts(monkeypatch):
     """After a warm-up report, ``build_report`` enumerates an H-rep twice
     (the trapezoid and the triangle; the strip is built once per process)
-    and ``is_polytopal`` enumerates nothing.  The functions are wrapped from
-    outside, under every name a package module binds them to, as the
-    benchmark's tracer wraps them."""
-    calls, inside = [], []
+    and ``is_polytopal`` enumerates nothing.  The vertex searches take, in
+    order, the trapezoid's 4 constraints and the other 3 for each of its 4
+    touching ones (every constraint of P_a, T_a and the strip touches its
+    region, so leaving out the lines that miss it saves a report nothing),
+    then the triangle's 3 and the other 2 for each of its 3.  The functions
+    are wrapped from outside, under every name a package module binds them
+    to, as the benchmark's tracer wraps them."""
+    calls, inside, sizes = [], [], []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
             calls.append((fn.__name__, bool(inside)))
+            if fn.__name__ == "_candidate_vertices":
+                sizes.append(len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -421,26 +427,18 @@ def test_report_enumeration_counts(monkeypatch):
                 inside.pop()
         return wrapper
 
-    _wrap_in_package(monkeypatch, {
+    wrap_in_package(monkeypatch, {
         polyhedron.vrep_from_hrep: counted,
         polyhedron._candidate_vertices: counted,
         gale.is_polytopal: polytopal,
     })
     build_report(ParamSpec(parse_scalar("3/2")))
     calls.clear()
+    sizes.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)")))
     assert [c for c in calls if c[0] == "vrep_from_hrep"] == [("vrep_from_hrep", False)] * 2
     assert not [c for c in calls if c[1]]
-
-
-def _wrap_in_package(monkeypatch, wrappers):
-    """Replace each function f of ``wrappers`` by ``wrappers[f](f)`` under
-    every name a package module binds it to."""
-    for name, mod in list(sys.modules.items()):
-        if name == "quasitoric" or name.startswith("quasitoric."):
-            for attr, val in list(vars(mod).items()):
-                if callable(val) and val in wrappers:
-                    monkeypatch.setattr(mod, attr, wrappers[val](val))
+    assert sizes == [4, 3, 3, 3, 3, 3, 2, 2, 2]
 
 
 def test_report_facts_are_computed_once(monkeypatch):
@@ -475,7 +473,7 @@ def test_report_facts_are_computed_once(monkeypatch):
             return wrapper
         return wrap
 
-    _wrap_in_package(monkeypatch, {
+    wrap_in_package(monkeypatch, {
         polyhedron.vrep_from_hrep: within("vrep_from_hrep"),
         polyhedron._drop_redundant: within("_drop_redundant"),
         polyhedron._recession_rays: logged(rays),
@@ -497,15 +495,17 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     polyhedron's incidence from its construction, and the blow-up's
     parallel-edge check reads the vertex's constraints off it, so it makes
     no tight test (65 when serialisation rescanned, 3 while the check
-    tested every constraint), and at most 610 QuadScalar products (608;
-    1120 then, 998 while ``_drop_redundant`` took its others' rays by dot
-    products, 794 while the pieces sorted their vertices by angle, 748
-    before the Gale, fan and lattice stages below stopped re-deriving
-    facts, 680 while each polyhedron sorted its vertices by angle and the
-    presentation reduced P_a's normals again, 628 while ``is_complete``
-    sorted the fan's rays by angle, in 12 where its cone walk takes 16,
-    632 while the presentation took its own moment map of P_a's four
-    facets)."""
+    tested every constraint), and at most 608 QuadScalar products (608 too
+    while ``_drop_redundant`` also enumerated the constraints whose line
+    misses the region, which a report has none of, under a bound of 610;
+    1120 when serialisation rescanned, 998 while ``_drop_redundant`` took
+    its others' rays by dot products, 794 while the pieces sorted their
+    vertices by angle, 748 before the Gale, fan and lattice stages below
+    stopped re-deriving facts, 680 while each polyhedron sorted its
+    vertices by angle and the presentation reduced P_a's normals again, 628
+    while ``is_complete`` sorted the fan's rays by angle, in 12 where its
+    cone walk takes 16, 632 while the presentation took its own moment map
+    of P_a's four facets)."""
     tight, products = [], []
 
     def logged(log, fn):
@@ -521,7 +521,7 @@ def test_report_takes_incidence_from_construction(monkeypatch):
     products.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
     assert len(tight) == 0
-    assert len(products) <= 610
+    assert len(products) <= 608
 
 
 def test_report_takes_one_moment_map(monkeypatch):
@@ -537,7 +537,7 @@ def test_report_takes_one_moment_map(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    _wrap_in_package(monkeypatch, {delzant.moment_map_coeffs: logged})
+    wrap_in_package(monkeypatch, {delzant.moment_map_coeffs: logged})
     build_report(ParamSpec(parse_scalar("3/2"))).to_json()
     moments.clear()
     build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
@@ -572,7 +572,7 @@ def test_report_side_stages_compute_each_fact_once(monkeypatch):
             return wrapper
         return wrap
 
-    _wrap_in_package(monkeypatch, {linalg.rref: logged(reductions)})
+    wrap_in_package(monkeypatch, {linalg.rref: logged(reductions)})
     monkeypatch.setattr(QuadScalar, "inv", logged(inversions)(QuadScalar.inv))
     monkeypatch.setattr(Quasilattice, "quotient", logged(quotients)(Quasilattice.quotient))
     build_report(ParamSpec(parse_scalar("3/2"))).to_json()

@@ -1,0 +1,47 @@
+"""Metamorphic relations of the family F_a: two reports whose parameters an
+exact symmetry relates, compared with each other and with no second
+implementation."""
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quasitoric.jsonio import leaf_report_to_json
+from quasitoric.pipeline import build_report
+from quasitoric.scalar import ParamSpec, Q, parse_scalar
+
+from conftest import SQUAREFREE_DS, quad_scalars, rational_scalars
+
+# positive a of small height: p/q, and r + s*sqrt(d) with d in {2, 3, 5, 7}
+SMALL_PARAMS = st.one_of(
+    rational_scalars(),
+    st.sampled_from(SQUAREFREE_DS).flatmap(quad_scalars),
+).filter(lambda x: x.sign() > 0).map(ParamSpec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(SMALL_PARAMS)
+@example(ParamSpec(parse_scalar("2")))
+@example(ParamSpec(parse_scalar("3/2")))
+@example(ParamSpec(parse_scalar("sqrt(2)")))
+@example(ParamSpec(parse_scalar("1/3+sqrt(5)")))
+def test_integer_shift_keeps_the_quasilattice_gamma_and_leaves(a):
+    """Z + (a+1)Z = Z + aZ, so the reports of a and a + 1 have the same
+    Q_a: each holds the other's generators.  Gamma_a = Q_a / Z^2 keeps its
+    kind and order, and its rotation coefficient, a, moves by exactly 1
+    (none for a trivial Gamma).  The leaf tables read Gamma alone, so their
+    JSON is byte-equal."""
+    shifted = ParamSpec(a.value + 1)
+    doc, doc_shifted = build_report(a), build_report(shifted)
+    qa, qb = doc.quasilattice, doc_shifted.quasilattice
+    assert all(qb.member(g) for g in qa.generators)
+    assert all(qa.member(g) for g in qb.generators)
+    gamma, gamma_shifted = doc.presentation.gamma, doc_shifted.presentation.gamma
+    assert (gamma_shifted.kind, gamma_shifted.order) == (gamma.kind, gamma.order)
+    if gamma.kind == "trivial":
+        assert gamma.rotation_coefficient is gamma_shifted.rotation_coefficient is None
+    else:
+        assert gamma_shifted.rotation_coefficient - gamma.rotation_coefficient == Q(1)
+    assert (json.dumps(leaf_report_to_json(doc_shifted.leaf_report), sort_keys=True)
+            == json.dumps(leaf_report_to_json(doc.leaf_report), sort_keys=True))

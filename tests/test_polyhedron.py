@@ -37,6 +37,7 @@ from conftest import (
     same_cycle,
     scan_incidence,
     sort_by_angle,
+    wrap_in_package,
 )
 
 
@@ -271,8 +272,47 @@ def _restart_drop_redundant(hrep):
     return kept
 
 
+# The unit square with two strictly loose copies: x >= -1, listed first, and
+# x + y >= -1, the sum of the normals at (0, 0) shifted off that vertex
+LOOSE_SQUARE = [_hp(1, 0, -1), _hp(1, 0, 0), _hp(0, 1, 0), _hp(-1, 0, -1), _hp(0, -1, -1),
+                _hp(1, 1, -1)]
+
+
+def test_drop_enumerates_only_the_touching_constraints(monkeypatch):
+    """Each vertex search of ``_drop_redundant`` on ``LOOSE_SQUARE`` gets
+    the 3 other facets of the square and neither loose copy, whose lines
+    miss it (4, with x + y >= -1, while the others were every constraint
+    still kept), and the pass keeps what the restart reference keeps: the
+    square's 4 facets."""
+    inside, sizes = [], []
+
+    def within(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted(fn):
+        def wrapper(hrep):
+            if inside:
+                sizes.append(len(hrep))
+            return fn(hrep)
+        return wrapper
+
+    wrap_in_package(monkeypatch, {polyhedron._drop_redundant: within,
+                                  polyhedron._candidate_vertices: counted})
+    p = vrep_from_hrep(LOOSE_SQUARE)
+    assert sizes == [3] * 4
+    assert list(p.hrep) == _restart_drop_redundant(_dedup_halfplanes(LOOSE_SQUARE))
+    assert list(p.hrep) == LOOSE_SQUARE[1:5]
+
+
 @settings(max_examples=100, deadline=None)
 @given(halfplane_systems())
+@example(LOOSE_SQUARE)
 # Unbounded regions where the others' vertex holds the last constraint and
 # only one of their rays breaks it, so the ray test alone keeps it: y <= 1
 # against the quadrant's ray rot90(n) of x >= 0, x <= 1 against its ray
