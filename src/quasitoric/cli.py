@@ -9,9 +9,11 @@ stderr line, ``error: <command>: <message>``, usage errors included; a usage
 error before the command reads ``error: quasitoric: <message>``, and an
 empty or unpointed stdin region, or one of more than 32 half-planes or
 vertices plus rays (exit 2), ``error: <command>: stdin polyhedron:
-<message>``, and stdin that is not JSON ``error: <command>: stdin JSON:
-<message>``.  A ``--`` before the command ends the options, as usual.  All
-output is deterministic: JSON uses sorted keys and fixed separators.
+<message>``, one of more than 32 vectors ``error: gale-dual: stdin vector
+configuration: <message>`` (exit 2), and stdin that is not JSON ``error:
+<command>: stdin JSON: <message>``.  A ``--`` before the command ends the
+options, as usual.  All output is deterministic: JSON uses sorted keys and
+fixed separators.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .foliation import classify_leaves
 from .gale import augment_ghosts, gale_points, is_balanced, relation_basis, relations_odd
 from .jsonio import (
     fan_to_json,
+    group_to_json,
     leaf_report_to_json,
     matrix_to_json,
     point_config_to_json,
@@ -59,12 +62,12 @@ def _read_stdin():
         raise ValueError(f"stdin JSON: {e}") from None
 
 
-def _stdin_polyhedron():
-    """The polyhedron on stdin; an empty, unpointed or too large one names this stage."""
+def _from_stdin(parse, stage: str):
+    """``parse`` of the JSON on stdin; an empty, unpointed or too large input names ``stage``."""
     try:
-        return polyhedron_from_json(_read_stdin())
+        return parse(_read_stdin())
     except (InfeasibleRegionError, NotPointedError, TooLargeError) as e:
-        raise type(e)(f"stdin polyhedron: {e}") from None
+        raise type(e)(f"{stage}: {e}") from None
 
 
 def _param(text: str) -> ParamSpec:
@@ -95,7 +98,7 @@ def cmd_normal_fan(args) -> int:
     if args.a is not None:
         p = trapezoid(_param(args.a))
     else:
-        p = _stdin_polyhedron()
+        p = _from_stdin(polyhedron_from_json, "stdin polyhedron")
     fan = normal_fan(p)
     sys.stdout.write(_dump(fan_to_json(fan)))
     if args.svg_dir:
@@ -109,7 +112,7 @@ def cmd_gale_dual(args) -> int:
         g = gale_side(normal_fan(trapezoid(a)))
         vc, rows, lam = g.vector_config, g.relation_matrix, g.gale_points
     else:
-        vc = augment_ghosts(vector_config_from_json(_read_stdin()))
+        vc = augment_ghosts(_from_stdin(vector_config_from_json, "stdin vector configuration"))
         rows = relation_basis(vc)
         lam = gale_points(rows)
     out = {
@@ -129,19 +132,21 @@ def cmd_gale_dual(args) -> int:
 
 
 def cmd_cut(args) -> int:
-    p = _stdin_polyhedron()
+    p = _from_stdin(polyhedron_from_json, "stdin polyhedron")
     nu = (parse_scalar(args.nu_x), parse_scalar(args.nu_y))
     c = parse_scalar(args.level)
     q = hirzebruch_quasilattice(_param(args.a)) if args.a is not None else z2()
     result = cut_polyhedron(p, q, nu, c)
-    sys.stdout.write(_dump(cut_result_to_json(result)))
+    out = cut_result_to_json(result)
+    out["kept_piece"], out["gamma"] = polyhedron_to_json(result.kept_piece), group_to_json(result.gamma)
+    sys.stdout.write(_dump(out))
     if args.svg_dir:
         _write_svg(args.svg_dir, "cut.svg", lambda svg: svg.polytope_figure(p, cut_line=result.reduced_face))
     return 0
 
 
 def cmd_blowup(args) -> int:
-    p = _stdin_polyhedron()
+    p = _from_stdin(polyhedron_from_json, "stdin polyhedron")
     vertex = (parse_scalar(args.vx), parse_scalar(args.vy))
     nu = (parse_scalar(args.nu_x), parse_scalar(args.nu_y))
     out = blowup_corner(p, vertex, nu, parse_scalar(args.amount))

@@ -7,7 +7,8 @@ triple, P_a plus the extra half-plane, so each normal is checked in Q_a
 once; the presentation reads P_a's facets off its polytope.  Its level
 components, whose coefficients are the relation rows (N's weight rows), are
 an argument: a report's one moment map of the triple, below the all-ones
-row and without the ghost column.  So is Gamma = Q / Z^2: the strip cut's."""
+row and without the ghost column.  So is Gamma = Q / Z^2, the strip cut's:
+the presentation names the quasitorus and divisors by it, and keeps no copy."""
 
 from __future__ import annotations
 
@@ -76,7 +77,6 @@ class QuasifoldPresentation:
     relation_rows: tuple[tuple[QuadScalar, ...], ...]  # also the weight rows of N
     level_components: tuple[MomentComponent, ...]
     quasitorus: str
-    gamma: GroupDesc
     divisor_orders: tuple[tuple[int, int], ...]  # (facet index 1-based, order)
 
     def group_phases(self) -> str:
@@ -141,8 +141,8 @@ def presentation(triple: PolytopeTriple, components, gamma: GroupDesc) -> Quasif
     """Symplectic quasifold presentation of the triple's polytope P: the given
     level components of the moment map of P's facets (``moment_map_coeffs``)
     and the phase map of the cutting group exp(span rows), the relation rows
-    read off their coefficients.  ``gamma`` is Q / Z^2 (``Q.quotient(z2())``,
-    or the strip cut's), which names the quasitorus and orbifold divisors."""
+    read off their coefficients.  ``gamma`` = Q / Z^2 (``Q.quotient(z2())``,
+    or the strip cut's) only names the quasitorus and orbifold divisors."""
     facets = triple.polytope.hrep
     divisors: list[tuple[int, int]] = []
     if gamma.kind == "trivial":
@@ -161,6 +161,5 @@ def presentation(triple: PolytopeTriple, components, gamma: GroupDesc) -> Quasif
         relation_rows=tuple(c.coefficients for c in components),
         level_components=tuple(components),
         quasitorus=quasitorus,
-        gamma=gamma,
         divisor_orders=tuple(divisors),
     )

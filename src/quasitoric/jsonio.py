@@ -1,7 +1,10 @@
 """JSON forms for every domain type.
 
 Scalars always carry the exact (r, s, d) triple plus an advisory ``float``
-field; consumers must treat the float as a convenience only.
+field; consumers must treat the float as a convenience only.  It stays, as
+it renders a value for a reader and repeats no other field.  Each writer
+writes its object's own facts, so a report holds one copy of Gamma and P_a;
+the ``cut`` command adds the kept piece and Gamma to the cut's own fields.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ MAX_ENTRIES = 32  # the enumeration's work grows fast in them
 
 
 class TooLargeError(ValueError):
-    """More than ``MAX_ENTRIES`` half-planes, or vertices plus rays, as given."""
+    """More than ``MAX_ENTRIES`` half-planes, vertices plus rays or vectors, as given."""
 
 
 def polyhedron_from_json(obj) -> Polyhedron2:
@@ -109,6 +112,8 @@ def vector_config_to_json(v: VectorConfig):
 
 def vector_config_from_json(obj) -> VectorConfig:
     obj = _object(obj, "a vector configuration")
+    if len(_list(obj, "vectors")) > MAX_ENTRIES:  # the relation basis costs about n^3
+        raise TooLargeError(f"more than {MAX_ENTRIES} vectors")
     vectors = tuple(vec_from_json(x) for x in _list(obj, "vectors"))
     ghosts = _list(obj, "ghost_indices")
     if not all(type(i) is int and 1 <= i <= len(vectors) for i in ghosts):
@@ -124,16 +129,9 @@ def matrix_to_json(rows):
     return [[scalar_to_json(x) for x in row] for row in rows]
 
 
-def subsets_to_json(subsets):
-    return sorted(sorted(s) for s in subsets)
-
-
-def triangulation_to_json(t: Triangulation):
-    return {"subsets": subsets_to_json(t.subsets)}
-
-
-def chamber_to_json(c: VirtualChamber):
-    return {"subsets": subsets_to_json(c.subsets)}
+def subsets_to_json(x: Triangulation | VirtualChamber):
+    """A triangulation's or a virtual chamber's subsets, each sorted."""
+    return {"subsets": sorted(sorted(s) for s in x.subsets)}
 
 
 def component_to_json(c: MomentComponent):
@@ -149,21 +147,18 @@ def presentation_to_json(p: QuasifoldPresentation):
         "facet_count": p.facet_count,
         "relation_rows": matrix_to_json(p.relation_rows),
         "level_components": [component_to_json(c) for c in p.level_components],
-        "group_weight_rows": matrix_to_json(p.relation_rows),
         "group_phase_map": p.group_phases(),
         "quasitorus": p.quasitorus,
-        "gamma": group_to_json(p.gamma),
         "divisor_orders": [list(x) for x in p.divisor_orders],
     }
 
 
 def cut_result_to_json(r: CutResult):
+    """The cut's own fields: a report's ``polytope`` and ``gamma`` are its kept piece and Gamma."""
     return {
-        "kept_piece": polyhedron_to_json(r.kept_piece),
         "other_piece": polyhedron_to_json(r.other_piece),
         "reduced_face": polyhedron_to_json(r.reduced_face),
         "augmented_quasilattice": quasilattice_to_json(r.augmented_quasilattice),
-        "gamma": group_to_json(r.gamma),
         "cut_halfplane": halfplane_to_json(r.cut_halfplane),
     }
 

@@ -4,9 +4,10 @@ Builds the trapezoid, its normal fan and quasilattice, the balanced vector
 configuration and its dual point configuration, the quasifold presentation,
 the strip cut, the triangle blow-up, and the leaf classification, and checks
 that the three polytope constructions agree.
-Each fact has one owner: the strip and the cut half-plane, written once
-for P_a, T_a and the strip cut; one triple, whose normals are checked in
-Q_a once; and Gamma_a, from the strip cut, for the presentation and leaves.
+Each fact has one owner: the strip and the cut half-plane, for P_a, T_a
+and the strip cut; one triple, whose normals are checked in Q_a once; and
+Gamma_a, the strip cut's, for the presentation, the leaves and the
+report's one ``gamma``, as P_a is its one ``polytope``.
 """
 
 from __future__ import annotations
@@ -168,14 +169,14 @@ class ReportDocument:
                 "smooth_in_z2": self.fan_smooth_in_z2,
             },
             "quasilattice": jsonio.quasilattice_to_json(self.quasilattice),
-            "gamma": jsonio.group_to_json(self.presentation.gamma),
+            "gamma": jsonio.group_to_json(self.cut.gamma),
             "vector_config": jsonio.vector_config_to_json(g.vector_config),
             "vector_config_balanced": g.balanced,
             "vector_config_odd": g.odd,
-            "triangulation": jsonio.triangulation_to_json(g.triangulation),
+            "triangulation": jsonio.subsets_to_json(g.triangulation),
             "relation_matrix": jsonio.matrix_to_json(g.relation_matrix),
             "gale_points": jsonio.point_config_to_json(g.gale_points),
-            "chamber": jsonio.chamber_to_json(g.chamber),
+            "chamber": jsonio.subsets_to_json(g.chamber),
             "polytopal": g.polytopal,
             "polytopal_witness": jsonio.vec_to_json(g.witness) if g.witness else None,
             "presentation": jsonio.presentation_to_json(self.presentation),

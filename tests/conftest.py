@@ -1,4 +1,6 @@
 import functools
+import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -66,6 +68,39 @@ def area(p):
 def conjugate(x):
     """r - s*sqrt(d) for x = r + s*sqrt(d)."""
     return QuadScalar(x.r, -x.s, x.d)
+
+
+# a rendered sqrt term (``format_scalar``'s form), with the sign before it
+_SQRT_TERM = re.compile(r"([+-]?)((?:\d+(?:/\d+)?\*)?sqrt\(\d+\))")
+
+
+def conjugate_text(text: str) -> str:
+    """``text`` with each rendered scalar r + s*sqrt(d) written as
+    r - s*sqrt(d): the sign between a rational part and its sqrt term flips,
+    and a leading sqrt term gains a minus or loses it."""
+    def flip(m):
+        after_rational = m.start() > 0 and text[m.start() - 1].isdigit()
+        sign = {"+": "-", "-": "+" if after_rational else "", "": "-"}[m.group(1)]
+        return sign + m.group(2)
+    return _SQRT_TERM.sub(flip, text)
+
+
+def conjugate_report(obj):
+    """The JSON ``obj`` with every scalar {r, s, d, float} taken to its
+    Galois conjugate r - s*sqrt(d), the advisory float by ``to_float``'s own
+    formula, and every string by ``conjugate_text``.  ``Fraction`` is the
+    only arithmetic: nothing of ``quasitoric`` is used."""
+    if isinstance(obj, dict):
+        if obj.keys() == {"r", "s", "d", "float"}:
+            r, s = Fraction(obj["r"]), -Fraction(obj["s"])
+            value = r.numerator / r.denominator
+            if s:
+                value += (s.numerator / s.denominator) * math.sqrt(obj["d"])
+            return {"r": obj["r"], "s": str(s), "d": obj["d"], "float": value}
+        return {k: conjugate_report(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [conjugate_report(x) for x in obj]
+    return conjugate_text(obj) if isinstance(obj, str) else obj
 
 
 def in_q(x) -> bool:

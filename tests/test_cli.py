@@ -289,6 +289,19 @@ def test_ghost_index_must_name_a_vector():
     assert code == 0 and json.loads(out)["vector_config"]["ghost_indices"] == [4, 5]
 
 
+def test_stdin_vector_configuration_is_capped():
+    """33 vectors are refused with exit 2 and one line before any relation
+    basis, whose work grows as about n^3; 32 are taken, and balanced by a
+    ghost."""
+    vectors = [[str(k), "1"] for k in range(33)]
+    start = time.perf_counter()
+    result = run_cli(["gale-dual"], json.dumps({"vectors": vectors}))
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", "error: gale-dual: stdin vector configuration: more than 32 vectors\n")
+    code, out, _ = run_cli(["gale-dual"], json.dumps({"vectors": vectors[:32]}))
+    assert code == 0 and json.loads(out)["vector_config"]["ghost_indices"] == [33]
+
+
 def test_gale_dual_command():
     code, out, _ = run_cli(["gale-dual", "--a", "sqrt(2)"])
     assert code == 0
@@ -323,6 +336,22 @@ def test_cut_command():
     assert code == 3 and "<mu, (-1, 1/2)> = -3" in err
     # a zero normal is bad input, not a cut that misses
     assert_input_error(*run_cli(["cut", "0", "0", "1"], stdin_text=square)[::2])
+
+
+def test_cut_command_keeps_the_kept_piece_and_gamma_that_a_report_writes_once():
+    """The ``cut`` command writes the kept piece and Gamma next to the cut's
+    own fields.  A report writes them once, as ``polytope`` and ``gamma``,
+    so its ``cut`` section is the command's output without them."""
+    strip = (Path(__file__).parent / "golden" / "inputs" / "strip.json").read_text()
+    code, out, _ = run_cli(["cut", "--", "-1", "3/2", "-1"], strip)
+    assert code == 0
+    cut = json.loads(out)
+    code, out, _ = run_cli(["report", "3/2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (cut.pop("kept_piece"), cut.pop("gamma")) == (doc["polytope"], doc["gamma"])
+    assert cut == doc["cut"]
+    assert sorted(cut) == ["augmented_quasilattice", "cut_halfplane", "other_piece", "reduced_face"]
 
 
 def test_cut_of_a_flat_region_exits_3():

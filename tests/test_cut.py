@@ -15,7 +15,7 @@ from quasitoric.cut import (
     blowup_corner,
     cut_polyhedron,
 )
-from quasitoric.jsonio import polyhedron_to_json
+from quasitoric.jsonio import group_to_json, polyhedron_to_json
 from quasitoric.linalg import dot, is_zero_vec, rot90, smul, vadd, vsub
 from quasitoric.pipeline import (
     build_report,
@@ -134,11 +134,20 @@ parameters = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(parameters)
 def test_report_has_one_gamma(av):
-    """The strip cut's (Z^2 + Z (-1, a)) / Z^2, which the presentation
-    reuses, is Gamma_a = Q_a / Z^2, rotation included."""
+    """The strip cut's (Z^2 + Z (-1, a)) / Z^2 is Gamma_a = Q_a / Z^2,
+    rotation included.  The report writes it once, and the presentation,
+    which keeps no copy, names the quasitorus and divisors by it: Z_q puts
+    order-q divisors on the two horizontal facets."""
     doc = build_report(ParamSpec(av))
-    assert doc.presentation.gamma == doc.cut.gamma == doc.quasilattice.quotient(z2())
-    assert doc.presentation.gamma.rotation_coefficient == (None if is_integer(av) else av)
+    gamma = doc.cut.gamma
+    assert gamma == doc.quasilattice.quotient(z2())
+    assert gamma.rotation_coefficient == (None if is_integer(av) else av)
+    assert doc.to_json()["gamma"] == group_to_json(gamma)
+    quasitorus = {"trivial": "S^1 x S^1", "finite_cyclic": f"S^1 x (S^1/Z_{gamma.order})",
+                  "dense_cyclic": "S^1 x (S^1/Gamma_a)"}[gamma.kind]
+    horizontal = [i for i, h in enumerate(doc.polytope.hrep, start=1) if h.normal[0].is_zero()]
+    divisors = tuple((i, gamma.order) for i in horizontal) if gamma.kind == "finite_cyclic" else ()
+    assert (doc.presentation.quasitorus, doc.presentation.divisor_orders) == (quasitorus, divisors)
 
 
 def test_blowup_matches_trapezoid():

@@ -25,13 +25,15 @@ def normals(halfplanes):
     return [h.normal for h in halfplanes]
 
 
-def reduced_presentation(triple):
-    """The presentation with the moment map of the triple's polytope for
-    relation rows reduced from its facet normals (``kernel_rows_for``), and
-    Gamma = Q / Z^2."""
+def reduced_presentation(a):
+    """The presentation of (P_a, Q_a), with the moment map of P_a for relation
+    rows reduced from its facet normals (``kernel_rows_for``) and Gamma_a as
+    its one owner, the report's strip cut, computes it; and that Gamma."""
+    triple = PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a))
     facets = triple.polytope.hrep
     components = moment_map_coeffs(facets, kernel_rows_for(normals(facets)))
-    return presentation(triple, components, triple.quasilattice.quotient(z2()))
+    gamma = build_report(a).cut.gamma
+    return presentation(triple, components, gamma), gamma
 
 
 def test_triple_validation():
@@ -89,11 +91,10 @@ def test_moment_coeffs_reject_bad_rows():
 
 
 def test_presentation_four_facets():
-    a = ParamSpec(parse_scalar("sqrt(2)"))
-    pres = reduced_presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
+    pres, gamma = reduced_presentation(ParamSpec(parse_scalar("sqrt(2)")))
     assert pres.facet_count == 4
     assert pres.quasitorus == "S^1 x (S^1/Gamma_a)"
-    assert pres.gamma.kind == "dense_cyclic"
+    assert gamma.kind == "dense_cyclic"
     assert pres.divisor_orders == ()
     # cutting group N = {(e^{2 pi i r}, e^{2 pi i s}, e^{2 pi i (s + a r)}, e^{2 pi i r})}
     phases = pres.group_phases()
@@ -103,16 +104,14 @@ def test_presentation_four_facets():
 
 
 def test_presentation_rational_cases():
-    a = ParamSpec(Q(3))
-    pres = reduced_presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
+    pres, gamma = reduced_presentation(ParamSpec(Q(3)))
     assert pres.quasitorus == "S^1 x S^1"
-    assert pres.gamma.kind == "trivial"
+    assert gamma.kind == "trivial"
     assert pres.divisor_orders == ()
 
-    a = ParamSpec(parse_scalar("5/3"))
-    pres = reduced_presentation(PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a)))
+    pres, gamma = reduced_presentation(ParamSpec(parse_scalar("5/3")))
     assert pres.quasitorus == "S^1 x (S^1/Z_3)"
-    assert pres.gamma.order == 3
+    assert gamma.order == 3
     # the two horizontal facets carry order-3 orbifold divisors
     orders = dict(pres.divisor_orders)
     assert set(orders.values()) == {3} and len(orders) == 2

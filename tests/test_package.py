@@ -123,13 +123,15 @@ def test_every_definition_is_used_in_src():
 def test_second_owners_are_gone():
     """Each report fact has one owner, so these copies are gone: a's
     rationality (Gamma_a owns it), the triple's normals and offsets (its
-    half-planes), and N's second copy of the relation rows."""
+    half-planes), N's second copy of the relation rows, and the
+    presentation's copy of Gamma_a (the strip cut owns it)."""
     from quasitoric.delzant import PolytopeTriple, QuasifoldPresentation
     from quasitoric.scalar import ParamSpec, QuadScalar
 
     gone = [(ParamSpec, "rational"), (ParamSpec, "p"), (ParamSpec, "q"),
             (QuadScalar, "is_rational"), (PolytopeTriple, "normals"),
-            (PolytopeTriple, "offsets"), (QuasifoldPresentation, "group_weight_rows")]
+            (PolytopeTriple, "offsets"), (QuasifoldPresentation, "group_weight_rows"),
+            (QuasifoldPresentation, "gamma")]
     # a dataclass field without a default is not a class attribute
     assert [f"{cls.__name__}.{name}" for cls, name in gone
             if hasattr(cls, name) or name in getattr(cls, "__dataclass_fields__", {})] == []
