@@ -10,10 +10,11 @@ error before the command reads ``error: quasitoric: <message>``, and an
 empty or unpointed stdin region, or one of more than 32 half-planes or
 vertices plus rays (exit 2), ``error: <command>: stdin polyhedron:
 <message>``, one of more than 32 vectors ``error: gale-dual: stdin vector
-configuration: <message>`` (exit 2), and stdin that is not JSON ``error:
-<command>: stdin JSON: <message>``.  A ``--`` before the command ends the
-options, as usual.  All output is deterministic: JSON uses sorted keys and
-fixed separators.
+configuration: <message>`` (exit 2), stdin that is not JSON ``error:
+<command>: stdin JSON: <message>``, and an unusable ``--svg-dir`` ``error:
+<command>: --svg-dir: <message>`` (exit 2, after the JSON).  A ``--``
+before the command ends the options, as usual.  All output is
+deterministic: JSON uses sorted keys and fixed separators.
 """
 
 from __future__ import annotations
@@ -75,11 +76,15 @@ def _param(text: str) -> ParamSpec:
 
 
 def _write_svg(directory: str, name: str, figure):
-    """Write ``figure(svg)``: only drawing imports the ``svg`` module."""
+    """Write ``figure(svg)``: only drawing imports the ``svg`` module.  A
+    directory that cannot be made or written to is bad input."""
     from . import svg
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, name), "w") as f:
-        f.write(figure(svg))
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, name), "w") as f:
+            f.write(figure(svg))
+    except OSError as e:
+        raise ValueError(f"--svg-dir: {e}") from None
 
 
 def cmd_report(args) -> int:

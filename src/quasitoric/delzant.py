@@ -1,14 +1,14 @@
 """The generalized Delzant construction at the data level: level-set
 equations, cutting-group phase maps, and quasifold presentations.
 
-Presentations are data, not spaces: equations, weight rows, and group
+Presentations are data, not spaces: equations, a phase map and group
 descriptions carry all of the checkable content.  A report builds one
 triple, P_a plus the extra half-plane, so each normal is checked in Q_a
-once; the presentation reads P_a's facets off its polytope.  Its level
-components, whose coefficients are the relation rows (N's weight rows), are
-an argument: a report's one moment map of the triple, below the all-ones
-row and without the ghost column.  So is Gamma = Q / Z^2, the strip cut's:
-the presentation names the quasitorus and divisors by it, and keeps no copy."""
+once; the presentation reads P_a's facets off its polytope.  Its relation
+rows (N's weight rows) are an argument, rendered as the phase map and not
+kept: a report passes the Gale side's, below the all-ones row and without
+the ghost column.  So is Gamma = Q / Z^2, the strip cut's: the presentation
+names the quasitorus and divisors by it, and keeps no copy."""
 
 from __future__ import annotations
 
@@ -73,15 +73,9 @@ def _render_modulus_form(coeffs) -> str:
 
 @dataclass(frozen=True)
 class QuasifoldPresentation:
-    facet_count: int
-    relation_rows: tuple[tuple[QuadScalar, ...], ...]  # also the weight rows of N
-    level_components: tuple[MomentComponent, ...]
+    group_phase_map: str  # of the cutting group N = exp(span of the relation rows)
     quasitorus: str
     divisor_orders: tuple[tuple[int, int], ...]  # (facet index 1-based, order)
-
-    def group_phases(self) -> str:
-        """The phase map of the cutting group N = exp(span relation_rows)."""
-        return render_phase_map(self.relation_rows)
 
 
 _PARAM_NAMES = "rstuv"
@@ -137,12 +131,12 @@ def moment_map_coeffs(
     return out
 
 
-def presentation(triple: PolytopeTriple, components, gamma: GroupDesc) -> QuasifoldPresentation:
-    """Symplectic quasifold presentation of the triple's polytope P: the given
-    level components of the moment map of P's facets (``moment_map_coeffs``)
-    and the phase map of the cutting group exp(span rows), the relation rows
-    read off their coefficients.  ``gamma`` = Q / Z^2 (``Q.quotient(z2())``,
-    or the strip cut's) only names the quasitorus and orbifold divisors."""
+def presentation(triple: PolytopeTriple, rows, gamma: GroupDesc) -> QuasifoldPresentation:
+    """Symplectic quasifold presentation of the triple's polytope P: the phase
+    map of the cutting group exp(span rows), for the given relation rows of
+    P's facet normals, rendered once and not kept.  ``gamma`` = Q / Z^2
+    (``Q.quotient(z2())``, or the strip cut's) only names the quasitorus and
+    orbifold divisors."""
     facets = triple.polytope.hrep
     divisors: list[tuple[int, int]] = []
     if gamma.kind == "trivial":
@@ -157,9 +151,7 @@ def presentation(triple: PolytopeTriple, components, gamma: GroupDesc) -> Quasif
     else:
         quasitorus = "S^1 x (S^1/Gamma_a)"
     return QuasifoldPresentation(
-        facet_count=len(facets),
-        relation_rows=tuple(c.coefficients for c in components),
-        level_components=tuple(components),
+        group_phase_map=render_phase_map(rows),
         quasitorus=quasitorus,
         divisor_orders=tuple(divisors),
     )

@@ -3,8 +3,9 @@
 Scalars always carry the exact (r, s, d) triple plus an advisory ``float``
 field; consumers must treat the float as a convenience only.  It stays, as
 it renders a value for a reader and repeats no other field.  Each writer
-writes its object's own facts, so a report holds one copy of Gamma and P_a;
-the ``cut`` command adds the kept piece and Gamma to the cut's own fields.
+writes its object's own facts, so a report holds one copy of Gamma, P_a
+and V_a's relation rows; the ``cut`` command adds the kept piece and Gamma
+to the cut's own fields.
 """
 
 from __future__ import annotations
@@ -135,19 +136,14 @@ def subsets_to_json(x: Triangulation | VirtualChamber):
 
 
 def component_to_json(c: MomentComponent):
-    return {
-        "coefficients": [scalar_to_json(x) for x in c.coefficients],
-        "constant": scalar_to_json(c.constant),
-        "equation": c.render(),
-    }
+    """A moment component's constant and equation: a report's i-th component
+    has row i of its ``relation_matrix`` for coefficients."""
+    return {"constant": scalar_to_json(c.constant), "equation": c.render()}
 
 
 def presentation_to_json(p: QuasifoldPresentation):
     return {
-        "facet_count": p.facet_count,
-        "relation_rows": matrix_to_json(p.relation_rows),
-        "level_components": [component_to_json(c) for c in p.level_components],
-        "group_phase_map": p.group_phases(),
+        "group_phase_map": p.group_phase_map,
         "quasitorus": p.quasitorus,
         "divisor_orders": [list(x) for x in p.divisor_orders],
     }

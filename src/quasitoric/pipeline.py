@@ -5,9 +5,10 @@ configuration and its dual point configuration, the quasifold presentation,
 the strip cut, the triangle blow-up, and the leaf classification, and checks
 that the three polytope constructions agree.
 Each fact has one owner: the strip and the cut half-plane, for P_a, T_a
-and the strip cut; one triple, whose normals are checked in Q_a once; and
+and the strip cut; one triple, whose normals are checked in Q_a once;
 Gamma_a, the strip cut's, for the presentation, the leaves and the
-report's one ``gamma``, as P_a is its one ``polytope``.
+report's one ``gamma``, as P_a is its one ``polytope``; and V_a's relation
+rows, the Gale side's, for the moment map and the presentation's phase map.
 """
 
 from __future__ import annotations
@@ -211,12 +212,11 @@ def build_report(a: ParamSpec) -> ReportDocument:
     cut_result = strip_cut(a, lattice)
     triple = five_constraint_triple(p, qa)
     components = moment_map_coeffs(triple.halfplanes(), gale.relation_matrix)
-    # P_a's: those below the all-ones one, without the ghost column (0 there)
-    d = len(fan.ray_generators)
-    if any(not b.is_zero() for c in components[1:] for b in c.coefficients[d:]):
+    # P_a's relation rows: V_a's below the all-ones one, without the ghost column (0 there)
+    d, rows = len(fan.ray_generators), gale.relation_matrix[1:]
+    if any(not b.is_zero() for row in rows for b in row[d:]):
         raise PipelineInconsistency(f"a relation of V_a is nonzero at its ghost for a = {a}")
-    facet_components = [MomentComponent(c.coefficients[:d], c.constant) for c in components[1:]]
-    pres = presentation(triple, facet_components, cut_result.gamma)
+    pres = presentation(triple, [row[:d] for row in rows], cut_result.gamma)
     blowup = triangle_blowup(a)
 
     same_cut = cut_result.kept_piece.same_region(p)

@@ -367,6 +367,15 @@ def kernel_rows_for(normals):
     return _input_order(rref(kernel_rows(normals)))
 
 
+def facet_relation_rows(doc):
+    """P_a's relation rows in a report, as its presentation takes them: the
+    rows of V_a's relation matrix, their one owner, below the all-ones row,
+    with the ghost column dropped."""
+    ghosts = doc.gale.vector_config.ghost_indices
+    return tuple(tuple(b for j, b in enumerate(r, start=1) if j not in ghosts)
+                 for r in doc.gale.relation_matrix[1:])
+
+
 def fractions(max_num=30, max_den=12):
     return st.builds(
         Fraction,

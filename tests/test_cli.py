@@ -476,6 +476,17 @@ def test_svg_output(tmp_path):
     assert (tmp_path / "figs" / "polytope.svg").read_text() == poly
 
 
+@pytest.mark.parametrize("argv, under", [(["report", "2"], ""), (["normal-fan", "--a", "2"], "sub")])
+def test_unusable_svg_dir_is_one_error_line(tmp_path, argv, under):
+    """An --svg-dir that is a regular file, or lies under one, cannot be
+    made: one 'error:' line naming the option and exit 2, no traceback."""
+    f = tmp_path / "F"
+    f.write_text("")
+    code, _, err = run_cli([*argv, "--svg-dir", str(f / under)])
+    assert_input_error(code, err)
+    assert err.startswith(f"error: {argv[0]}: --svg-dir: ")
+
+
 def test_svg_cut_line_of_a_ray_face(tmp_path):
     """The strip cut along y = 1/2 meets it in a ray; the dashed cut line
     runs from the ray's vertex along it, not from the vertex to itself."""

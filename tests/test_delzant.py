@@ -18,7 +18,14 @@ from quasitoric.pipeline import PipelineInconsistency, build_report, five_constr
 from quasitoric.quasilattice import Quasilattice, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, parse_scalar
 
-from conftest import SQUAREFREE_DS, kernel_rows_for, params, quad_scalars, rational_scalars
+from conftest import (
+    SQUAREFREE_DS,
+    facet_relation_rows,
+    kernel_rows_for,
+    params,
+    quad_scalars,
+    rational_scalars,
+)
 
 
 def normals(halfplanes):
@@ -26,14 +33,12 @@ def normals(halfplanes):
 
 
 def reduced_presentation(a):
-    """The presentation of (P_a, Q_a), with the moment map of P_a for relation
-    rows reduced from its facet normals (``kernel_rows_for``) and Gamma_a as
-    its one owner, the report's strip cut, computes it; and that Gamma."""
+    """The presentation of (P_a, Q_a), for relation rows reduced from its
+    facet normals (``kernel_rows_for``) and Gamma_a as its one owner, the
+    report's strip cut, computes it; and that Gamma."""
     triple = PolytopeTriple(trapezoid(a), hirzebruch_quasilattice(a))
-    facets = triple.polytope.hrep
-    components = moment_map_coeffs(facets, kernel_rows_for(normals(facets)))
     gamma = build_report(a).cut.gamma
-    return presentation(triple, components, gamma), gamma
+    return presentation(triple, kernel_rows_for(normals(triple.polytope.hrep)), gamma), gamma
 
 
 def test_triple_validation():
@@ -92,13 +97,11 @@ def test_moment_coeffs_reject_bad_rows():
 
 def test_presentation_four_facets():
     pres, gamma = reduced_presentation(ParamSpec(parse_scalar("sqrt(2)")))
-    assert pres.facet_count == 4
     assert pres.quasitorus == "S^1 x (S^1/Gamma_a)"
     assert gamma.kind == "dense_cyclic"
     assert pres.divisor_orders == ()
     # cutting group N = {(e^{2 pi i r}, e^{2 pi i s}, e^{2 pi i (s + a r)}, e^{2 pi i r})}
-    phases = pres.group_phases()
-    assert phases == (
+    assert pres.group_phase_map == (
         "(e^(2*pi*i*(r)), e^(2*pi*i*(s)), e^(2*pi*i*(s + (sqrt(2))r)), e^(2*pi*i*(r)))"
     )
 
@@ -147,7 +150,7 @@ def test_report_checks_each_normal_in_qa_once(monkeypatch):
     doc.to_json()
     assert len(members) == 6
     assert len(reductions) == 13
-    assert doc.presentation.facet_count == 4
+    assert len(doc.polytope.hrep) == 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,17 +161,16 @@ def test_report_checks_each_normal_in_qa_once(monkeypatch):
     .filter(lambda x: x.sign() > 0).map(ParamSpec),
 ))
 def test_report_level_components_are_the_facets_moment_map(a):
-    """The presentation's level components, which a report takes from its
-    one moment map of the five-constraint triple, are the moment map of
-    P_a's four facets for V_a's relation rows below the all-ones row,
-    without the ghost column; its relation rows are their coefficients."""
+    """A report's one moment map, of the five-constraint triple, has V_a's
+    relation rows for coefficients, in order, so its JSON need not repeat
+    them; below the all-ones row its constants and equations are those of
+    the moment map of P_a's four facets for those rows without the ghost
+    column."""
     doc = build_report(a)
-    ghosts = doc.gale.vector_config.ghost_indices
-    rows = [[b for j, b in enumerate(r, start=1) if j not in ghosts]
-            for r in doc.gale.relation_matrix[1:]]
-    components = tuple(moment_map_coeffs(doc.polytope.hrep, rows))
-    assert doc.presentation.level_components == components
-    assert doc.presentation.relation_rows == tuple(c.coefficients for c in components)
+    assert tuple(c.coefficients for c in doc.moment_components) == doc.gale.relation_matrix
+    components = moment_map_coeffs(doc.polytope.hrep, facet_relation_rows(doc))
+    assert [(c.constant, c.render()) for c in components] == [
+        (c.constant, c.render()) for c in doc.moment_components[1:]]
 
 
 def test_report_refuses_a_relation_nonzero_at_the_ghost(monkeypatch):

@@ -40,6 +40,7 @@ from conftest import (
     chamber_halfplanes,
     chambers,
     echelonize,
+    facet_relation_rows,
     fractions,
     hirzebruch_vector_config,
     kernel_rows,
@@ -122,13 +123,15 @@ def test_gale_dual_regression():
     .filter(lambda x: x.sign() > 0).map(ParamSpec),
 ))
 def test_report_side_facts_match_their_oracles(a):
-    """V_a read off the normal fan of P_a is the typed-out V_a, and the
-    presentation's rows, V_a's relation rows below the all-ones row and
-    without the ghost column, are those reduced from P_a's four normals."""
+    """V_a read off the normal fan of P_a is the typed-out V_a, and V_a's
+    relation rows below the all-ones row and without the ghost column are
+    those reduced from P_a's four normals: the rows whose phase map the
+    presentation writes."""
     doc = build_report(a)
     assert doc.gale.vector_config == hirzebruch_vector_config(a)
-    rows = kernel_rows_for([h.normal for h in doc.polytope.hrep])
-    assert doc.presentation.relation_rows == tuple(map(tuple, rows))
+    rows = tuple(map(tuple, kernel_rows_for([h.normal for h in doc.polytope.hrep])))
+    assert facet_relation_rows(doc) == rows
+    assert doc.presentation.group_phase_map == delzant.render_phase_map(rows)
 
 
 @settings(max_examples=100, deadline=None)
