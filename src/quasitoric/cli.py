@@ -11,10 +11,11 @@ empty or unpointed stdin region, or one of more than 32 half-planes or
 vertices plus rays (exit 2), ``error: <command>: stdin polyhedron:
 <message>``, one of more than 32 vectors ``error: gale-dual: stdin vector
 configuration: <message>`` (exit 2), stdin that is not JSON ``error:
-<command>: stdin JSON: <message>``, and an unusable ``--svg-dir`` ``error:
-<command>: --svg-dir: <message>`` (exit 2, after the JSON).  A ``--``
-before the command ends the options, as usual.  All output is
-deterministic: JSON uses sorted keys and fixed separators.
+<command>: stdin JSON: <message>``, and an unusable ``--svg-dir`` or a
+figure beyond float range ``error: <command>: --svg-dir: <message>`` (exit
+2, after the JSON).  A ``--`` before the command ends the options.  All
+output is deterministic: JSON uses sorted keys and fixed separators, and a
+scalar's advisory ``float`` is null beyond float range.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from .gale import augment_ghosts, gale_points, is_balanced, relation_basis, rela
 from .jsonio import (
     fan_to_json,
     group_to_json,
+    halfplane_to_json,
     leaf_report_to_json,
     matrix_to_json,
     point_config_to_json,
     polyhedron_from_json,
     polyhedron_to_json,
+    quasilattice_to_json,
     cut_result_to_json,
     TooLargeError,
     vec_to_json,
@@ -76,14 +79,14 @@ def _param(text: str) -> ParamSpec:
 
 
 def _write_svg(directory: str, name: str, figure):
-    """Write ``figure(svg)``: only drawing imports the ``svg`` module.  A
-    directory that cannot be made or written to is bad input."""
+    """Write ``figure(svg)``: only drawing imports the ``svg`` module.  An
+    unusable directory, or a figure with a value beyond float range, is bad input."""
     from . import svg
     try:
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, name), "w") as f:
             f.write(figure(svg))
-    except OSError as e:
+    except (OSError, OverflowError) as e:
         raise ValueError(f"--svg-dir: {e}") from None
 
 
@@ -144,6 +147,8 @@ def cmd_cut(args) -> int:
     result = cut_polyhedron(p, q, nu, c)
     out = cut_result_to_json(result)
     out["kept_piece"], out["gamma"] = polyhedron_to_json(result.kept_piece), group_to_json(result.gamma)
+    out["augmented_quasilattice"] = quasilattice_to_json(result.augmented_quasilattice)
+    out["cut_halfplane"] = halfplane_to_json(result.cut_halfplane)
     sys.stdout.write(_dump(out))
     if args.svg_dir:
         _write_svg(args.svg_dir, "cut.svg", lambda svg: svg.polytope_figure(p, cut_line=result.reduced_face))
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu_x")
     p.add_argument("nu_y")
     p.add_argument("level")
-    p.add_argument("--a", default=None, help="tag the quasilattice Q_a instead of Z^2")
+    p.add_argument("--a", default=None, help="cut over the quasilattice Q_a instead of Z^2")
     p.add_argument("--svg-dir", default=None)
     p.set_defaults(func=cmd_cut)
 

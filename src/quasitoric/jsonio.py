@@ -1,11 +1,11 @@
 """JSON forms for every domain type.
 
-Scalars always carry the exact (r, s, d) triple plus an advisory ``float``
-field; consumers must treat the float as a convenience only.  It stays, as
-it renders a value for a reader and repeats no other field.  Each writer
-writes its object's own facts, so a report holds one copy of Gamma, P_a
-and V_a's relation rows; the ``cut`` command adds the kept piece and Gamma
-to the cut's own fields.
+Scalars carry the exact (r, s, d) triple plus an advisory ``float``, null
+beyond float range, a convenience only.  It stays, as it renders a value for
+a reader and repeats no other field.  Each writer writes its object's own
+facts, so a report holds one copy of Q_a, Gamma, P_a with its cut half-plane
+and V_a's relation rows; the ``cut`` command adds the kept piece, Gamma, the
+augmented quasilattice and the cut half-plane to the cut's two pieces.
 """
 
 from __future__ import annotations
@@ -88,10 +88,7 @@ def fan_to_json(f: Fan2):
 
 
 def quasilattice_to_json(q: Quasilattice):
-    return {
-        "generators": [vec_to_json(g) for g in q.generators],
-        "param": scalar_to_json(q.param.value) if q.param else None,
-    }
+    return {"generators": [vec_to_json(g) for g in q.generators]}
 
 
 def group_to_json(g: GroupDesc):
@@ -150,12 +147,11 @@ def presentation_to_json(p: QuasifoldPresentation):
 
 
 def cut_result_to_json(r: CutResult):
-    """The cut's own fields: a report's ``polytope`` and ``gamma`` are its kept piece and Gamma."""
+    """The cut's own pieces: a report's ``polytope`` (its last half-plane the
+    cut's), ``quasilattice`` and ``gamma`` are the cut's other fields."""
     return {
         "other_piece": polyhedron_to_json(r.other_piece),
         "reduced_face": polyhedron_to_json(r.reduced_face),
-        "augmented_quasilattice": quasilattice_to_json(r.augmented_quasilattice),
-        "cut_halfplane": halfplane_to_json(r.cut_halfplane),
     }
 
 

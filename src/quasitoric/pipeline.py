@@ -6,9 +6,9 @@ the strip cut, the triangle blow-up, and the leaf classification, and checks
 that the three polytope constructions agree.
 Each fact has one owner: the strip and the cut half-plane, for P_a, T_a
 and the strip cut; one triple, whose normals are checked in Q_a once;
-Gamma_a, the strip cut's, for the presentation, the leaves and the
-report's one ``gamma``, as P_a is its one ``polytope``; and V_a's relation
-rows, the Gale side's, for the moment map and the presentation's phase map.
+Q_a and Gamma_a, the strip cut's, for the report's one ``quasilattice``
+and ``gamma`` and all their users, as P_a is its one ``polytope``; and V_a's
+relation rows, the Gale side's, for the moment map and the phase map.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .gale import (
 )
 from .linalg import Vec2
 from .polyhedron import HalfPlane, Polyhedron2, vrep_from_hrep
-from .quasilattice import Quasilattice, hirzebruch_quasilattice, z2
+from .quasilattice import Quasilattice, z2
 from .scalar import ParamSpec, Q, QuadScalar
 
 
@@ -93,10 +93,9 @@ def triangulation_from_fan(fan: Fan2) -> Triangulation:
     return Triangulation(frozenset(subsets))
 
 
-def five_constraint_triple(p: Polyhedron2, qa: Quasilattice) -> PolytopeTriple:
-    """The trapezoid triple (P_a, Q_a) with the extra half-plane
-    -a*y >= -2a, a read off the tag of Q_a."""
-    av = qa.param.value
+def five_constraint_triple(p: Polyhedron2, qa: Quasilattice, a: ParamSpec) -> PolytopeTriple:
+    """The trapezoid triple (P_a, Q_a) with the extra half-plane -a*y >= -2a."""
+    av = a.value
     return PolytopeTriple(p, qa, (HalfPlane((Q(0), -av), Q(-2) * av),))
 
 
@@ -148,14 +147,12 @@ class ReportDocument:
     fan_rational_in_z2: bool
     fan_rational_in_qa: bool
     fan_smooth_in_z2: bool
-    quasilattice: Quasilattice
     gale: GaleSide
     presentation: QuasifoldPresentation
     moment_components: tuple[MomentComponent, ...]
     cut: CutResult
     blowup_polytope: Polyhedron2
     leaf_report: LeafReport
-    warnings: tuple[str, ...]
 
     def to_json(self) -> dict:
         g = self.gale
@@ -169,7 +166,7 @@ class ReportDocument:
                 "rational_in_qa": self.fan_rational_in_qa,
                 "smooth_in_z2": self.fan_smooth_in_z2,
             },
-            "quasilattice": jsonio.quasilattice_to_json(self.quasilattice),
+            "quasilattice": jsonio.quasilattice_to_json(self.cut.augmented_quasilattice),
             "gamma": jsonio.group_to_json(self.cut.gamma),
             "vector_config": jsonio.vector_config_to_json(g.vector_config),
             "vector_config_balanced": g.balanced,
@@ -187,7 +184,7 @@ class ReportDocument:
             "cut": jsonio.cut_result_to_json(self.cut),
             "blowup_polytope": jsonio.polyhedron_to_json(self.blowup_polytope),
             "leaf_report": jsonio.leaf_report_to_json(self.leaf_report),
-            "warnings": list(self.warnings),
+            "warnings": [MOMENT_CONSTANT_NOTE],
         }
 
 
@@ -206,11 +203,11 @@ def triangle_blowup(a: ParamSpec) -> Polyhedron2:
 def build_report(a: ParamSpec) -> ReportDocument:
     p = trapezoid(a)
     fan = normal_fan(p)
-    qa = hirzebruch_quasilattice(a)
     lattice = z2()
     gale = gale_side(fan)
     cut_result = strip_cut(a, lattice)
-    triple = five_constraint_triple(p, qa)
+    qa = cut_result.augmented_quasilattice
+    triple = five_constraint_triple(p, qa, a)
     components = moment_map_coeffs(triple.halfplanes(), gale.relation_matrix)
     # P_a's relation rows: V_a's below the all-ones one, without the ghost column (0 there)
     d, rows = len(fan.ray_generators), gale.relation_matrix[1:]
@@ -235,12 +232,10 @@ def build_report(a: ParamSpec) -> ReportDocument:
         fan_rational_in_z2=is_rational(fan, lattice),
         fan_rational_in_qa=is_rational(fan, qa),
         fan_smooth_in_z2=is_smooth(fan, lattice),
-        quasilattice=qa,
         gale=gale,
         presentation=pres,
         moment_components=tuple(components),
         cut=cut_result,
         blowup_polytope=blowup,
         leaf_report=classify_leaves(cut_result.gamma),
-        warnings=(MOMENT_CONSTANT_NOTE,),
     )

@@ -142,6 +142,8 @@ class Polyhedron2:
 
     @property
     def simple(self) -> bool:
+        """Every vertex lies on exactly two constraints: for a polyhedron built here,
+        iff it has an interior (a nonempty ``cycle``); a flat one's lie on three or more."""
         return all(len(t) == 2 for t in self.incidence)
 
     def same_region(self, other: "Polyhedron2") -> bool:

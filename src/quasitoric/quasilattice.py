@@ -7,7 +7,7 @@ membership, coordinates on that basis, discreteness, ray rationality and the
 quotient by a sublattice exactly from that one form.  This module alone
 decides whether a quotient Gamma is trivial, finite cyclic or dense, in
 ``quotient``; a report asks it once, for its strip cut (``cut``), whose
-Gamma_a = Q_a / Z^2 its presentation (``delzant``) reuses.
+lattice Z^2 + Z(-1, a) is the report's one Q_a, and Gamma_a = Q_a / Z^2.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def _scaled_rows(vectors) -> tuple[list[list[int]], int]:
 
 @dataclass(frozen=True)
 class Quasilattice:
+    """The Z-span of ``generators``, which span the plane, and nothing else."""
+
     generators: tuple[Vec2, ...]
-    param: ParamSpec | None = None
 
     def __post_init__(self):
         gens = tuple(tuple(Q(x) for x in g) for g in self.generators)
@@ -147,7 +148,7 @@ class Quasilattice:
         nu = (Q(nu[0]), Q(nu[1]))
         if nu[0].is_zero() and nu[1].is_zero():
             raise ValueError("cannot augment by the zero vector")
-        return Quasilattice(self.generators + (nu,), self.param)
+        return Quasilattice(self.generators + (nu,))
 
     def quotient(self, sub: "Quasilattice") -> GroupDesc:
         """self / sub for self = sub + Z nu, generated by the class of nu,
@@ -192,8 +193,6 @@ def z2() -> Quasilattice:
 
 
 def hirzebruch_quasilattice(a: ParamSpec) -> Quasilattice:
-    """Q_a = span_Z{(1,0),(0,1),(-1,a)} = Z x (Z + aZ)."""
-    return Quasilattice(
-        ((Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), a.value)),
-        param=a,
-    )
+    """Q_a = span_Z{(1,0),(0,1),(-1,a)} = Z x (Z + aZ), equal, generators in
+    order, to a report's Q_a, its strip cut's ``z2().augment((-1, a))``."""
+    return Quasilattice(((Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), a.value)))

@@ -220,9 +220,12 @@ class QuadScalar:
     # -- queries and conversions ----------------------------------------------
 
     def to_float(self) -> float:
+        """The value as a float; OverflowError, which names no digits, beyond float range."""
         x = self.r.numerator / self.r.denominator
         if self.s:
             x += (self.s.numerator / self.s.denominator) * math.sqrt(self.d)
+        if not math.isfinite(x):
+            raise OverflowError("a value beyond float range")
         return x
 
     __float__ = to_float
@@ -324,12 +327,12 @@ def format_scalar(x: QuadScalar) -> str:
 
 
 def scalar_to_json(x: QuadScalar) -> dict:
-    return {
-        "r": str(x.r),
-        "s": str(x.s),
-        "d": x.d,
-        "float": x.to_float(),
-    }
+    """The exact r, s and d, and the advisory float, null beyond float range."""
+    try:
+        value = x.to_float()
+    except OverflowError:
+        value = None
+    return {"r": str(x.r), "s": str(x.s), "d": x.d, "float": value}
 
 
 def scalar_from_json(obj) -> QuadScalar:

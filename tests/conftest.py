@@ -88,14 +88,19 @@ def conjugate_text(text: str) -> str:
 def conjugate_report(obj):
     """The JSON ``obj`` with every scalar {r, s, d, float} taken to its
     Galois conjugate r - s*sqrt(d), the advisory float by ``to_float``'s own
-    formula, and every string by ``conjugate_text``.  ``Fraction`` is the
-    only arithmetic: nothing of ``quasitoric`` is used."""
+    formula, null beyond float range, and every string by
+    ``conjugate_text``.  ``Fraction`` is the only arithmetic: nothing of
+    ``quasitoric`` is used."""
     if isinstance(obj, dict):
         if obj.keys() == {"r", "s", "d", "float"}:
             r, s = Fraction(obj["r"]), -Fraction(obj["s"])
-            value = r.numerator / r.denominator
-            if s:
-                value += (s.numerator / s.denominator) * math.sqrt(obj["d"])
+            try:
+                value = r.numerator / r.denominator
+                if s:
+                    value += (s.numerator / s.denominator) * math.sqrt(obj["d"])
+            except OverflowError:
+                value = math.inf
+            value = value if math.isfinite(value) else None
             return {"r": obj["r"], "s": str(s), "d": obj["d"], "float": value}
         return {k: conjugate_report(v) for k, v in obj.items()}
     if isinstance(obj, list):

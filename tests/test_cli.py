@@ -339,9 +339,11 @@ def test_cut_command():
 
 
 def test_cut_command_keeps_the_kept_piece_and_gamma_that_a_report_writes_once():
-    """The ``cut`` command writes the kept piece and Gamma next to the cut's
-    own fields.  A report writes them once, as ``polytope`` and ``gamma``,
-    so its ``cut`` section is the command's output without them."""
+    """The ``cut`` command writes the kept piece, Gamma, the augmented
+    quasilattice and the cut half-plane next to the cut's two pieces.  A
+    report writes them once, as ``polytope``, ``gamma``, ``quasilattice``
+    and P_a's last half-plane, so its ``cut`` section is the command's output
+    without them."""
     strip = (Path(__file__).parent / "golden" / "inputs" / "strip.json").read_text()
     code, out, _ = run_cli(["cut", "--", "-1", "3/2", "-1"], strip)
     assert code == 0
@@ -350,8 +352,10 @@ def test_cut_command_keeps_the_kept_piece_and_gamma_that_a_report_writes_once():
     assert code == 0
     doc = json.loads(out)
     assert (cut.pop("kept_piece"), cut.pop("gamma")) == (doc["polytope"], doc["gamma"])
+    assert cut.pop("augmented_quasilattice") == doc["quasilattice"]
+    assert cut.pop("cut_halfplane") == doc["polytope"]["hrep"][3]
     assert cut == doc["cut"]
-    assert sorted(cut) == ["augmented_quasilattice", "cut_halfplane", "other_piece", "reduced_face"]
+    assert sorted(cut) == ["other_piece", "reduced_face"]
 
 
 def test_cut_of_a_flat_region_exits_3():
@@ -485,6 +489,47 @@ def test_unusable_svg_dir_is_one_error_line(tmp_path, argv, under):
     code, _, err = run_cli([*argv, "--svg-dir", str(f / under)])
     assert_input_error(code, err)
     assert err.startswith(f"error: {argv[0]}: --svg-dir: ")
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _scalars(obj):
+    """Every scalar object {r, s, d, float} in a JSON document."""
+    if isinstance(obj, dict) and "float" in obj:
+        yield obj
+    for x in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+        yield from _scalars(x)
+
+
+HUGE = "0" * 307  # 17e307 is a float, 2*(17e307 + 1) and 13e307*sqrt(2) are beyond float range
+
+
+@pytest.mark.parametrize("argv, nulls", [
+    (["report", "17" + HUGE], 1),
+    (["normal-fan", "--a", "1" + "0" * 400], 1),
+    (["normal-fan", "--a", f"13{HUGE}*sqrt(2)"], 1),
+    (["gale-dual", "--a", f"13{HUGE}*sqrt(2)"], 4),
+], ids=["report", "normal-fan", "normal-fan-sqrt", "gale-dual"])
+def test_advisory_float_beyond_float_range_is_null(argv, nulls):
+    """A scalar beyond float range, its sqrt term alone included, writes
+    ``"float": null`` and keeps its exact r, s and d: strict JSON, with no
+    Infinity, and exit 0."""
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    big = [x for x in _scalars(json.loads(out, parse_constant=_not_json)) if x["float"] is None]
+    assert len(big) == nulls == out.count('"float":null')
+    assert all(max(abs(Fraction(x["r"])), abs(Fraction(x["s"]))) > 10**307 for x in big)
+
+
+def test_svg_of_a_value_beyond_float_range_is_one_error_line(tmp_path):
+    """A figure cannot place a point beyond float range: after the JSON,
+    one 'error:' line naming --svg-dir and exit 2, no traceback."""
+    code, out, err = run_cli(["normal-fan", "--a", f"13{HUGE}*sqrt(2)", "--svg-dir", str(tmp_path)])
+    assert_input_error(code, err)
+    assert err.startswith("error: normal-fan: --svg-dir: ")
+    json.loads(out, parse_constant=_not_json)
 
 
 def test_svg_cut_line_of_a_ray_face(tmp_path):

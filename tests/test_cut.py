@@ -31,7 +31,7 @@ from quasitoric.polyhedron import (
     hrep_from_vrep,
     vrep_from_hrep,
 )
-from quasitoric.quasilattice import z2
+from quasitoric.quasilattice import Quasilattice, hirzebruch_quasilattice, z2
 from quasitoric.scalar import ParamSpec, Q, QuadScalar, parse_scalar, sqrt
 
 from conftest import (
@@ -133,14 +133,27 @@ parameters = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(parameters)
+# the golden reports' parameters
+@example(Q(2))
+@example(Q(3, 2))
+@example(Q(5, 3))
+@example(Q(355, 113))
+@example(sqrt(2))
+@example(1 + sqrt(2))
+@example(Q(1, 2) + Q(1, 2) * sqrt(5))
 def test_report_has_one_gamma(av):
-    """The strip cut's (Z^2 + Z (-1, a)) / Z^2 is Gamma_a = Q_a / Z^2,
-    rotation included.  The report writes it once, and the presentation,
-    which keeps no copy, names the quasitorus and divisors by it: Z_q puts
-    order-q divisors on the two horizontal facets."""
-    doc = build_report(ParamSpec(av))
+    """The strip cut's lattice Z^2 + Z (-1, a), the report's one Q_a,
+    equals ``hirzebruch_quasilattice``'s, generators and their order
+    included, so its quotient by Z^2 is Gamma_a = Q_a / Z^2, rotation
+    included.  The report writes Gamma once, and the presentation, which
+    keeps no copy, names the quasitorus and divisors by it: Z_q puts order-q
+    divisors on the two horizontal facets."""
+    a = ParamSpec(av)
+    doc = build_report(a)
     gamma = doc.cut.gamma
-    assert gamma == doc.quasilattice.quotient(z2())
+    qa = hirzebruch_quasilattice(a)
+    assert doc.cut.augmented_quasilattice == qa
+    assert gamma == qa.quotient(z2())
     assert gamma.rotation_coefficient == (None if is_integer(av) else av)
     assert doc.to_json()["gamma"] == group_to_json(gamma)
     quasitorus = {"trivial": "S^1 x S^1", "finite_cyclic": f"S^1 x (S^1/Z_{gamma.order})",
@@ -148,6 +161,24 @@ def test_report_has_one_gamma(av):
     horizontal = [i for i, h in enumerate(doc.polytope.hrep, start=1) if h.normal[0].is_zero()]
     divisors = tuple((i, gamma.order) for i in horizontal) if gamma.kind == "finite_cyclic" else ()
     assert (doc.presentation.quasitorus, doc.presentation.divisor_orders) == (quasitorus, divisors)
+
+
+def test_report_builds_one_quasilattice(monkeypatch):
+    """After a warm-up, which builds the shared Z^2, a report builds one
+    quasilattice: its Q_a is the strip cut's augment of Z^2 (2 while the
+    report built Q_a again beside the cut)."""
+    built = []
+    post_init = Quasilattice.__post_init__
+
+    def logged(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Quasilattice, "__post_init__", logged)
+    build_report(ParamSpec(parse_scalar("3/2"))).to_json()
+    built.clear()
+    build_report(ParamSpec(parse_scalar("1+sqrt(2)"))).to_json()
+    assert len(built) == 1
 
 
 def test_blowup_matches_trapezoid():
@@ -434,7 +465,7 @@ def test_cut_incidence_matches_scan(case):
     """The incidence that both pieces and the face of a cut derive from the
     clip is the scan's, and the cycle that each piece keeps from it, in
     the piece's labels, is the ``boundary`` oracle's; the flat face keeps
-    none."""
+    none.  Each is simple iff it keeps a cycle."""
     p, nu, c, _ = case
     try:
         result = cut_polyhedron(p, z2(), nu, c)
@@ -442,6 +473,7 @@ def test_cut_incidence_matches_scan(case):
         return
     for piece in (result.kept_piece, result.other_piece, result.reduced_face):
         assert piece.incidence == scan_incidence(piece)
+        assert piece.simple == bool(piece.cycle)
     for piece in (result.kept_piece, result.other_piece):
         assert same_cycle(piece.cycle, boundary(piece))
     assert result.reduced_face.cycle == ()

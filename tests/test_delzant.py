@@ -53,7 +53,7 @@ def test_moment_components_regression():
     """lambda = (0, 0, -1, -1, -2a) gives the three level equations."""
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
-        triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
+        triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a), a)
         rows = kernel_rows_for(normals(triple.halfplanes()))
         comps = moment_map_coeffs(triple.halfplanes(), rows)
         av = a.value
@@ -70,7 +70,7 @@ def test_level_set_vertex_patterns():
     for text in ("2", "3/2", "sqrt(2)"):
         a = ParamSpec(parse_scalar(text))
         av = a.value
-        triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
+        triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a), a)
         halfplanes = triple.halfplanes()
         comps = moment_map_coeffs(halfplanes, kernel_rows_for(normals(halfplanes)))
         # |z_i|^2 = <mu, X_i> - lambda_i at the moment-image point mu
@@ -88,7 +88,7 @@ def test_level_set_vertex_patterns():
 
 def test_moment_coeffs_reject_bad_rows():
     a = ParamSpec(Q(2))
-    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a))
+    triple = five_constraint_triple(trapezoid(a), hirzebruch_quasilattice(a), a)
     with pytest.raises(ValueError):
         moment_map_coeffs(triple.halfplanes(), [[Q(1), Q(0), Q(0), Q(0), Q(0)]])
     with pytest.raises(ValueError):

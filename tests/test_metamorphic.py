@@ -35,7 +35,7 @@ def test_integer_shift_keeps_the_quasilattice_gamma_and_leaves(a):
     JSON is byte-equal."""
     shifted = ParamSpec(a.value + 1)
     doc, doc_shifted = build_report(a), build_report(shifted)
-    qa, qb = doc.quasilattice, doc_shifted.quasilattice
+    qa, qb = doc.cut.augmented_quasilattice, doc_shifted.cut.augmented_quasilattice
     assert all(qb.member(g) for g in qa.generators)
     assert all(qa.member(g) for g in qb.generators)
     gamma, gamma_shifted = doc.cut.gamma, doc_shifted.cut.gamma

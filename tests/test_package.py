@@ -125,8 +125,12 @@ def test_second_owners_are_gone():
     rationality (Gamma_a owns it), the triple's normals and offsets (its
     half-planes), the presentation's copies of V_a's relation rows, as
     N's rows and level components (V_a's relation matrix owns them), of
-    P_a's facet count (its hrep) and of Gamma_a (the strip cut owns it)."""
+    P_a's facet count (its hrep) and of Gamma_a and Q_a (the strip cut owns
+    them: a quasilattice carries no parameter tag), and the report's constant
+    warnings (its JSON writer owns them)."""
     from quasitoric.delzant import PolytopeTriple, QuasifoldPresentation
+    from quasitoric.pipeline import ReportDocument
+    from quasitoric.quasilattice import Quasilattice
     from quasitoric.scalar import ParamSpec, QuadScalar
 
     gone = [(ParamSpec, "rational"), (ParamSpec, "p"), (ParamSpec, "q"),
@@ -134,7 +138,8 @@ def test_second_owners_are_gone():
             (PolytopeTriple, "offsets"), (QuasifoldPresentation, "group_weight_rows"),
             (QuasifoldPresentation, "gamma"), (QuasifoldPresentation, "relation_rows"),
             (QuasifoldPresentation, "level_components"), (QuasifoldPresentation, "facet_count"),
-            (QuasifoldPresentation, "group_phases")]
+            (QuasifoldPresentation, "group_phases"), (Quasilattice, "param"),
+            (ReportDocument, "quasilattice"), (ReportDocument, "warnings")]
     # a dataclass field without a default is not a class attribute
     assert [f"{cls.__name__}.{name}" for cls, name in gone
             if hasattr(cls, name) or name in getattr(cls, "__dataclass_fields__", {})] == []

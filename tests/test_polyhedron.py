@@ -333,9 +333,13 @@ def test_one_pass_drop_matches_restart_reference(hs):
 @settings(max_examples=100, deadline=None)
 @given(halfplane_systems())
 @example([_hp(1, 0, 0), _hp(0, 1, 0), _hp(0, -1, -1)])
+# x >= -1 is redundant but comes first: rays (0, 1), (1, 0), 2 constraints kept
+@example([_hp(1, 0, -1), _hp(0, 1, 0), _hp(1, 0, 0)])
 def test_enumerated_rays_match_dot_products(hs):
     """The rays that ``vrep_from_hrep`` reads off its table of cross signs
-    are, canonical and in order, those of the ``conftest`` oracle."""
+    are, canonical and in order, those of the ``conftest`` oracle: ordered
+    by the first deduplicated input constraint parallel to each, whether
+    that constraint is kept or not."""
     try:
         p = vrep_from_hrep(hs)
     except (InfeasibleRegionError, NotPointedError):
